@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..coloring import BudgetExhausted, canonical_dfs, unique_color_count
+
 BACKEND = "python"
 
 _MASK = (1 << 64) - 1
@@ -41,8 +43,7 @@ def _embeddings_by_last_edge(num_edges: int,
 
 def _copy_satisfied(colors: Sequence[int], edges: Sequence[int],
                     k: int, exactly: bool) -> bool:
-    cols = [colors[e] for e in edges]
-    uniq = sum(1 for c in cols if cols.count(c) == 1)
+    uniq = unique_color_count([colors[e] for e in edges])
     return uniq == k if exactly else uniq >= k
 
 
@@ -52,58 +53,33 @@ def find_avoiding_coloring(num_edges: int,
                            k: int, exactly: bool, max_colors: int,
                            budget: Optional[int] = None,
                            ) -> tuple[Optional[list[int]], int, bool]:
-    """DFS over canonical proper colorings for one with no satisfied copy.
+    """First canonical proper coloring with no satisfied copy.
 
     A copy is satisfied when its unique-edge count is >= k (== k in exactly
     mode).  Branches are cut as soon as a fully colored copy is satisfied,
-    since the copy's count can no longer change.  Returns
-    (colors or None, nodes_visited, exhausted).
+    since the copy's count can no longer change.  A negative budget means no
+    limit.  Returns (colors or None, nodes_visited, exhausted).
     """
     by_last = _embeddings_by_last_edge(num_edges, emb_edges)
-    colors = [-1] * num_edges
     nodes = 0
-    limit = budget if budget is not None else -1
 
-    def walk(i: int):
+    def satisfied(colors: list[int], i: int) -> bool:
         nonlocal nodes
-        if i == num_edges:
-            return list(colors)
-        used = max(colors[:i], default=-1) + 1
-        forbidden = {colors[j] for j in conflicts[i]}
-        for c in range(min(used + 1, max_colors)):
-            if c in forbidden:
-                continue
-            nodes += 1
-            if limit >= 0 and nodes > limit:
-                raise _Budget
-            colors[i] = c
-            if not any(_copy_satisfied(colors, emb_edges[r], k, exactly)
-                       for r in by_last[i]):
-                got = walk(i + 1)
-                if got is not None:
-                    colors[i] = -1
-                    return got
-            colors[i] = -1
-        return None
+        nodes += 1
+        return any(_copy_satisfied(colors, emb_edges[r], k, exactly)
+                   for r in by_last[i])
 
+    limit = budget if budget is not None and budget >= 0 else None
     try:
-        found = walk(0)
-    except _Budget:
-        return None, nodes, False
-    return found, nodes, True
-
-
-class _Budget(Exception):
-    pass
+        found = next(canonical_dfs(conflicts, max_colors, limit, satisfied), None)
+    except BudgetExhausted as exc:
+        return None, exc.nodes_visited, False
+    return (list(found) if found is not None else None), nodes, True
 
 
 def unique_counts(colors: Sequence[int],
                   emb_edges: Sequence[Sequence[int]]) -> list[int]:
-    out = []
-    for edges in emb_edges:
-        cols = [colors[e] for e in edges]
-        out.append(sum(1 for c in cols if cols.count(c) == 1))
-    return out
+    return [unique_color_count([colors[e] for e in edges]) for edges in emb_edges]
 
 
 def random_proper_coloring(num_edges: int, conflicts: Sequence[Sequence[int]],

@@ -37,37 +37,53 @@ class SpecError(ValueError):
     pass
 
 
+# integer tokens after each keyword head; CAT's one token is a comma list
+_FAMILY_ARITY = {"DS": 2, "B": 2, "CAT": 1, "T": 2}
+_AUGMENT_ARITY = {"DS": 3, "CAT": 1, "T": 2}
+
+_BUILDERS = {"P": make_path, "C": make_cycle, "K": make_complete,
+             "DS": make_double_star, "B": make_broom, "CAT": make_caterpillar,
+             "T": make_perfect_kary}
+
+
+def parse_spec(tokens: list[str],
+               arity: dict[str, int] = _FAMILY_ARITY) -> tuple[str, list]:
+    """Split a family spec into its head and integer arguments.
+
+    P<k>, C<k> and K<n> carry their number in the head token.  A keyword
+    head takes exactly arity[head] further tokens; CAT's is a comma list,
+    returned as one list of ints.
+    """
+    if not tokens:
+        raise SpecError("missing family spec")
+    spec = " ".join(tokens)
+    head = tokens[0].upper()
+    try:
+        if head in arity:
+            if len(tokens) != 1 + arity[head]:
+                raise ValueError(f"{head} takes {arity[head]} argument(s)")
+            if head == "CAT":
+                return head, [[int(x) for x in tokens[1].split(",")]]
+            return head, [int(x) for x in tokens[1:]]
+        if head[0] in "PCK" and len(head) > 1 and len(tokens) == 1:
+            return head[0], [int(head[1:])]
+    except ValueError as exc:
+        raise SpecError(f"bad family spec {spec!r}: {exc}") from exc
+    raise SpecError(f"unrecognized family spec {spec!r}")
+
+
 def parse_family(tokens: list[str], graph_file: str | None = None) -> tuple[str, Graph]:
     """Family grammar: P<k>, C<k>, K<n>, DS <r> <s>, B <k> <r>,
     CAT <c1,...,ck>, T <k> <d>; or a JSON graph file."""
     if graph_file:
         obj = json.loads(Path(graph_file).read_text())
         return f"file:{graph_file}", Graph.from_json(obj)
-    if not tokens:
-        raise SpecError("missing family spec")
-    head = tokens[0].upper()
+    head, vals = parse_spec(tokens)
+    name = " ".join([tokens[0].upper(), *tokens[1:]])
     try:
-        if head.startswith("P") and len(head) > 1:
-            return head, make_path(int(head[1:]))
-        if head.startswith("C") and len(head) > 1 and head != "CAT":
-            return head, make_cycle(int(head[1:]))
-        if head.startswith("K") and len(head) > 1:
-            return head, make_complete(int(head[1:]))
-        if head == "DS":
-            r, s = int(tokens[1]), int(tokens[2])
-            return f"DS {r} {s}", make_double_star(r, s)
-        if head == "B":
-            k, r = int(tokens[1]), int(tokens[2])
-            return f"B {k} {r}", make_broom(k, r)
-        if head == "CAT":
-            c = [int(x) for x in tokens[1].split(",")]
-            return f"CAT {tokens[1]}", make_caterpillar(c)
-        if head == "T":
-            k, d = int(tokens[1]), int(tokens[2])
-            return f"T {k} {d}", make_perfect_kary(k, d)
-    except (IndexError, ValueError, GraphError) as exc:
+        return name, _BUILDERS[head](*vals)
+    except GraphError as exc:
         raise SpecError(f"bad family spec {' '.join(tokens)!r}: {exc}") from exc
-    raise SpecError(f"unrecognized family spec {' '.join(tokens)!r}")
 
 
 def _frac(f: Fraction) -> dict:
@@ -119,11 +135,10 @@ def _report_lines(rep) -> str:
 
 def cmd_bounds(args) -> int:
     tokens = args.family
-    head = tokens[0].upper() if tokens else ""
-    reports = []
+    head, vals = parse_spec(tokens)
     extra: dict = {}
     if head == "DS":
-        r, s = int(tokens[1]), int(tokens[2])
+        r, s = vals
         if args.k_unique is not None:
             out = ds_k_unique_bounds(min(r, s), max(r, s), args.k_unique)
             reports = [out["lower"], out["upper"]]
@@ -135,13 +150,12 @@ def cmd_bounds(args) -> int:
             if min(r, s) == 1 and max(r, s) % 2 == 1:
                 reports.append(ds_1_odd_exact((max(r, s) - 1) // 2))
     elif head == "CAT":
-        c = [int(x) for x in tokens[1].split(",")]
-        out = caterpillar_bounds(c)
+        out = caterpillar_bounds(vals[0])
         reports = [out["literal"], out["constructive"]]
         extra = {"augmented_edges": out["augmented_edges"],
                  "discrepancy": out["discrepancy"]}
     elif head == "T":
-        k, d = int(tokens[1]), int(tokens[2])
+        k, d = vals
         if k == 2:
             out = binary_coefficients(d)
             reports = [out["literal"], out["proof_form"], out["constructive"]]
@@ -164,21 +178,18 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+_AUGMENTERS = {"DS": augment_double_star, "CAT": augment_caterpillar,
+               "T": augment_kary}
+
+
 def cmd_construct(args) -> int:
     if args.augment:
-        tokens = args.family
-        head = tokens[0].upper()
-        if head == "DS":
-            r, s, l = int(tokens[1]), int(tokens[2]), int(tokens[3])
-            aug = augment_double_star(r, s, l)
-        elif head == "CAT":
-            aug = augment_caterpillar([int(x) for x in tokens[1].split(",")])
-        elif head == "T":
-            aug = augment_kary(int(tokens[1]), int(tokens[2]))
-        else:
+        head, vals = parse_spec(args.family, _AUGMENT_ARITY)
+        if head not in _AUGMENTERS:
             print("--augment supports DS <r> <s> <l>, CAT <c...>, T <k> <d>",
                   file=sys.stderr)
             return EXIT_USAGE
+        aug = _AUGMENTERS[head](*vals)
         obj = {"original": aug.original.to_json(),
                "augmented": aug.augmented.to_json(),
                "construction_log": [list(x) for x in aug.construction_log],
@@ -260,6 +271,13 @@ def cmd_search(args) -> int:
     return code
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rturan",
                                 description="rainbow / k-unique Turan workbench "
@@ -267,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--seed", type=int, default=20240901)
-    p.add_argument("--budget", type=int, default=None, help="node-count limit")
+    p.add_argument("--budget", type=_budget, default=None, help="node-count limit")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cache-dir", default=None,
                    help=f"certificate cache (default {default_cache_dir()})")
@@ -320,8 +338,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(str(exc), file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        # the library rejects bad input with ValueError (SpecError, GraphError
+        # and ColoringError among them); OSError is an unreadable file
+        print(f"rturan: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExhausted:
         print("budget exhausted", file=sys.stderr)

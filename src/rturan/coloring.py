@@ -112,6 +112,47 @@ def conflict_lists(g: Graph) -> list[list[int]]:
 PrunePredicate = Callable[[list[int], int], bool]
 
 
+def unique_color_count(colors: Sequence[int]) -> int:
+    """Number of entries whose color occurs exactly once in the sequence."""
+    return list(map(colors.count, colors)).count(1)
+
+
+def canonical_dfs(conflicts: Sequence[Sequence[int]], max_colors: int,
+                  budget: Optional[int] = None,
+                  prune: Optional[PrunePredicate] = None) -> Iterator[list[int]]:
+    """Depth-first canonical enumeration of proper colorings over raw arrays.
+
+    Edge i may not share a color with the edges in conflicts[i] and takes a
+    color at most one above the largest color before it, below max_colors.
+    `prune(colors, i)` is consulted after edge i is assigned (edges after i
+    read -1); returning True cuts the subtree.  Each assignment is a node;
+    BudgetExhausted is raised when nodes exceed a non-None budget.  Yields
+    the same list at every leaf, so callers copy what they keep.
+    """
+    m = len(conflicts)
+    colors = [-1] * m
+    nodes = 0
+
+    def walk(i: int, used: int) -> Iterator[list[int]]:
+        nonlocal nodes
+        if i == m:
+            yield colors
+            return
+        forbidden = {colors[j] for j in conflicts[i]}
+        for c in range(min(used + 1, max_colors)):
+            if c in forbidden:
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExhausted(nodes)
+            colors[i] = c
+            if prune is None or not prune(colors, i):
+                yield from walk(i + 1, max(used, c + 1))
+        colors[i] = -1
+
+    return walk(0, 0)
+
+
 def enumerate_proper_colorings(g: Graph, max_colors: int,
                                budget: Optional[int] = None,
                                prune: Optional[PrunePredicate] = None,
@@ -125,33 +166,8 @@ def enumerate_proper_colorings(g: Graph, max_colors: int,
     """
     if max_colors < 1:
         raise ColoringError("need at least one color")
-    m = g.num_edges
-    if m == 0:
-        yield EdgeColoring(g, (), canonical=True)
-        return
-    conf = conflict_lists(g)
-    partial = [-1] * m
-    nodes = 0
-
-    def walk(i: int) -> Iterator[EdgeColoring]:
-        nonlocal nodes
-        if i == m:
-            yield EdgeColoring(g, tuple(partial), canonical=True)
-            return
-        used = max(partial[:i], default=-1) + 1
-        forbidden = {partial[j] for j in conf[i]}
-        for c in range(min(used + 1, max_colors)):
-            if c in forbidden:
-                continue
-            partial[i] = c
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExhausted(nodes)
-            if prune is None or not prune(partial, i):
-                yield from walk(i + 1)
-            partial[i] = -1
-
-    yield from walk(0)
+    for colors in canonical_dfs(conflict_lists(g), max_colors, budget, prune):
+        yield EdgeColoring(g, tuple(colors), canonical=True)
 
 
 def one_factorization(m: int) -> EdgeColoring:
@@ -175,30 +191,13 @@ def one_factorization(m: int) -> EdgeColoring:
 def greedy_delta_plus_one(g: Graph) -> EdgeColoring:
     """Proper coloring with at most Delta+1 colors.
 
-    Backtracking over the Delta+1 palette, smallest color first; completeness
-    of the search plus Vizing's theorem gives the guarantee.
+    The first leaf of the canonical search over the Delta+1 palette; it is
+    also the lexicographically least proper coloring, since swapping a color
+    above every earlier one with the next unused color makes a smaller one.
+    Completeness of the search plus Vizing's theorem gives the guarantee.
     """
-    m = g.num_edges
-    if m == 0:
-        return EdgeColoring(g, ())
-    palette = g.max_degree() + 1
-    conf = conflict_lists(g)
-    colors = [-1] * m
-
-    def walk(i: int) -> bool:
-        if i == m:
-            return True
-        forbidden = {colors[j] for j in conf[i]}
-        for c in range(palette):
-            if c in forbidden:
-                continue
-            colors[i] = c
-            if walk(i + 1):
-                return True
-        colors[i] = -1
-        return False
-
-    if not walk(0):  # unreachable for simple graphs by Vizing
+    colors = next(canonical_dfs(conflict_lists(g), g.max_degree() + 1), None)
+    if colors is None:  # unreachable for simple graphs by Vizing
         raise ColoringError("no Delta+1 coloring found")
     return proper_coloring(g, colors)
 

@@ -7,12 +7,11 @@ elsewhere in the host.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from .coloring import EdgeColoring
-from .graphs import Embedding, Graph, _search_order
+from .coloring import EdgeColoring, unique_color_count
+from .graphs import Embedding, Graph, enumerate_embeddings
 
 
 @dataclass(frozen=True)
@@ -31,15 +30,12 @@ class UniquenessReport:
 
 def unique_count(host: Graph, c: EdgeColoring, e: Embedding) -> int:
     """Number of embedded pattern edges whose color occurs exactly once on the copy."""
-    colors = [c.colors[i] for i in e.edge_map]
-    counts = Counter(colors)
-    return sum(1 for col in colors if counts[col] == 1)
+    return unique_color_count([c.colors[i] for i in e.edge_map])
 
 
 def report_for(host: Graph, c: EdgeColoring, e: Embedding) -> UniquenessReport:
     colors = tuple(c.colors[i] for i in e.edge_map)
-    counts = Counter(colors)
-    return UniquenessReport(e, sum(1 for col in colors if counts[col] == 1), colors)
+    return UniquenessReport(e, unique_color_count(colors), colors)
 
 
 def find_k_unique(host: Graph, c: EdgeColoring, pattern: Graph, k: int,
@@ -47,75 +43,22 @@ def find_k_unique(host: Graph, c: EdgeColoring, pattern: Graph, k: int,
     """First embedding of pattern whose unique count is >= k (or == k in
     "exactly" mode), in the deterministic order of enumerate_embeddings.
 
-    Interleaves embedding extension with a running bound on the reachable
-    unique count, pruning branches that cannot hit k.
+    Prunes the embedding search with a running bound on the reachable unique
+    count; at a full embedding nothing remains, so the bound is the test.
     """
     if mode not in ("at_least", "exactly"):
         raise ValueError(f"unknown mode {mode!r}")
     exactly = mode == "exactly"
+    colors = c.colors
     p = pattern.num_edges
-    if k > p or (pattern.n > host.n) or pattern.n == 0:
-        return None
 
-    order = _search_order(pattern)
-    pos = {v: i for i, v in enumerate(order)}
-    placed_nbrs = [[w for w in pattern.adjacency[v] if pos[w] < pos[v]] for v in order]
-    # pattern edges that become fully mapped when step i places its vertex
-    edges_at = [[] for _ in order]
-    for ei, (u, v) in enumerate(pattern.edges):
-        edges_at[max(pos[u], pos[v])].append(ei)
-    total_after = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        total_after[i] = total_after[i + 1] + len(edges_at[i])
-
-    vmap = [-1] * pattern.n
-    used = [False] * host.n
-    counts: Counter = Counter()
-
-    def current_unique() -> int:
-        return sum(1 for col, ct in counts.items() if ct == 1)
-
-    def walk(i: int, uniq: int) -> Optional[Embedding]:
-        if i == len(order):
-            if (uniq == k) if exactly else (uniq >= k):
-                return Embedding.from_vertex_map(pattern, host, vmap)
-            return None
-        remaining = total_after[i]
+    def out_of_reach(mapped: list[int]) -> bool:
+        uniq = unique_color_count([colors[e] for e in mapped])
+        remaining = p - len(mapped)
         # each further edge can raise or lower the unique count by at most one
-        if uniq + remaining < k or (exactly and uniq - remaining > k):
-            return None
-        v = order[i]
-        nbrs = placed_nbrs[i]
-        if nbrs:
-            candidates = sorted(host.adjacency[vmap[nbrs[0]]])
-        else:
-            candidates = range(host.n)
-        for cand in candidates:
-            if used[cand]:
-                continue
-            if any(cand not in host.adjacency[vmap[w]] for w in nbrs):
-                continue
-            vmap[v] = cand
-            used[cand] = True
-            new_cols = []
-            for ei in edges_at[i]:
-                (a, b) = pattern.edges[ei]
-                ha, hb = vmap[a], vmap[b]
-                col = c.colors[host.edge_index[(min(ha, hb), max(ha, hb))]]
-                counts[col] += 1
-                new_cols.append(col)
-            got = walk(i + 1, current_unique())
-            for col in new_cols:
-                counts[col] -= 1
-                if counts[col] == 0:
-                    del counts[col]
-            used[cand] = False
-            vmap[v] = -1
-            if got is not None:
-                return got
-        return None
+        return uniq + remaining < k or (exactly and uniq - remaining > k)
 
-    emb = walk(0, 0)
+    emb = next(enumerate_embeddings(pattern, host, out_of_reach), None)
     if emb is None:
         return None
     return report_for(host, c, emb)
@@ -124,9 +67,3 @@ def find_k_unique(host: Graph, c: EdgeColoring, pattern: Graph, k: int,
 def is_rainbow_free(host: Graph, c: EdgeColoring, pattern: Graph) -> bool:
     """True iff the colored host contains no rainbow copy of pattern."""
     return find_k_unique(host, c, pattern, pattern.num_edges, "at_least") is None
-
-
-def iter_reports(host: Graph, c: EdgeColoring,
-                 embeddings: Iterator[Embedding]) -> Iterator[UniquenessReport]:
-    for e in embeddings:
-        yield report_for(host, c, e)

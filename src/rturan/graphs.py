@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 DEFAULT_VERTEX_CAP = 64
 
@@ -311,41 +311,55 @@ def _search_order(pattern: Graph) -> list[int]:
     return order
 
 
-def enumerate_embeddings(pattern: Graph, host: Graph) -> Iterator[Embedding]:
+def enumerate_embeddings(pattern: Graph, host: Graph,
+                         prune: Optional[Callable[[list[int]], bool]] = None,
+                         ) -> Iterator[Embedding]:
     """Yield every labeled embedding (injective homomorphism) of pattern into host.
 
     Embeddings related by pattern automorphisms are all yielded; the order is
-    deterministic.  Empty stream when no copy exists.
+    deterministic.  Empty stream when no copy exists.  `prune(mapped)` is
+    consulted after each pattern vertex is placed, with the host edge indices
+    of the pattern edges mapped so far; returning True cuts the subtree.
     """
     if pattern.n > host.n or pattern.n == 0:
         return
     order = _search_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
-    # for each step, pattern neighbors already placed
-    placed_nbrs = [[w for w in pattern.adjacency[v] if pos[w] < pos[v]] for v in order]
+    # for each step, (placed neighbor, pattern edge index) pairs: the pattern
+    # edges that become mapped when the step's vertex is placed
+    steps = [[(w, pattern.edge_index[(min(v, w), max(v, w))])
+              for w in pattern.adjacency[v] if pos[w] < pos[v]] for v in order]
+    last = len(order) - 1
     vmap = [-1] * pattern.n
+    emap = [-1] * pattern.num_edges
+    mapped: list[int] = []
     used = [False] * host.n
 
     def extend(i: int) -> Iterator[Embedding]:
-        if i == len(order):
-            yield Embedding.from_vertex_map(pattern, host, vmap)
-            return
         v = order[i]
-        nbrs = placed_nbrs[i]
+        nbrs = steps[i]
         if nbrs:
-            candidates = sorted(host.adjacency[vmap[nbrs[0]]])
+            candidates = sorted(host.adjacency[vmap[nbrs[0][0]]])
         else:
             candidates = range(host.n)
         for c in candidates:
             if used[c]:
                 continue
-            if any(c not in host.adjacency[vmap[w]] for w in nbrs):
+            if any(c not in host.adjacency[vmap[w]] for w, _ in nbrs):
                 continue
             vmap[v] = c
-            used[c] = True
-            yield from extend(i + 1)
-            used[c] = False
-            vmap[v] = -1
+            for w, ei in nbrs:
+                hw = vmap[w]
+                emap[ei] = host.edge_index[(c, hw) if c < hw else (hw, c)]
+                mapped.append(emap[ei])
+            if prune is None or not prune(mapped):
+                if i == last:
+                    yield Embedding(tuple(vmap), tuple(emap))
+                else:
+                    used[c] = True
+                    yield from extend(i + 1)
+                    used[c] = False
+            del mapped[len(mapped) - len(nbrs):]
 
     yield from extend(0)
 

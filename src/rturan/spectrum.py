@@ -8,21 +8,20 @@ taken over the identity embedding.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .coloring import (BudgetExhausted, ColorClassProfile, ColoringError,
                        EdgeColoring, color_classes, color_class_profile,
-                       enumerate_proper_colorings, proper_coloring)
+                       enumerate_proper_colorings, proper_coloring,
+                       unique_color_count)
 from .graphs import Graph, GraphError, make_double_star
 
 DEFAULT_EDGE_CAP = 12
 
 
 def self_unique_count(c: EdgeColoring) -> int:
-    counts = Counter(c.colors)
-    return sum(1 for col in c.colors if counts[col] == 1)
+    return unique_color_count(c.colors)
 
 
 @dataclass

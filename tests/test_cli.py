@@ -161,3 +161,28 @@ def test_json_output_is_deterministic(capsys):
 def test_bad_arguments_exit_usage(capsys):
     assert main(["spectrum", "Q9"]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds DS",
+    "bounds CAT x",
+    "bounds DS 3 1 --k-unique 5",
+    "construct --augment DS 1",
+    "construct --augment CAT 1,1",
+    "spectrum P20",
+    "search --n 8 --pattern P3 --rainbow",
+    "verify --recheck missing.json",
+])
+def test_user_errors_exit_usage_with_one_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv.split())
+    assert code == EXIT_USAGE
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_negative_budget_is_rejected(capsys):
+    for argv in (["--budget", "-1", "spectrum", "C5"],
+                 ["--budget", "-1", "search", "--n", "4", "--pattern", "P2",
+                  "--rainbow"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and "--budget" in err

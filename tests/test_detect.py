@@ -85,3 +85,26 @@ def test_no_copy_at_all():
     c = proper_coloring(host, (0, 1))
     assert find_k_unique(host, c, make_cycle(3), 0) is None
     assert find_k_unique(host, c, make_complete(5), 0) is None
+
+
+@pytest.mark.parametrize("host", [make_complete(5), make_complete(6), make_cycle(6)],
+                         ids=["K5", "K6", "C6"])
+def test_pruned_search_matches_plain_filter(host):
+    # the pruned search must return the first embedding a plain filter over
+    # the full enumeration accepts, for every k and in both modes
+    conf = conflict_lists(host)
+    patterns = [make_path(2), make_path(3), make_double_star(1, 2),
+                make_double_star(2, 2)]
+    for seed in (3, 17, 2024):
+        colors = pure.random_proper_coloring(host.num_edges, conf,
+                                             pure.XorShift64Star(seed))
+        c = proper_coloring(host, tuple(colors))
+        for f in patterns:
+            embs = list(enumerate_embeddings(f, host))
+            counts = [unique_count(host, c, e) for e in embs]
+            for k in range(f.num_edges + 1):
+                for mode, accept in (("at_least", lambda u: u >= k),
+                                     ("exactly", lambda u: u == k)):
+                    want = next((e for e, u in zip(embs, counts) if accept(u)), None)
+                    rep = find_k_unique(host, c, f, k, mode)
+                    assert (rep.embedding if rep else None) == want, (seed, f.edges, k, mode)
