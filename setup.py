@@ -1,16 +1,8 @@
-from setuptools import setup
+from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    extensions = cythonize(
-        [Extension("rturan._kernels._fast",
-                   ["src/rturan/_kernels/_fast.pyx"],
-                   extra_compile_args=["-O3"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []  # pure-Python fallback kernels are used instead
-
-setup(ext_modules=extensions)
+# The search kernels: plain C with no Python C-API, loaded through ctypes by
+# rturan/_kernels/native.py.  Optional, so that without a C compiler the
+# install still succeeds and the pure-Python kernels are used.
+setup(ext_modules=[Extension("rturan._kernels._native",
+                             ["src/rturan/_kernels/native.c"],
+                             extra_compile_args=["-O3"], optional=True)])

@@ -1,6 +1,7 @@
-"""Kernel backend selection: compiled extension when available, pure Python
-fallback otherwise.  Set RTURAN_PURE=1 to force the fallback (benchmarks and
-cross-checks rely on this)."""
+"""Kernel backend selection: the compiled C kernels (native.c through
+native.py) when the library is built, pure Python fallback otherwise.  Set
+RTURAN_PURE=1 to force the fallback (benchmarks and cross-checks rely on
+this)."""
 
 import os
 
@@ -8,7 +9,7 @@ if os.environ.get("RTURAN_PURE") == "1":
     from . import pure as _impl
 else:
     try:
-        from . import _fast as _impl  # type: ignore[attr-defined]
+        from . import native as _impl
     except ImportError:
         from . import pure as _impl
 

@@ -1,0 +1,145 @@
+/* Compiled search kernels: plain C over flat int arrays, no Python C-API.
+ *
+ * native.py flattens the inputs and calls these functions through ctypes.
+ * pure.py is the reference: each function returns exactly what its pure
+ * twin does, node counts and the xorshift64* sample stream included.
+ *
+ * A list of int lists (the earlier edges each edge conflicts with, the host
+ * edges of each pattern copy, the copies whose largest edge is i) arrives as
+ * two arrays: row r is idx[off[r]] .. idx[off[r + 1] - 1].
+ */
+#include <stdint.h>
+
+/* Number of edges of copy `row` whose color occurs once in the copy. */
+static int unique_count(const int *colors, const int *emb_off, const int *emb,
+                        int row)
+{
+    int uniq = 0;
+    for (int i = emb_off[row]; i < emb_off[row + 1]; i++) {
+        int same = 0;
+        for (int j = emb_off[row]; j < emb_off[row + 1]; j++)
+            same += colors[emb[j]] == colors[emb[i]];
+        uniq += same == 1;
+    }
+    return uniq;
+}
+
+static int satisfied(const int *colors, const int *emb_off, const int *emb,
+                     int row, int k, int exactly)
+{
+    int uniq = unique_count(colors, emb_off, emb, row);
+    return exactly ? uniq == k : uniq >= k;
+}
+
+static int allowed(const int *colors, const int *conf_off, const int *conf,
+                   int i, int c)
+{
+    for (int j = conf_off[i]; j < conf_off[i + 1]; j++)
+        if (colors[conf[j]] == c)
+            return 0;
+    return 1;
+}
+
+typedef struct {
+    int m, k, exactly, max_colors;
+    const int *conf_off, *conf, *emb_off, *emb, *last_off, *last;
+    long long limit, nodes;
+    int *colors;
+} search;
+
+/* Canonical DFS from edge i with colors 0..used-1 taken so far, as in
+ * coloring.canonical_dfs.  Returns 1 when colors holds an avoiding coloring,
+ * 0 when the subtree has none, -1 when the node budget tripped. */
+static int avoid(search *s, int i, int used)
+{
+    if (i == s->m)
+        return 1;
+    int top = used + 1 < s->max_colors ? used + 1 : s->max_colors;
+    for (int c = 0; c < top; c++) {
+        if (!allowed(s->colors, s->conf_off, s->conf, i, c))
+            continue;
+        if (++s->nodes > s->limit && s->limit >= 0)
+            return -1;
+        s->colors[i] = c;
+        int cut = 0;
+        for (int j = s->last_off[i]; j < s->last_off[i + 1] && !cut; j++)
+            cut = satisfied(s->colors, s->emb_off, s->emb, s->last[j],
+                            s->k, s->exactly);
+        int found = cut ? 0 : avoid(s, i + 1, c < used ? used : c + 1);
+        if (found)
+            return found;
+        s->colors[i] = -1;
+    }
+    return 0;
+}
+
+/* pure.find_avoiding_coloring; a negative limit means no budget.  Returns
+ * 1 found (in colors), 0 none, -1 budget exhausted; *nodes gets the count. */
+int rt_find_avoiding(int m, const int *conf_off, const int *conf,
+                     const int *emb_off, const int *emb,
+                     const int *last_off, const int *last,
+                     int k, int exactly, int max_colors, long long limit,
+                     int *colors, long long *nodes)
+{
+    search s = {m, k, exactly, max_colors, conf_off, conf, emb_off, emb,
+                last_off, last, limit, 0, colors};
+    for (int i = 0; i < m; i++)
+        colors[i] = -1;
+    int found = avoid(&s, 0, 0);
+    *nodes = s.nodes;
+    return found;
+}
+
+static uint64_t next_u64(uint64_t *state)
+{
+    uint64_t x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    return x * 0x2545F4914F6CDD1DULL;
+}
+
+/* pure.sample_and_check from the (nonzero) xorshift64* state.  Returns the
+ * index of the first sample with no satisfied copy, left in colors, or -1;
+ * counts gets (checked, rainbow_skipped).  options holds m + 1 ints. */
+long long rt_sample_and_check(int m, const int *conf_off, const int *conf,
+                              int n_emb, const int *emb_off, const int *emb,
+                              int k, int exactly, long long n_samples,
+                              uint64_t state, int skip_rainbow,
+                              int *colors, int *options, long long *counts)
+{
+    counts[0] = counts[1] = 0;
+    for (long long s = 0; s < n_samples; s++) {
+        int used = 0;
+        for (int i = 0; i < m; i++)  /* uncolored edges read -1, as in pure */
+            colors[i] = -1;
+        for (int i = 0; i < m; i++) {  /* pure.random_proper_coloring */
+            int n_opt = 0;
+            for (int c = 0; c < used; c++)
+                if (allowed(colors, conf_off, conf, i, c))
+                    options[n_opt++] = c;
+            options[n_opt++] = used;  /* a fresh color is always an option */
+            colors[i] = options[(next_u64(&state) >> 33) % (uint64_t)n_opt];
+            used += colors[i] == used;
+        }
+        if (skip_rainbow && used == m) {
+            counts[1]++;
+            continue;
+        }
+        counts[0]++;
+        int hit = 0;
+        for (int r = 0; r < n_emb && !hit; r++)
+            hit = satisfied(colors, emb_off, emb, r, k, exactly);
+        if (!hit)
+            return s;
+    }
+    return -1;
+}
+
+void rt_unique_counts(const int *colors, int n_emb, const int *emb_off,
+                      const int *emb, int *out)
+{
+    for (int r = 0; r < n_emb; r++)
+        out[r] = unique_count(colors, emb_off, emb, r);
+}

@@ -1,0 +1,114 @@
+"""ctypes front end of the compiled kernels in native.c.
+
+Same contracts and bit-identical results as pure.py, the reference: the
+inputs are flattened into C int arrays and the C code runs the same searches.
+Importing raises ImportError until the library is built with
+``python setup.py build_ext --inplace``.
+"""
+
+from __future__ import annotations
+
+import ctypes
+from importlib.machinery import EXTENSION_SUFFIXES
+from itertools import accumulate, chain
+from pathlib import Path
+from typing import Optional, Sequence
+
+from ..coloring import canonicalize
+from .pure import XorShift64Star, _embeddings_by_last_edge
+
+BACKEND = "c"
+
+# the file name setup.py's build gives it, e.g. _native.cpython-311-x86_64-linux-gnu.so
+_LIBRARY = Path(__file__).with_name("_native" + EXTENSION_SUFFIXES[0])
+try:
+    _lib = ctypes.CDLL(str(_LIBRARY))
+except OSError as exc:
+    raise ImportError(f"compiled kernel not built: {exc}") from exc
+
+_int, _ll = ctypes.c_int, ctypes.c_longlong
+_ints_p, _ll_p = ctypes.POINTER(_int), ctypes.POINTER(_ll)
+_lib.rt_find_avoiding.argtypes = [_int, *[_ints_p] * 6, _int, _int, _int, _ll,
+                                  _ints_p, _ll_p]
+_lib.rt_find_avoiding.restype = _int
+_lib.rt_sample_and_check.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _ints_p,
+                                     _int, _int, _ll, ctypes.c_uint64, _int,
+                                     _ints_p, _ints_p, _ll_p]
+_lib.rt_sample_and_check.restype = _ll
+_lib.rt_unique_counts.argtypes = [_ints_p, _int, _ints_p, _ints_p, _ints_p]
+_lib.rt_unique_counts.restype = None
+
+
+def _sat(x: int, bits: int = 32) -> int:
+    """x clamped to a signed C integer.  The kernels only compare k, the color
+    cap, the budget and the sample count with counts far inside that range,
+    so clamping changes no result, where ctypes would wrap the value."""
+    top = 1 << (bits - 1)
+    return max(-top, min(x, top - 1))
+
+
+def _ints(values: Sequence[int]) -> ctypes.Array:
+    return (_int * len(values))(*values)
+
+
+def _rows(rows: Sequence[Sequence[int]], bound: int) -> tuple[ctypes.Array, ctypes.Array]:
+    """(offsets, indices) of a list of index lists; every index must be below bound."""
+    flat = list(chain.from_iterable(rows))
+    if flat and not 0 <= min(flat) <= max(flat) < bound:
+        raise ValueError(f"index out of range 0..{bound - 1} in kernel input")
+    return _ints([0, *accumulate(map(len, rows))]), _ints(flat)
+
+
+def _conflict_rows(num_edges: int, conflicts: Sequence[Sequence[int]]):
+    if len(conflicts) != num_edges:
+        raise ValueError(f"{len(conflicts)} conflict lists for {num_edges} edges")
+    return _rows(conflicts, num_edges)
+
+
+def find_avoiding_coloring(num_edges: int,
+                           conflicts: Sequence[Sequence[int]],
+                           emb_edges: Sequence[Sequence[int]],
+                           k: int, exactly: bool, max_colors: int,
+                           budget: Optional[int] = None,
+                           ) -> tuple[Optional[list[int]], int, bool]:
+    """See pure.find_avoiding_coloring."""
+    conf = _conflict_rows(num_edges, conflicts)
+    emb = _rows(emb_edges, num_edges)
+    last = _rows(_embeddings_by_last_edge(num_edges, emb_edges), len(emb_edges))
+    colors = (_int * num_edges)()
+    nodes = _ll()
+    found = _lib.rt_find_avoiding(num_edges, *conf, *emb, *last, _sat(k), bool(exactly),
+                                  _sat(max_colors), -1 if budget is None else _sat(budget, 64),
+                                  colors, ctypes.byref(nodes))
+    return (list(colors) if found == 1 else None), nodes.value, found >= 0
+
+
+def unique_counts(colors: Sequence[int],
+                  emb_edges: Sequence[Sequence[int]]) -> list[int]:
+    """See pure.unique_counts."""
+    emb = _rows(emb_edges, len(colors))
+    out = (_int * len(emb_edges))()
+    # relabeled 0, 1, ... in order of first use, so any colors fit a C int
+    _lib.rt_unique_counts(_ints(canonicalize(colors)), len(emb_edges), *emb, out)
+    return list(out)
+
+
+def sample_and_check(num_edges: int,
+                     conflicts: Sequence[Sequence[int]],
+                     emb_edges: Sequence[Sequence[int]],
+                     k: int, exactly: bool,
+                     num_samples: int, seed: int,
+                     skip_rainbow: bool = True) -> dict:
+    """See pure.sample_and_check; any Python int seeds the same stream."""
+    conf = _conflict_rows(num_edges, conflicts)
+    emb = _rows(emb_edges, num_edges)
+    colors = (_int * num_edges)()
+    counts = (_ll * 2)()
+    index = _lib.rt_sample_and_check(
+        num_edges, *conf, len(emb_edges), *emb, _sat(k), bool(exactly),
+        _sat(num_samples, 64), XorShift64Star(seed).state, bool(skip_rainbow),
+        colors, (_int * (num_edges + 1))(), counts)
+    found = index >= 0
+    return {"checked": counts[0], "rainbow_skipped": counts[1],
+            "counterexample": list(colors) if found else None,
+            "sample_index": index if found else None}

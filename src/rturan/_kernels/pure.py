@@ -1,7 +1,8 @@
 """Pure-Python kernels for the hot search loops.
 
-Same contracts as the compiled twin in _fast.pyx; results are bit-identical
-(including the sampling RNG) so either backend can stand behind certificates.
+The reference implementation: the compiled kernels (native.c, loaded by
+native.py) return bit-identical results, the sampling RNG included, so either
+backend can stand behind certificates.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ def find_avoiding_coloring(num_edges: int,
         return any(_copy_satisfied(colors, emb_edges[r], k, exactly)
                    for r in by_last[i])
 
-    limit = budget if budget is not None and budget >= 0 else None
     try:
-        found = next(canonical_dfs(conflicts, max_colors, limit, satisfied), None)
+        found = next(canonical_dfs(conflicts, max_colors, budget, satisfied), None)
     except BudgetExhausted as exc:
         return None, exc.nodes_visited, False
     return (list(found) if found is not None else None), nodes, True

@@ -46,8 +46,17 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
+        """Raises ValueError on input that is not a certificate of this schema."""
+        if not isinstance(obj, dict):
+            raise ValueError("certificate is not a JSON object")
         if obj.get("schema") != SCHEMA:
             raise ValueError(f"unsupported certificate schema {obj.get('schema')!r}")
+        for key in ("kind", "verdict"):
+            if key not in obj:
+                raise ValueError(f"certificate has no {key!r} field")
+        for key in ("params", "payload"):
+            if not isinstance(obj.get(key, {}), dict):
+                raise ValueError(f"certificate field {key!r} is not a JSON object")
         return cls(
             kind=obj["kind"],
             verdict=obj["verdict"],

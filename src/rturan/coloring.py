@@ -126,12 +126,15 @@ def canonical_dfs(conflicts: Sequence[Sequence[int]], max_colors: int,
     color at most one above the largest color before it, below max_colors.
     `prune(colors, i)` is consulted after edge i is assigned (edges after i
     read -1); returning True cuts the subtree.  Each assignment is a node;
-    BudgetExhausted is raised when nodes exceed a non-None budget.  Yields
-    the same list at every leaf, so callers copy what they keep.
+    BudgetExhausted is raised when nodes exceed the budget, where None or a
+    negative budget means no limit.  Yields the same list at every leaf, so
+    callers copy what they keep.
     """
     m = len(conflicts)
     colors = [-1] * m
     nodes = 0
+    if budget is not None and budget < 0:
+        budget = None
 
     def walk(i: int, used: int) -> Iterator[list[int]]:
         nonlocal nodes
@@ -162,7 +165,7 @@ def enumerate_proper_colorings(g: Graph, max_colors: int,
     Yields exactly one representative per color-permutation class (first-occurrence
     canonical form).  `prune(partial, i)` is consulted after edge i is assigned;
     returning True cuts the subtree.  Raises BudgetExhausted when the node budget
-    (number of edge assignments) trips.
+    (number of edge assignments) trips; a negative budget means no limit.
     """
     if max_colors < 1:
         raise ColoringError("need at least one color")

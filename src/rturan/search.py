@@ -244,7 +244,15 @@ def revalidate_avoider(cert: Certificate) -> tuple[bool, str]:
 
 
 def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
-    """Re-validate a certificate from its serialized form."""
+    """Re-validate a certificate from its serialized form.  Raises ValueError
+    naming the field when the certificate lacks one that its kind needs."""
+    try:
+        return _recheck(cert)
+    except KeyError as exc:
+        raise ValueError(f"{cert.kind} certificate has no {exc.args[0]!r} field") from None
+
+
+def _recheck(cert: Certificate) -> tuple[bool, str]:
     from .bounds import verify_reduction  # local import avoids a cycle
 
     if cert.kind == "avoider":

@@ -163,6 +163,13 @@ def test_bad_arguments_exit_usage(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
 
 
+MALFORMED_CERTIFICATES = {
+    "no-kind.json": '{"schema": 1}',
+    "no-graph.json": '{"schema": 1, "kind": "avoider", "verdict": "PASS", "params": {}}',
+    "not-an-object.json": "[1]",
+}
+
+
 @pytest.mark.parametrize("argv", [
     "bounds DS",
     "bounds CAT x",
@@ -172,9 +179,12 @@ def test_bad_arguments_exit_usage(capsys):
     "spectrum P20",
     "search --n 8 --pattern P3 --rainbow",
     "verify --recheck missing.json",
+    *(f"verify --recheck {name}" for name in MALFORMED_CERTIFICATES),
 ])
 def test_user_errors_exit_usage_with_one_line(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
+    for name, text in MALFORMED_CERTIFICATES.items():
+        (tmp_path / name).write_text(text)
     code, out, err = run(capsys, *argv.split())
     assert code == EXIT_USAGE
     assert out == "" and len(err.strip().splitlines()) == 1

@@ -89,6 +89,12 @@ def test_enumeration_budget_and_prune():
     assert (0, 0) in seen
 
 
+def test_negative_budget_means_no_limit():
+    for g in (make_complete(4), make_cycle(5)):
+        unlimited = [c.colors for c in enumerate_proper_colorings(g, 4)]
+        assert [c.colors for c in enumerate_proper_colorings(g, 4, budget=-1)] == unlimited
+
+
 def test_one_factorization():
     for m in (1, 2, 3, 4):
         c = one_factorization(m)

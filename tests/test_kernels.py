@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -11,12 +12,13 @@ from rturan.graphs import (enumerate_embeddings, make_complete, make_cycle,
                            make_double_star, make_path)
 
 try:
-    from rturan._kernels import _fast as fast
+    from rturan._kernels import native
 except ImportError:
-    fast = None
+    native = None
 
-# only the compiled-vs-pure comparisons need the compiled extension
-needs_fast = pytest.mark.skipif(fast is None, reason="compiled kernel not built")
+# only the compiled-vs-pure comparisons need the compiled kernel, which
+# tests/conftest.py builds wherever a C compiler is found
+needs_native = pytest.mark.skipif(native is None, reason="compiled kernel not built")
 
 
 def instance(host, pattern):
@@ -60,43 +62,44 @@ def test_find_avoiding_frozen_values(case, expected):
         assert got == (colors if exhausted else None, nodes, exhausted), budget
 
 
-@needs_fast
+@needs_native
 @pytest.mark.parametrize("host,pattern,k,exactly,cap", CASES)
 def test_find_avoiding_backends_agree(host, pattern, k, exactly, cap):
     m, conf, emb = instance(host, pattern)
-    got_fast = fast.find_avoiding_coloring(m, conf, emb, k, exactly, cap, None)
+    got_native = native.find_avoiding_coloring(m, conf, emb, k, exactly, cap, None)
     got_pure = pure.find_avoiding_coloring(m, conf, emb, k, exactly, cap, None)
-    assert got_fast == got_pure
+    assert got_native == got_pure
 
 
-@needs_fast
+@needs_native
 def test_find_avoiding_budget_behaviour_matches():
     m, conf, emb = instance(make_complete(6), make_double_star(2, 2))
     for budget in (1, 10, 100):
-        got_fast = fast.find_avoiding_coloring(m, conf, emb, 5, False, 15, budget)
+        got_native = native.find_avoiding_coloring(m, conf, emb, 5, False, 15, budget)
         got_pure = pure.find_avoiding_coloring(m, conf, emb, 5, False, 15, budget)
-        assert got_fast == got_pure
+        assert got_native == got_pure
 
 
-@needs_fast
+@needs_native
 def test_unique_counts_backends_agree():
     m, conf, emb = instance(make_complete(6), make_double_star(2, 2))
     rng = pure.XorShift64Star(3)
     for _ in range(10):
         colors = pure.random_proper_coloring(m, conf, rng)
-        assert fast.unique_counts(colors, emb) == pure.unique_counts(colors, emb)
+        assert native.unique_counts(colors, emb) == pure.unique_counts(colors, emb)
 
 
-@needs_fast
+@needs_native
 def test_sampler_backends_bit_identical():
     m, conf, emb = instance(make_complete(6), make_double_star(2, 2))
-    for seed in (1, 42, 20240901):
-        a = fast.sample_and_check(m, conf, emb, 3, True, 5_000, seed)
+    # the seed is taken mod 2**64, 0 remapped, on both backends
+    for seed in (1, 42, 20240901, 0, -1, 2 ** 64 + 5):
+        a = native.sample_and_check(m, conf, emb, 3, True, 5_000, seed)
         b = pure.sample_and_check(m, conf, emb, 3, True, 5_000, seed)
         assert a == b
         assert a["counterexample"] is None
     m, conf, emb = instance(make_complete(4), make_path(2))
-    assert (fast.sample_and_check(m, conf, emb, 3, False, 100, 5)
+    assert (native.sample_and_check(m, conf, emb, 3, False, 100, 5)
             == pure.sample_and_check(m, conf, emb, 3, False, 100, 5))
 
 
@@ -131,7 +134,7 @@ def test_random_coloring_is_proper_and_reproducible():
 
 
 def test_backend_selection_env_override():
-    assert _kernels.BACKEND in ("cython", "python")
+    assert _kernels.BACKEND in ("c", "python")
     env = dict(os.environ, RTURAN_PURE="1")
     out = subprocess.run(
         [sys.executable, "-c",
@@ -140,11 +143,38 @@ def test_backend_selection_env_override():
     assert out.stdout.strip() == "python"
 
 
-@needs_fast
-def test_large_pattern_guard():
-    # the compiled kernel has a fixed per-copy buffer; patterns beyond it
-    # must be rejected rather than overrun
-    emb = [list(range(65))]
-    conf = [[] for _ in range(65)]
-    with pytest.raises(ValueError):
-        fast.find_avoiding_coloring(65, conf, emb, 1, False, 65, None)
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_compiled_kernel_is_built_where_a_compiler_exists():
+    assert native is not None, "see python setup.py build_ext --inplace"
+
+
+@needs_native
+def test_large_pattern_backends_agree():
+    # a 65-edge copy, both ways along the path P65
+    m, conf = 65, conflict_lists(make_path(65, cap=66))
+    emb = [list(range(m)), list(range(m))[::-1]]
+    for k in (0, 1, 2, 65):
+        for cap in (1, 2, 3):
+            assert (native.find_avoiding_coloring(m, conf, emb, k, False, cap, 1000)
+                    == pure.find_avoiding_coloring(m, conf, emb, k, False, cap, 1000))
+        assert (native.sample_and_check(m, conf, emb, k, True, 200, 7)
+                == pure.sample_and_check(m, conf, emb, k, True, 200, 7))
+    colors = pure.random_proper_coloring(m, conf, pure.XorShift64Star(5))
+    assert native.unique_counts(colors, emb) == pure.unique_counts(colors, emb)
+
+
+@needs_native
+def test_backends_agree_on_arbitrary_conflict_lists():
+    # a conflict list may name any edge, later ones and the edge itself
+    # included; an uncolored edge reads -1 on both backends
+    rng = pure.XorShift64Star(5)
+    for trial in range(60):
+        m = 2 + rng.randbelow(7)
+        conf = [[rng.randbelow(m) for _ in range(rng.randbelow(4))] for _ in range(m)]
+        emb = [[rng.randbelow(m) for _ in range(2)] for _ in range(1 + rng.randbelow(6))]
+        for k, exactly in ((0, True), (1, False), (2, True)):
+            for budget in (None, 3):
+                assert (native.find_avoiding_coloring(m, conf, emb, k, exactly, 3, budget)
+                        == pure.find_avoiding_coloring(m, conf, emb, k, exactly, 3, budget))
+            assert (native.sample_and_check(m, conf, emb, k, exactly, 20, trial)
+                    == pure.sample_and_check(m, conf, emb, k, exactly, 20, trial))
