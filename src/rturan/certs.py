@@ -84,7 +84,15 @@ def save_certificate(cert: Certificate, cache_dir: Optional[Path] = None) -> Pat
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{cache_key(cert.kind, cert.params)}.json"
-    path.write_text(json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n")
+    # write a sibling file, then rename it over the target: a reader (or a
+    # crash) never sees a half-written certificate
+    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

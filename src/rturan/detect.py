@@ -45,6 +45,19 @@ def find_k_unique(host: Graph, c: EdgeColoring, pattern: Graph, k: int,
 
     Prunes the embedding search with a running bound on the reachable unique
     count; at a full embedding nothing remains, so the bound is the test.
+
+    The search walks only one embedding per orbit of twin-leaf swaps
+    (`twins=True`), yet returns the same report as a filter over every
+    labeled embedding:
+    - the accept test reads only the copy's color multiset, which swapping
+      the images of two twin leaves leaves unchanged;
+    - the labeled stream is lexicographic in the images (candidates are
+      tried in ascending order), so had the first accepted embedding a twin
+      pair in decreasing order, swapping the pair would give an accepted
+      embedding that comes earlier;
+    - the bound only cuts subtrees that hold no accepted embedding.
+    So the first labeled hit already has increasing images on every twin
+    class, and it is the first hit of the quotient search.
     """
     if mode not in ("at_least", "exactly"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -58,7 +71,7 @@ def find_k_unique(host: Graph, c: EdgeColoring, pattern: Graph, k: int,
         # each further edge can raise or lower the unique count by at most one
         return uniq + remaining < k or (exactly and uniq - remaining > k)
 
-    emb = next(enumerate_embeddings(pattern, host, out_of_reach), None)
+    emb = next(enumerate_embeddings(pattern, host, out_of_reach, twins=True), None)
     if emb is None:
         return None
     return report_for(host, c, emb)

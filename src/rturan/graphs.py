@@ -311,15 +311,32 @@ def _search_order(pattern: Graph) -> list[int]:
     return order
 
 
+def twin_classes(pattern: Graph) -> list[list[int]]:
+    """Classes of twin leaves: degree-1 vertices sharing their one neighbor,
+    in increasing vertex order.  Classes of size 1 are left out."""
+    by_parent: dict[int, list[int]] = {}
+    for v, nbrs in enumerate(pattern.adjacency):
+        if len(nbrs) == 1:
+            by_parent.setdefault(next(iter(nbrs)), []).append(v)
+    return [leaves for leaves in by_parent.values() if len(leaves) > 1]
+
+
 def enumerate_embeddings(pattern: Graph, host: Graph,
                          prune: Optional[Callable[[list[int]], bool]] = None,
-                         ) -> Iterator[Embedding]:
+                         *, twins: bool = False) -> Iterator[Embedding]:
     """Yield every labeled embedding (injective homomorphism) of pattern into host.
 
     Embeddings related by pattern automorphisms are all yielded; the order is
-    deterministic.  Empty stream when no copy exists.  `prune(mapped)` is
-    consulted after each pattern vertex is placed, with the host edge indices
-    of the pattern edges mapped so far; returning True cuts the subtree.
+    deterministic: lexicographic in the host images taken in search order.
+    Empty stream when no copy exists.  `prune(mapped)` is consulted after
+    each pattern vertex is placed, with the host edge indices of the pattern
+    edges mapped so far; returning True cuts the subtree.
+
+    With `twins=True`, each class of twin leaves (see `twin_classes`) must
+    take increasing host vertices in search order, so one embedding per
+    orbit of the twin permutations is yielded: the stream is the labeled
+    stream filtered to those embeddings, and its length times the product
+    of the class sizes' factorials is the labeled count.
     """
     if pattern.n > host.n or pattern.n == 0:
         return
@@ -329,6 +346,14 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     # edges that become mapped when the step's vertex is placed
     steps = [[(w, pattern.edge_index[(min(v, w), max(v, w))])
               for w in pattern.adjacency[v] if pos[w] < pos[v]] for v in order]
+    # for each step, the twin placed just before it (its image is a floor
+    # for this step's image), or -1 when there is none
+    floor_of = [-1] * len(order)
+    if twins:
+        for leaves in twin_classes(pattern):
+            ranked = sorted(leaves, key=pos.__getitem__)
+            for prev, v in zip(ranked, ranked[1:]):
+                floor_of[pos[v]] = prev
     last = len(order) - 1
     vmap = [-1] * pattern.n
     emap = [-1] * pattern.num_edges
@@ -342,8 +367,9 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
             candidates = sorted(host.adjacency[vmap[nbrs[0][0]]])
         else:
             candidates = range(host.n)
+        floor = vmap[floor_of[i]] if floor_of[i] >= 0 else -1
         for c in candidates:
-            if used[c]:
+            if used[c] or c <= floor:
                 continue
             if any(c not in host.adjacency[vmap[w]] for w, _ in nbrs):
                 continue

@@ -160,6 +160,8 @@ def verify_k6_universal_3unique(budget: Optional[int] = None,
     """Every proper non-rainbow coloring of K_6 contains an exactly-3-unique
     DS_{2,2}: exhaustive over canonical colorings with <= color_cap colors,
     seeded random sampling above the cap.  A verification, not a re-proof."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     host, pattern, emb = _k6_embedding_edges()
     conflicts = conflict_lists(host)
     params = {"color_cap": color_cap, "sample_count": sample_count,
@@ -238,18 +240,28 @@ def revalidate_avoider(cert: Certificate) -> tuple[bool, str]:
     if not is_proper(g, colors):
         return False, "stored coloring is not proper"
     c = EdgeColoring(g, tuple(colors))
-    if find_k_unique(g, c, f, cert.params["k"], "at_least") is not None:
+    if find_k_unique(g, c, f, _int_param(cert, "k"), "at_least") is not None:
         return False, "stored coloring contains a k-unique copy"
     return True, "avoider re-validated"
 
 
 def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
     """Re-validate a certificate from its serialized form.  Raises ValueError
-    naming the field when the certificate lacks one that its kind needs."""
+    naming the field when the certificate lacks one that its kind needs, or
+    when an integer field it reads holds something else."""
     try:
         return _recheck(cert)
     except KeyError as exc:
         raise ValueError(f"{cert.kind} certificate has no {exc.args[0]!r} field") from None
+
+
+def _int_param(cert: Certificate, name: str) -> int:
+    value = cert.params[name]
+    # bool is an int subclass, but true/false in a certificate is a wrong type
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{cert.kind} certificate field {name!r} is not an "
+                         f"integer: {value!r}")
+    return value
 
 
 def _recheck(cert: Certificate) -> tuple[bool, str]:
@@ -266,12 +278,12 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
         fresh = verify_k6_rainbow_free()
         return fresh.verdict == cert.verdict, f"re-run verdict {fresh.verdict}"
     if cert.kind == "k2s4":
-        fresh = verify_k2s4_construction(cert.params["s"])
+        fresh = verify_k2s4_construction(_int_param(cert, "s"))
         return fresh.verdict == cert.verdict, f"re-run verdict {fresh.verdict}"
     if cert.kind == "reduction":
         original = Graph.from_json(cert.params["original"])
         host = Graph.from_json(cert.params["augmented"])
-        fresh = verify_reduction(original, host, cert.params["k"])
+        fresh = verify_reduction(original, host, _int_param(cert, "k"))
         return fresh.verdict == cert.verdict, f"re-run verdict {fresh.verdict}"
     if cert.kind == "k6_universal":
         if cert.verdict == FAIL:
@@ -284,10 +296,10 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
             return ok, "counterexample re-validated" if ok else \
                 "stored coloring does contain an exactly-3-unique copy"
         fresh = verify_k6_universal_3unique(
-            color_cap=cert.params["color_cap"],
-            sample_count=min(cert.params["sample_count"], 50_000),
-            seed=cert.params["seed"],
-            chunk_size=cert.params["chunk_size"])
+            color_cap=_int_param(cert, "color_cap"),
+            sample_count=min(_int_param(cert, "sample_count"), 50_000),
+            seed=_int_param(cert, "seed"),
+            chunk_size=_int_param(cert, "chunk_size"))
         return fresh.verdict == cert.verdict, \
             f"re-run (reduced sample prefix) verdict {fresh.verdict}"
     return False, f"unknown certificate kind {cert.kind!r}"

@@ -167,6 +167,15 @@ MALFORMED_CERTIFICATES = {
     "no-kind.json": '{"schema": 1}',
     "no-graph.json": '{"schema": 1, "kind": "avoider", "verdict": "PASS", "params": {}}',
     "not-an-object.json": "[1]",
+    "k2s4-s-string.json": '{"schema": 1, "kind": "k2s4", "verdict": "PASS", "params": {"s": "x"}}',
+    "k2s4-s-bool.json": '{"schema": 1, "kind": "k2s4", "verdict": "PASS", "params": {"s": true}}',
+    "reduction-k-null.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", "params": '
+                             '{"original": {"n": 2, "edges": [[0, 1]]}, '
+                             '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": null}}',
+    "k6-chunk-zero.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", "params": '
+                          '{"color_cap": 7, "sample_count": 10, "seed": 1, "chunk_size": 0}}',
+    "k6-seed-float.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", "params": '
+                          '{"color_cap": 7, "sample_count": 10, "seed": 1.5, "chunk_size": 5}}',
 }
 
 

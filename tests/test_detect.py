@@ -1,10 +1,15 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rturan._kernels import pure
-from rturan.coloring import conflict_lists, one_factorization, proper_coloring
+from rturan.coloring import (EdgeColoring, conflict_lists, one_factorization,
+                             proper_coloring)
 from rturan.detect import (find_k_unique, is_rainbow_free, report_for,
                            unique_count)
-from rturan.graphs import (enumerate_embeddings, make_complete, make_cycle,
+from rturan.graphs import (enumerate_embeddings, graph_from_edges,
+                           make_caterpillar, make_complete, make_cycle,
                            make_double_star, make_path)
 
 from oracles import naive_max_unique
@@ -108,3 +113,34 @@ def test_pruned_search_matches_plain_filter(host):
                     want = next((e for e, u in zip(embs, counts) if accept(u)), None)
                     rep = find_k_unique(host, c, f, k, mode)
                     assert (rep.embedding if rep else None) == want, (seed, f.edges, k, mode)
+
+
+# patterns with twin leaves (classes of 2, 3 and 4, one or two classes), and
+# P3 and C4, which have none
+TWIN_PATTERNS = [make_path(2), make_double_star(1, 2), make_double_star(2, 2),
+                 make_double_star(1, 3), make_double_star(0, 3),
+                 make_caterpillar([2, 0, 2]), make_caterpillar([1, 1, 2]),
+                 make_path(3), make_cycle(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 7), st.data())
+def test_orbit_search_matches_labeled_filter(n, data):
+    # find_k_unique walks one embedding per twin orbit; it must still return
+    # exactly the first labeled embedding a plain filter accepts, on any host
+    # and any coloring, proper or not, for every k and in both modes
+    pairs = list(itertools.combinations(range(n), 2))
+    host = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                                  min_size=1, max_size=len(pairs))))
+    colors = data.draw(st.lists(st.integers(0, 4), min_size=host.num_edges,
+                                max_size=host.num_edges))
+    c = EdgeColoring(host, tuple(colors))
+    for f in TWIN_PATTERNS:
+        embs = list(enumerate_embeddings(f, host))
+        counts = [unique_count(host, c, e) for e in embs]
+        for k in range(f.num_edges + 1):
+            for mode, accept in (("at_least", lambda u: u >= k),
+                                 ("exactly", lambda u: u == k)):
+                want = next((e for e, u in zip(embs, counts) if accept(u)), None)
+                rep = find_k_unique(host, c, f, k, mode)
+                assert (rep.embedding if rep else None) == want, (f.edges, k, mode)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from rturan.graphs import (DEFAULT_VERTEX_CAP, Embedding, Graph, GraphError,
                            enumerate_embeddings, graph_from_edges, is_tree,
                            make_broom, make_caterpillar, make_complete,
                            make_cycle, make_double_star, make_near_regular,
-                           make_path, make_perfect_kary)
+                           make_path, make_perfect_kary, twin_classes)
 
 from oracles import naive_embeddings
 
@@ -130,6 +131,41 @@ def test_embedding_counts_frozen():
         assert sum(1 for _ in enumerate_embeddings(g, g)) == aut
     assert sum(1 for _ in enumerate_embeddings(
         make_double_star(2, 2), make_complete(6))) == 720
+
+
+def test_twin_classes():
+    assert twin_classes(make_path(1)) == []
+    assert twin_classes(make_path(2)) == [[0, 2]]
+    assert twin_classes(make_double_star(1, 3)) == [[3, 4, 5]]
+    # DS_{0,3}: y is a leaf of x like x_1..x_3
+    assert twin_classes(make_double_star(0, 3)) == [[0, 2, 3, 4]]
+    assert twin_classes(make_caterpillar([2, 0, 3])) == [[3, 4], [5, 6, 7]]
+    assert twin_classes(make_cycle(5)) == []
+
+
+def _increasing_on_twins(pattern, emb):
+    # the search order places the leaves of a twin class by increasing id
+    return all(emb.vertex_map[a] < emb.vertex_map[b]
+               for leaves in twin_classes(pattern) for a, b in zip(leaves, leaves[1:]))
+
+
+@pytest.mark.parametrize("pattern, host, factor, labeled", [
+    (make_double_star(2, 2), make_complete(6), 2 * 2, 720),
+    (make_double_star(1, 7), make_complete(10), 5040, math.perm(10, 9)),
+    (make_path(2), make_complete(4), 2, 24),
+    (make_caterpillar([2, 0, 3]), make_complete(8), 2 * 6, math.perm(8, 8)),
+    (make_caterpillar([2, 0, 2]), make_near_regular(9, 4), 2 * 2, None),
+], ids=["DS22-K6", "DS17-K10", "P2-K4", "CAT203-K8", "CAT202-circulant9"])
+def test_twin_orbit_counts(pattern, host, factor, labeled):
+    # one embedding per orbit of twin swaps: orbit count x prod(|class|!) is
+    # the labeled count (DS17-K10 is only counted: 3.6M labeled embeddings)
+    orbits = list(enumerate_embeddings(pattern, host, twins=True))
+    if pattern.n < 10:
+        stream = list(enumerate_embeddings(pattern, host))
+        assert labeled in (None, len(stream))
+        labeled = len(stream)
+        assert orbits == [e for e in stream if _increasing_on_twins(pattern, e)]
+    assert len(orbits) * factor == labeled
 
 
 def test_embeddings_match_naive_oracle():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rturan import certs
 from rturan.certs import (FAIL, PASS, Certificate, load_certificate,
                           save_certificate)
 from rturan.coloring import is_proper, one_factorization
@@ -143,6 +144,28 @@ def test_k2s4_construction():
         assert ok, detail
     with pytest.raises(ValueError):
         verify_k2s4_construction(99)
+
+
+def test_k2s4_construction_at_cap():
+    # K12 with DS_{1,9}: s_cap = 4
+    cert = verify_k2s4_construction(4)
+    assert cert.verdict == PASS and cert.params["host"] == "K12"
+
+
+def test_certificate_write_is_atomic(tmp_path, monkeypatch):
+    cert = verify_k2s4_construction(0)
+    path = save_certificate(cert, tmp_path)
+    assert path.read_text() == json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n"
+    assert load_certificate(path).to_json() == cert.to_json()
+    assert save_certificate(cert, tmp_path) == path
+    assert list(tmp_path.iterdir()) == [path]
+    # a failed rename leaves neither the temp file nor a new certificate
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(certs.os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        save_certificate(verify_k2s4_construction(1), tmp_path)
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_certificate_serialization(tmp_path):
