@@ -57,6 +57,8 @@ class Certificate:
         for key in ("params", "payload"):
             if not isinstance(obj.get(key, {}), dict):
                 raise ValueError(f"certificate field {key!r} is not a JSON object")
+        if not isinstance(obj.get("assumptions", []), list):
+            raise ValueError("certificate field 'assumptions' is not a list")
         return cls(
             kind=obj["kind"],
             verdict=obj["verdict"],

@@ -86,10 +86,6 @@ def parse_family(tokens: list[str], graph_file: str | None = None) -> tuple[str,
         raise SpecError(f"bad family spec {' '.join(tokens)!r}: {exc}") from exc
 
 
-def _frac(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator}
-
-
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}n" if f.denominator == 1 else f"{f.numerator}n/{f.denominator}"
 
@@ -146,7 +142,7 @@ def cmd_bounds(args) -> int:
         else:
             reports = list(ds_rainbow_bounds(r, s))
             if (r, s) == (2, 2):
-                reports = [ds22_bounds()[0], ds22_bounds()[1]]
+                reports = list(ds22_bounds())
             if min(r, s) == 1 and max(r, s) % 2 == 1:
                 reports.append(ds_1_odd_exact((max(r, s) - 1) // 2))
     elif head == "CAT":
@@ -217,7 +213,7 @@ def cmd_verify(args) -> int:
     elif name == "k6-universal-3unique":
         cert = verify_k6_universal_3unique(
             budget=args.budget, color_cap=args.color_cap,
-            sample_count=args.samples, seed=args.seed, threads=args.threads)
+            sample_count=args.samples, seed=args.seed)
     elif name == "k2s4":
         if args.s is None:
             print("k2s4 needs --s", file=sys.stderr)
@@ -271,7 +267,7 @@ def cmd_search(args) -> int:
     return code
 
 
-def _budget(text: str) -> int:
+def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -285,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--seed", type=int, default=20240901)
-    p.add_argument("--budget", type=_budget, default=None, help="node-count limit")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--budget", type=_nonnegative, default=None,
+                   help="node-count limit")
     p.add_argument("--cache-dir", default=None,
                    help=f"certificate cache (default {default_cache_dir()})")
     sub = p.add_subparsers(dest="command", required=True)
@@ -318,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--s-param", type=int, default=None)
     vp.add_argument("--l", type=int, default=None)
     vp.add_argument("--color-cap", type=int, default=7)
-    vp.add_argument("--samples", type=int, default=1_000_000)
+    vp.add_argument("--samples", type=_nonnegative, default=1_000_000)
     vp.set_defaults(func=cmd_verify)
 
     spp = sub.add_parser("search", help="brute-force ex_k at desk scale")

@@ -77,8 +77,28 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
-        labels = tuple(obj["labels"]) if obj.get("labels") else None
-        return graph_from_edges(obj["n"], [tuple(e) for e in obj["edges"]], labels)
+        """Raises GraphError on input that is not a serialized graph."""
+        if not isinstance(obj, dict):
+            raise GraphError(f"graph is not a JSON object: {obj!r}")
+        n, edges, labels = obj.get("n"), obj.get("edges"), obj.get("labels")
+        if not is_int(n):
+            raise GraphError(f"graph field 'n' is not an integer: {n!r}")
+        if not (isinstance(edges, list) and all(
+                isinstance(e, (list, tuple)) and len(e) == 2
+                and all(map(is_int, e)) for e in edges)):
+            raise GraphError(f"graph field 'edges' is not a list of integer "
+                             f"pairs: {edges!r}")
+        if "labels" in obj and not (isinstance(labels, list) and all(
+                isinstance(x, str) for x in labels)):
+            raise GraphError(f"graph field 'labels' is not a list of strings: "
+                             f"{labels!r}")
+        return graph_from_edges(n, [tuple(e) for e in edges], labels or None)
+
+
+def is_int(value) -> bool:
+    """An integer as a JSON field means it: bool is an int subclass, but
+    true/false there is a wrong type."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int]],

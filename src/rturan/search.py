@@ -4,7 +4,6 @@ K_6 and K_{2s+4} verifications as first-class certified checks."""
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -14,7 +13,7 @@ from .coloring import (EdgeColoring, conflict_lists, graph_hash, is_proper,
                        one_factorization)
 from .detect import find_k_unique
 from .graphs import (Graph, canonical_key, enumerate_embeddings,
-                     graph_from_edges, make_complete, make_double_star)
+                     graph_from_edges, is_int, make_complete, make_double_star)
 
 RAINBOW = "rainbow"
 
@@ -145,27 +144,20 @@ def verify_k6_rainbow_free() -> Certificate:
                                 "coloring": coloring.to_json()})
 
 
-def _sample_chunk(args):
-    num_edges, conflicts, emb, k, exactly, count, seed = args
-    return _kernels.sample_and_check(num_edges, conflicts, emb, k, exactly,
-                                     count, seed, True)
-
-
 def verify_k6_universal_3unique(budget: Optional[int] = None,
                                 color_cap: int = 7,
                                 sample_count: int = 1_000_000,
-                                seed: int = 20240901,
-                                chunk_size: int = 50_000,
-                                threads: int = 1) -> Certificate:
+                                seed: int = 20240901) -> Certificate:
     """Every proper non-rainbow coloring of K_6 contains an exactly-3-unique
     DS_{2,2}: exhaustive over canonical colorings with <= color_cap colors,
-    seeded random sampling above the cap.  A verification, not a re-proof."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    then sample_count draws from the one xorshift64* stream seeded by seed.
+    A sampled counterexample's sample_index is its position in that stream.
+    A verification, not a re-proof."""
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
     host, pattern, emb = _k6_embedding_edges()
     conflicts = conflict_lists(host)
-    params = {"color_cap": color_cap, "sample_count": sample_count,
-              "seed": seed, "chunk_size": chunk_size}
+    params = {"color_cap": color_cap, "sample_count": sample_count, "seed": seed}
     colors, nodes, exhausted = _kernels.find_avoiding_coloring(
         host.num_edges, conflicts, emb, 3, True, color_cap, budget)
     if colors is not None:
@@ -177,36 +169,20 @@ def verify_k6_universal_3unique(budget: Optional[int] = None,
         return Certificate("k6_universal", BUDGET_EXHAUSTED, params,
                            nodes_visited=nodes, exhaustive=False, seed=seed)
 
-    chunks = []
-    remaining = sample_count
-    idx = 0
-    while remaining > 0:
-        cnt = min(chunk_size, remaining)
-        chunks.append((host.num_edges, conflicts, emb, 3, True, cnt, seed + idx))
-        remaining -= cnt
-        idx += 1
-    checked = 0
-    rainbow_skipped = 0
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sample_chunk, chunks))
-    else:
-        results = [_sample_chunk(c) for c in chunks]
-    for i, res in enumerate(results):
-        checked += res["checked"]
-        rainbow_skipped += res["rainbow_skipped"]
-        if res["counterexample"] is not None:
-            return Certificate("k6_universal", FAIL, params,
-                               payload={"counterexample_coloring": res["counterexample"],
-                                        "regime": "sampled", "chunk": i,
-                                        "sample_index": res["sample_index"]},
-                               seed=seed, exhaustive=False)
+    res = _kernels.sample_and_check(host.num_edges, conflicts, emb, 3, True,
+                                    sample_count, seed, True)
+    if res["counterexample"] is not None:
+        return Certificate("k6_universal", FAIL, params,
+                           payload={"counterexample_coloring": res["counterexample"],
+                                    "regime": "sampled",
+                                    "sample_index": res["sample_index"]},
+                           seed=seed, exhaustive=False)
     return Certificate(
         "k6_universal", PASS, params,
         payload={"exhaustive_regime": {"color_cap": color_cap,
                                        "nodes_visited": nodes},
-                 "sampled_regime": {"samples_checked": checked,
-                                    "rainbow_skipped": rainbow_skipped}},
+                 "sampled_regime": {"samples_checked": res["checked"],
+                                    "rainbow_skipped": res["rainbow_skipped"]}},
         nodes_visited=nodes, seed=seed,
         exhaustive=False)  # the full quantifier over all colorings is out of reach
 
@@ -234,8 +210,12 @@ def verify_k2s4_construction(s: int, s_cap: int = 4) -> Certificate:
 def revalidate_avoider(cert: Certificate) -> tuple[bool, str]:
     g = Graph.from_json(cert.payload["graph"])
     f = Graph.from_json(cert.params["pattern"])
-    colors = cert.payload["coloring"]["colors"]
-    if cert.payload["coloring"].get("graph_hash") != graph_hash(g):
+    coloring = cert.payload["coloring"]
+    colors = coloring.get("colors") if isinstance(coloring, dict) else None
+    if not (isinstance(colors, list) and all(map(is_int, colors))):
+        raise ValueError("avoider certificate field 'coloring' is not an object "
+                         "with a list of integer 'colors'")
+    if coloring.get("graph_hash") != graph_hash(g):
         return False, "coloring hash does not match the stored graph"
     if not is_proper(g, colors):
         return False, "stored coloring is not proper"
@@ -255,10 +235,9 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
         raise ValueError(f"{cert.kind} certificate has no {exc.args[0]!r} field") from None
 
 
-def _int_param(cert: Certificate, name: str) -> int:
-    value = cert.params[name]
-    # bool is an int subclass, but true/false in a certificate is a wrong type
-    if isinstance(value, bool) or not isinstance(value, int):
+def _int_param(cert: Certificate, name: str, section: str = "params") -> int:
+    value = getattr(cert, section)[name]
+    if not is_int(value):
         raise ValueError(f"{cert.kind} certificate field {name!r} is not an "
                          f"integer: {value!r}")
     return value
@@ -271,7 +250,8 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
         return revalidate_avoider(cert)
     if cert.kind == "exhaustion":
         # the exhaustion claim is the search itself; check internal consistency
-        ok = cert.verdict == PASS and cert.payload.get("graphs_checked", 0) > 0
+        ok = cert.verdict == PASS and \
+            _int_param(cert, "graphs_checked", "payload") > 0
         return ok, "exhaustion certificate structurally consistent" if ok else \
             "exhaustion certificate malformed"
     if cert.kind == "k6_rainbow_free":
@@ -298,8 +278,7 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
         fresh = verify_k6_universal_3unique(
             color_cap=_int_param(cert, "color_cap"),
             sample_count=min(_int_param(cert, "sample_count"), 50_000),
-            seed=_int_param(cert, "seed"),
-            chunk_size=_int_param(cert, "chunk_size"))
+            seed=_int_param(cert, "seed"))
         return fresh.verdict == cert.verdict, \
             f"re-run (reduced sample prefix) verdict {fresh.verdict}"
     return False, f"unknown certificate kind {cert.kind!r}"

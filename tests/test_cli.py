@@ -161,6 +161,7 @@ def test_json_output_is_deterministic(capsys):
 def test_bad_arguments_exit_usage(capsys):
     assert main(["spectrum", "Q9"]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
+    assert main(["--threads", "2", "verify", "k6-rainbow-free"]) == EXIT_USAGE
 
 
 MALFORMED_CERTIFICATES = {
@@ -172,8 +173,8 @@ MALFORMED_CERTIFICATES = {
     "reduction-k-null.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", "params": '
                              '{"original": {"n": 2, "edges": [[0, 1]]}, '
                              '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": null}}',
-    "k6-chunk-zero.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", "params": '
-                          '{"color_cap": 7, "sample_count": 10, "seed": 1, "chunk_size": 0}}',
+    "k6-samples-negative.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+                                '"params": {"color_cap": 7, "sample_count": -1, "seed": 1}}',
     "k6-seed-float.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", "params": '
                           '{"color_cap": 7, "sample_count": 10, "seed": 1.5, "chunk_size": 5}}',
 }
@@ -200,8 +201,74 @@ def test_user_errors_exit_usage_with_one_line(capsys, tmp_path, monkeypatch, arg
 
 
 def test_negative_budget_is_rejected(capsys):
-    for argv in (["--budget", "-1", "spectrum", "C5"],
-                 ["--budget", "-1", "search", "--n", "4", "--pattern", "P2",
-                  "--rainbow"]):
+    for flag, argv in (("--budget", ["--budget", "-1", "spectrum", "C5"]),
+                       ("--budget", ["--budget", "-1", "search", "--n", "4",
+                                     "--pattern", "P2", "--rainbow"]),
+                       ("--samples", ["verify", "k6-universal-3unique",
+                                      "--samples", "-5"])):
         code, out, err = run(capsys, *argv)
-        assert code == EXIT_USAGE and out == "" and "--budget" in err
+        assert code == EXIT_USAGE and out == "" and flag in err
+
+
+# one small valid certificate per kind, from the CLI that writes it
+SWEEP_RUNS = (
+    ["search", "--n", "4", "--pattern", "P2", "--rainbow"],  # avoider, exhaustion
+    ["verify", "k6-rainbow-free"],
+    ["verify", "k6-universal-3unique", "--samples", "10"],
+    ["verify", "k2s4", "--s", "0"],
+    ["verify", "reduction-ds", "--r", "1", "--s-param", "1", "--l", "0"],
+)
+BAD_VALUES = (None, "x", 1.5, True, [], {})
+# fields whose type `verify --recheck` checks: every bad value there exits 2
+# with one line, except [] where the field is a list, which is well-typed
+TYPED_SITES = {
+    *((kind, "assumptions") for kind in ("avoider", "exhaustion", "k2s4",
+                                         "k6_rainbow_free", "k6_universal",
+                                         "reduction")),
+    ("avoider", "params.pattern"), ("avoider", "params.pattern.n"),
+    ("avoider", "params.pattern.edges"), ("avoider", "payload.graph"),
+    ("avoider", "payload.graph.n"), ("avoider", "payload.graph.edges"),
+    ("avoider", "payload.coloring"), ("avoider", "payload.coloring.colors"),
+    ("exhaustion", "payload.graphs_checked"),
+    *(("reduction", f"params.{g}{f}") for g in ("original", "augmented")
+      for f in ("", ".n", ".edges", ".labels")),
+}
+LIST_FIELDS = {"assumptions", "edges", "colors", "labels"}
+
+
+def _field_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def test_certificate_field_type_sweep(capsys, tmp_path):
+    certs = {}
+    for i, argv in enumerate(SWEEP_RUNS):
+        out_dir = tmp_path / str(i)
+        assert main(["--cache-dir", str(out_dir), *argv]) == EXIT_OK
+        for path in out_dir.glob("*.json"):
+            cert = json.loads(path.read_text())
+            certs[cert["kind"]] = cert
+    capsys.readouterr()
+    assert len(certs) == 6
+    seen = set()
+    target = tmp_path / "bad.json"
+    for kind, cert in sorted(certs.items()):
+        for path in _field_paths(cert):
+            site = (kind, ".".join(path))
+            seen.add(site)
+            for bad in BAD_VALUES:
+                obj = json.loads(json.dumps(cert))
+                holder = obj
+                for key in path[:-1]:
+                    holder = holder[key]
+                holder[path[-1]] = bad
+                target.write_text(json.dumps(obj))
+                code, _, err = run(capsys, "verify", "--recheck", str(target))
+                assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE), (site, bad)
+                if site in TYPED_SITES and not (bad == [] and path[-1] in LIST_FIELDS):
+                    assert code == EXIT_USAGE, (site, bad)
+                    assert len(err.strip().splitlines()) == 1, (site, bad, err)
+    assert TYPED_SITES <= seen

@@ -31,6 +31,13 @@ def test_graph_normalization_and_validation():
 def test_graph_json_roundtrip():
     g = make_double_star(2, 3)
     assert Graph.from_json(g.to_json()) == g
+    for bad in ([], {"n": True, "edges": []}, {"n": 3, "edges": [[0]]},
+                {"n": 3, "edges": [[0, 1, 2]]}, {"n": 3, "edges": [[0, "1"]]},
+                {"n": 3, "edges": [[0, 1.0]]},
+                {"n": 2, "edges": [[0, 1]], "labels": [1, 2]},
+                {"n": 2, "edges": [[0, 1]], "labels": None}):
+        with pytest.raises(GraphError):
+            Graph.from_json(bad)
 
 
 def test_path_cycle_complete_shapes():

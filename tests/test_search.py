@@ -81,6 +81,9 @@ def test_recheck_rejects_tampering():
         obj["payload"]["coloring"]["colors"])
     ok, detail = recheck_certificate(Certificate.from_json(obj))
     assert not ok and "not proper" in detail
+    obj["payload"]["coloring"]["colors"][0] = [0]
+    with pytest.raises(ValueError, match="integer 'colors'"):
+        recheck_certificate(Certificate.from_json(obj))
 
 
 def test_brute_extremal_budget_bracket():
@@ -117,12 +120,6 @@ def test_k6_universal_small_run_deterministic():
         regimes["sampled_regime"]["rainbow_skipped"] == 20_000
 
 
-def test_k6_universal_threads_match_serial():
-    a = verify_k6_universal_3unique(color_cap=6, sample_count=100_000, threads=1)
-    b = verify_k6_universal_3unique(color_cap=6, sample_count=100_000, threads=2)
-    assert a.to_json() == b.to_json()
-
-
 def test_k6_universal_planted_fail_is_rejected():
     good = verify_k6_universal_3unique(color_cap=6, sample_count=1_000)
     obj = good.to_json()
@@ -133,6 +130,19 @@ def test_k6_universal_planted_fail_is_rejected():
                       "regime": "planted"}
     ok, detail = recheck_certificate(Certificate.from_json(obj))
     assert not ok and "does contain" in detail
+
+
+def test_k6_universal_params_and_sample_count_guard():
+    cert = verify_k6_universal_3unique(color_cap=6, sample_count=1_000, seed=7)
+    assert cert.params == {"color_cap": 6, "sample_count": 1_000, "seed": 7}
+    # certificates from when sampling ran in chunks carry chunk_size; the
+    # unknown field is ignored and they recheck like any other
+    obj = cert.to_json()
+    obj["params"]["chunk_size"] = 50_000
+    ok, detail = recheck_certificate(Certificate.from_json(obj))
+    assert ok, detail
+    with pytest.raises(ValueError, match="sample_count"):
+        verify_k6_universal_3unique(color_cap=6, sample_count=-1)
 
 
 def test_k2s4_construction():
