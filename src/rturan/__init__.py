@@ -6,7 +6,7 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 from .graphs import (Graph, Embedding, graph_from_edges, make_path, make_cycle,
                      make_complete, make_double_star, make_broom,
                      make_caterpillar, make_perfect_kary, make_near_regular,
-                     enumerate_embeddings, is_tree, are_isomorphic, diameter)
+                     enumerate_embeddings, is_tree, canonical_key, diameter)
 from .coloring import (EdgeColoring, ColorClassProfile, BudgetExhausted,
                        is_proper, proper_coloring, enumerate_proper_colorings,
                        one_factorization, greedy_delta_plus_one,

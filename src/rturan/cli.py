@@ -267,11 +267,14 @@ def cmd_search(args) -> int:
     return code
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--seed", type=int, default=20240901)
-    p.add_argument("--budget", type=_nonnegative, default=None,
+    p.add_argument("--budget", type=_at_least(0), default=None,
                    help="node-count limit")
     p.add_argument("--cache-dir", default=None,
                    help=f"certificate cache (default {default_cache_dir()})")
@@ -313,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--r", type=int, default=None)
     vp.add_argument("--s-param", type=int, default=None)
     vp.add_argument("--l", type=int, default=None)
-    vp.add_argument("--color-cap", type=int, default=7)
-    vp.add_argument("--samples", type=_nonnegative, default=1_000_000)
+    vp.add_argument("--color-cap", type=_at_least(1), default=7)
+    vp.add_argument("--samples", type=_at_least(0), default=1_000_000)
     vp.set_defaults(func=cmd_verify)
 
     spp = sub.add_parser("search", help="brute-force ex_k at desk scale")

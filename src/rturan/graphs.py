@@ -269,23 +269,6 @@ def diameter(g: Graph) -> Optional[int]:
     return best
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Brute-force isomorphism test, intended for graphs with <= 10 vertices."""
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    if g.n > 10:
-        raise GraphError("brute-force isomorphism is capped at 10 vertices")
-    hedges = set(h.edges)
-    for perm in itertools.permutations(range(g.n)):
-        if all(perm[u] != perm[v] and
-               (min(perm[u], perm[v]), max(perm[u], perm[v])) in hedges
-               for (u, v) in g.edges):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class Embedding:
     """Injective vertex map of a pattern into a host, with the induced edge map."""
@@ -410,29 +393,92 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     yield from extend(0)
 
 
+def _equitable(adj: list[int], cells: list[list[int]],
+               splitters: list[int]) -> list[list[int]]:
+    """Refine the ordered partition `cells` until it is equitable: every
+    vertex of a cell has the same number of neighbors in each cell.
+
+    `adj[v]` is v's neighborhood as a bit mask.  Each round splits every
+    cell by its vertices' neighbor counts in the `splitters` (cell masks)
+    and orders the pieces by that count vector, so the result depends on
+    the graph and the input order of the cells, not on vertex labels.  On
+    entry, two vertices of one cell with the same counts in every splitter
+    must have the same counts in every cell.  Of each split cell, every
+    piece but the last becomes a splitter for the next round: counts in the
+    last piece are the counts in the whole cell minus those in the others.
+    """
+    while splitters:
+        out: list[list[int]] = []
+        fresh: list[int] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                a = adj[v]
+                groups.setdefault(tuple([(a & s).bit_count() for s in splitters]),
+                                  []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            pieces = [groups[sig] for sig in sorted(groups)]
+            out += pieces
+            for piece in pieces[:-1]:
+                mask = 0
+                for v in piece:
+                    mask |= 1 << v
+                fresh.append(mask)
+        cells, splitters = out, fresh
+    return cells
+
+
 def canonical_key(g: Graph) -> tuple:
-    """Isomorphism-invariant canonical form: lexicographically smallest edge list
-    over degree-compatible vertex permutations.  Desk-scale only (n <= 8)."""
-    degs = g.degrees()
-    by_deg: dict[int, list[int]] = {}
-    for v, dg in enumerate(degs):
-        by_deg.setdefault(dg, []).append(v)
-    # permute only within degree classes: images grouped by target degree
-    classes = sorted(by_deg.items())
-    slots: dict[int, list[int]] = {}
-    start = 0
-    for dg, verts in classes:
-        slots[dg] = list(range(start, start + len(verts)))
-        start += len(verts)
-    best = None
-    perms_per_class = [itertools.permutations(slots[dg]) for dg, _ in classes]
-    for assignment in itertools.product(*[list(p) for p in perms_per_class]):
-        perm = [0] * g.n
-        for (dg, verts), images in zip(classes, assignment):
-            for v, img in zip(verts, images):
-                perm[v] = img
-        key = tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
-                           for (u, v) in g.edges))
-        if best is None or key < best:
-            best = key
-    return (g.n, best)
+    """Canonical form: ``canonical_key(g) == canonical_key(h)`` exactly when g
+    and h are isomorphic (same vertex count, same edges up to relabeling).
+    Labels are ignored.  Only equality is meaningful; the order of keys is not.
+
+    Individualisation-refinement (McKay & Piperno, *Practical graph
+    isomorphism II*, 2014): refine the vertex partition until it is
+    equitable, then individualise each vertex of the first non-singleton
+    cell in turn and recurse.  Each leaf, a discrete partition, relabels g
+    by cell position; the key is the largest relabeled edge set over the
+    leaves.  A vertex whose swap with an already tried vertex is an
+    automorphism (a twin: ``N(u) - {v} == N(v) - {u}``) is not tried, so
+    complete, empty and near-complete graphs take one branch per level.
+    Other symmetric graphs still branch: r disjoint edges take r! leaves.
+    """
+    n = g.n
+    adj = [0] * n
+    for (u, v) in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    best = -1
+
+    def search(cells: list[list[int]], splitters: list[int]):
+        nonlocal best
+        cells = _equitable(adj, cells, splitters)
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:
+            pos = [0] * n
+            for p, (v,) in enumerate(cells):
+                pos[v] = p
+            code = 0
+            for (u, v) in g.edges:
+                a, b = pos[u], pos[v]
+                code |= (1 << (a * n + b)) | (1 << (b * n + a))
+            best = max(best, code)
+            return
+        tried: list[int] = []
+        for v in cell:
+            av = adj[v]
+            if any((av & ~(1 << u)) == (adj[u] & ~(1 << v)) for u in tried):
+                continue
+            tried.append(v)
+            rest = [w for w in cell if w != v]
+            search(cells[:i] + [[v], rest] + cells[i + 1:], [1 << v])
+
+    search([list(range(n))] if n else [], [(1 << n) - 1])
+    return (n, best)

@@ -12,8 +12,8 @@ from .certs import (BUDGET_EXHAUSTED, FAIL, PASS, Certificate)
 from .coloring import (EdgeColoring, conflict_lists, graph_hash, is_proper,
                        one_factorization)
 from .detect import find_k_unique
-from .graphs import (Graph, canonical_key, enumerate_embeddings,
-                     graph_from_edges, is_int, make_complete, make_double_star)
+from .graphs import (Graph, canonical_key, enumerate_embeddings, is_int,
+                     make_complete, make_double_star)
 
 RAINBOW = "rainbow"
 
@@ -58,7 +58,7 @@ def graphs_up_to_iso(n: int, m: int) -> Iterator[Graph]:
     all_edges = list(itertools.combinations(range(n), 2))
     seen = set()
     for subset in itertools.combinations(all_edges, m):
-        g = graph_from_edges(n, subset)
+        g = Graph(n, subset)  # combinations yields sorted, unique pairs
         key = canonical_key(g)
         if key in seen:
             continue
@@ -153,6 +153,8 @@ def verify_k6_universal_3unique(budget: Optional[int] = None,
     then sample_count draws from the one xorshift64* stream seeded by seed.
     A sampled counterexample's sample_index is its position in that stream.
     A verification, not a re-proof."""
+    if color_cap < 1:
+        raise ValueError(f"color_cap must be >= 1, got {color_cap}")
     if sample_count < 0:
         raise ValueError(f"sample_count must be >= 0, got {sample_count}")
     host, pattern, emb = _k6_embedding_edges()

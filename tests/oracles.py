@@ -6,6 +6,7 @@ internals beyond the Graph container.
 """
 
 import itertools
+import math
 from collections import Counter
 
 from rturan.graphs import Graph
@@ -62,3 +63,72 @@ def naive_max_unique(pattern: Graph, host: Graph, colors):
         u = naive_unique_count(pattern, host, colors, vm)
         best = u if best is None else max(best, u)
     return best
+
+
+def naive_canonical_key(g: Graph) -> tuple:
+    """Lexicographically smallest sorted edge list over every vertex
+    permutation that maps each degree class onto a block of positions: equal
+    exactly for isomorphic graphs, at a cost of the product of the classes'
+    factorials (n! on a regular graph)."""
+    by_deg: dict[int, list[int]] = {}
+    for v, dg in enumerate(g.degrees()):
+        by_deg.setdefault(dg, []).append(v)
+    classes = sorted(by_deg.items())
+    slots = []
+    start = 0
+    for _, verts in classes:
+        slots.append(range(start, start + len(verts)))
+        start += len(verts)
+    best = None
+    for assignment in itertools.product(*(list(itertools.permutations(s))
+                                          for s in slots)):
+        perm = [0] * g.n
+        for (_, verts), images in zip(classes, assignment):
+            for v, img in zip(verts, images):
+                perm[v] = img
+        key = tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
+                           for (u, v) in g.edges))
+        if best is None or key < best:
+            best = key
+    return (g.n, best)
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of at most `largest`, parts non-increasing."""
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k] + rest
+
+
+def burnside_graph_count(n: int, m: int) -> int:
+    """Number of n-vertex, m-edge graphs up to isomorphism, by Burnside's
+    lemma: the average over S_n of the m-edge sets a permutation fixes, summed
+    by cycle type (Harary & Palmer, *Graphical Enumeration*, 1973; OEIS
+    A008406).  A fixed edge set is a union of cycles of the permutation's
+    action on vertex pairs."""
+    total = 0
+    for parts in _partitions(n, n):
+        perms = math.factorial(n)
+        for k, j in Counter(parts).items():
+            perms //= k ** j * math.factorial(j)
+        pair_cycles = []
+        for i, a in enumerate(parts):
+            # pairs inside one a-cycle: (a-1)//2 cycles of length a, plus
+            # the a/2 antipodal pairs when a is even
+            pair_cycles += [a] * ((a - 1) // 2)
+            if a % 2 == 0:
+                pair_cycles.append(a // 2)
+            # pairs across an a-cycle and a b-cycle: gcd cycles of length lcm
+            for b in parts[i + 1:]:
+                pair_cycles += [math.lcm(a, b)] * math.gcd(a, b)
+        fixed = [1] + [0] * m  # fixed[s]: unions of pair cycles with s pairs
+        for length in pair_cycles:
+            for s in range(m, length - 1, -1):
+                fixed[s] += fixed[s - length]
+        total += perms * fixed[m]
+    count, rest = divmod(total, math.factorial(n))
+    assert rest == 0, "Burnside sum not divisible by n!"
+    return count

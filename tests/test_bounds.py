@@ -13,7 +13,7 @@ from rturan.bounds import (ERDOS_SOS, MCLENNAN, augment_binary,
 from rturan.certs import BUDGET_EXHAUSTED, FAIL, PASS
 from rturan.coloring import EdgeColoring, is_proper
 from rturan.detect import find_k_unique
-from rturan.graphs import (are_isomorphic, diameter, make_double_star,
+from rturan.graphs import (canonical_key, diameter, make_double_star,
                            make_path, make_perfect_kary)
 
 
@@ -72,7 +72,7 @@ def test_ds_1_odd_exact():
 
 def test_augment_double_star():
     aug = augment_double_star(2, 2, 2)
-    assert are_isomorphic(aug.augmented, make_double_star(2, 4))
+    assert canonical_key(aug.augmented) == canonical_key(make_double_star(2, 4))
     assert aug.edge_count == 7
     aug.validate()
     ident = augment_double_star(2, 3, 0)

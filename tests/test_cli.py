@@ -4,7 +4,7 @@ import pytest
 
 from rturan.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, SpecError,
                         main, parse_family)
-from rturan.graphs import are_isomorphic, make_caterpillar, make_double_star
+from rturan.graphs import canonical_key, make_caterpillar, make_double_star
 
 
 def run(capsys, *argv):
@@ -18,13 +18,13 @@ def test_parse_family_grammar():
         name, g = parse_family([spec])
         assert (g.n, g.num_edges) == (n, m) and name == spec
     _, ds = parse_family(["DS", "2", "3"])
-    assert are_isomorphic(ds, make_double_star(2, 3))
+    assert canonical_key(ds) == canonical_key(make_double_star(2, 3))
     _, cat = parse_family(["CAT", "1,0,2"])
-    assert are_isomorphic(cat, make_caterpillar([1, 0, 2]))
+    assert canonical_key(cat) == canonical_key(make_caterpillar([1, 0, 2]))
     _, t = parse_family(["T", "2", "2"])
     assert (t.n, t.num_edges) == (7, 6)
     _, b = parse_family(["B", "3", "2"])
-    assert are_isomorphic(b, make_double_star(1, 2))
+    assert canonical_key(b) == canonical_key(make_double_star(1, 2))
     for bad in (["P0"], ["C2"], ["DS", "2"], ["Q7"], []):
         with pytest.raises(SpecError):
             parse_family(bad)
@@ -177,6 +177,10 @@ MALFORMED_CERTIFICATES = {
                                 '"params": {"color_cap": 7, "sample_count": -1, "seed": 1}}',
     "k6-seed-float.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", "params": '
                           '{"color_cap": 7, "sample_count": 10, "seed": 1.5, "chunk_size": 5}}',
+    "k6-color-cap-zero.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+                              '"params": {"color_cap": 0, "sample_count": 10, "seed": 1}}',
+    "k6-color-cap-negative.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+                                  '"params": {"color_cap": -1, "sample_count": 10, "seed": 1}}',
 }
 
 
@@ -205,7 +209,10 @@ def test_negative_budget_is_rejected(capsys):
                        ("--budget", ["--budget", "-1", "search", "--n", "4",
                                      "--pattern", "P2", "--rainbow"]),
                        ("--samples", ["verify", "k6-universal-3unique",
-                                      "--samples", "-5"])):
+                                      "--samples", "-5"]),
+                       *(("--color-cap", ["verify", "k6-universal-3unique",
+                                          "--color-cap", cap, "--samples", "10"])
+                         for cap in ("0", "-1"))):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == "" and flag in err
 

@@ -2,16 +2,16 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rturan.graphs import (DEFAULT_VERTEX_CAP, Embedding, Graph, GraphError,
-                           are_isomorphic, canonical_key, diameter,
+                           canonical_key, diameter,
                            enumerate_embeddings, graph_from_edges, is_tree,
                            make_broom, make_caterpillar, make_complete,
                            make_cycle, make_double_star, make_near_regular,
                            make_path, make_perfect_kary, twin_classes)
 
-from oracles import naive_embeddings
+from oracles import naive_canonical_key, naive_embeddings
 
 
 def test_graph_normalization_and_validation():
@@ -71,8 +71,8 @@ def test_double_star_layout():
 def test_caterpillar_and_broom():
     cat = make_caterpillar([1, 0, 2])
     assert (cat.n, cat.num_edges) == (6, 5) and is_tree(cat)
-    assert are_isomorphic(make_caterpillar([0, 0, 0, 0]), make_path(3))
-    assert are_isomorphic(make_broom(3, 2), make_double_star(1, 2))
+    assert canonical_key(make_caterpillar([0, 0, 0, 0])) == canonical_key(make_path(3))
+    assert canonical_key(make_broom(3, 2)) == canonical_key(make_double_star(1, 2))
     assert make_broom(1, 4).num_edges == 4  # pure star
     with pytest.raises(GraphError):
         make_caterpillar([])
@@ -91,8 +91,8 @@ def test_perfect_kary_shapes():
 
 
 def test_near_regular():
-    assert are_isomorphic(make_near_regular(5, 2), make_cycle(5))
-    assert are_isomorphic(make_near_regular(6, 5), make_complete(6))
+    assert canonical_key(make_near_regular(5, 2)) == canonical_key(make_cycle(5))
+    assert canonical_key(make_near_regular(6, 5)) == canonical_key(make_complete(6))
     g = make_near_regular(6, 3)
     assert set(g.degrees()) == {3}
     # odd order, odd degree: exactly one deficient vertex
@@ -111,11 +111,12 @@ def test_handshake_lemma(n, data):
 
 
 def test_isomorphism_basic():
-    assert are_isomorphic(make_path(3), make_double_star(1, 1))
-    assert not are_isomorphic(make_path(3), make_double_star(0, 3))
-    assert not are_isomorphic(make_cycle(4), make_path(4))
-    with pytest.raises(GraphError):
-        are_isomorphic(make_complete(11), make_complete(11))
+    assert canonical_key(make_path(3)) == canonical_key(make_double_star(1, 1))
+    assert canonical_key(make_path(3)) != canonical_key(make_double_star(0, 3))
+    assert canonical_key(make_cycle(4)) != canonical_key(make_path(4))
+    assert canonical_key(make_complete(11)) == canonical_key(make_complete(11))
+    empty = [canonical_key(graph_from_edges(n, [])) for n in range(3)]
+    assert len(set(empty)) == 3
 
 
 def test_embedding_constructor_validates():
@@ -206,6 +207,106 @@ def test_canonical_key_iso_invariant():
     b = make_caterpillar([1, 0, 2])
     assert canonical_key(a) == canonical_key(b)
     assert canonical_key(make_path(4)) != canonical_key(make_double_star(1, 2))
+
+
+def relabel(g: Graph, perm) -> Graph:
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for (u, v) in g.edges])
+
+
+def petersen() -> Graph:
+    return graph_from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def graph_pairs(max_n: int):
+    """A graph and a second graph with as many vertices: a relabeling of
+    the first, a relabeling with one edge moved to a non-edge (same edge
+    count), or an unrelated graph with the same edge count."""
+    @st.composite
+    def draw(draw_):
+        n = draw_(st.integers(2, max_n))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw_(st.lists(st.sampled_from(pairs), unique=True))
+        perm = draw_(st.permutations(range(n)))
+        how = draw_(st.sampled_from(("relabel", "move", "unrelated")))
+        other = [(perm[u], perm[v]) for (u, v) in edges]
+        if how == "unrelated":
+            other = draw_(st.lists(st.sampled_from(pairs), unique=True,
+                                   min_size=len(edges), max_size=len(edges)))
+        elif how == "move" and 0 < len(edges) < len(pairs):
+            present = {tuple(sorted(e)) for e in other}
+            other.remove(draw_(st.sampled_from(other)))
+            other.append(draw_(st.sampled_from(
+                [e for e in pairs if e not in present])))
+        return graph_from_edges(n, edges), graph_from_edges(n, other)
+    return draw()
+
+
+@settings(deadline=None)
+@given(graph_pairs(7))
+def test_canonical_key_matches_naive_key(pair):
+    a, b = pair
+    assert (canonical_key(a) == canonical_key(b)) == \
+        (naive_canonical_key(a) == naive_canonical_key(b))
+
+
+@settings(deadline=None)
+@given(st.integers(2, 10), st.data())
+def test_canonical_key_relabeling_invariant(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    g = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    perm = data.draw(st.permutations(range(n)))
+    assert canonical_key(relabel(g, perm)) == canonical_key(g)
+
+
+def cycles(*lengths: int) -> Graph:
+    """Disjoint cycles of the given lengths."""
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return graph_from_edges(start, edges)
+
+
+# high-symmetry graphs on 10 vertices.  The last three are regular with two
+# vertex orbits: refinement leaves one cell, and a key that tried only some
+# of its vertices would depend on the labels.
+SYMMETRIC_10 = {
+    "K10": make_complete(10),
+    "empty": graph_from_edges(10, []),
+    "Petersen": petersen(),
+    "5K2": graph_from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)]),
+    "K5,5": graph_from_edges(10, [(i, j) for i in range(5) for j in range(5, 10)]),
+    "C10": make_cycle(10),
+    "K10-e": graph_from_edges(10, list(itertools.combinations(range(10), 2))[1:]),
+    "C4+C6": cycles(4, 6),
+    "C3+C7": cycles(3, 7),
+    "K4+prism": graph_from_edges(10, list(itertools.combinations(range(4), 2))
+                                 + [(4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9),
+                                    (4, 7), (5, 8), (6, 9)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_10))
+@settings(deadline=None, max_examples=10)
+@given(perm=st.permutations(range(10)))
+def test_canonical_key_relabeling_invariant_symmetric(name, perm):
+    g = SYMMETRIC_10[name]
+    assert canonical_key(relabel(g, perm)) == canonical_key(g)
+
+
+def test_canonical_key_separates_equitable_lookalikes():
+    # pairs that colour refinement alone cannot tell apart: regular graphs
+    # with the same degree, so only individualisation separates them
+    assert canonical_key(make_cycle(10)) != canonical_key(cycles(5, 5))
+    assert canonical_key(cycles(4, 6)) != canonical_key(cycles(3, 7))
+    assert canonical_key(petersen()) != canonical_key(make_near_regular(10, 3))
+    k33 = graph_from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    prism = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                 (0, 3), (1, 4), (2, 5)])
+    assert canonical_key(k33) != canonical_key(prism)
+    assert canonical_key(k33) == canonical_key(make_near_regular(6, 3))
 
 
 def test_is_tree():

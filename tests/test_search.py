@@ -15,6 +15,8 @@ from rturan.search import (RAINBOW, brute_extremal, classical_turan,
                            verify_k2s4_construction, verify_k6_rainbow_free,
                            verify_k6_universal_3unique)
 
+from oracles import burnside_graph_count
+
 
 def test_exists_avoiding_basic():
     p2 = make_path(2)
@@ -48,6 +50,22 @@ def test_graphs_up_to_iso_counts():
     assert sum(1 for _ in graphs_up_to_iso(5, 4)) == 6
     # 11 graphs on four vertices in total
     assert sum(sum(1 for _ in graphs_up_to_iso(4, m)) for m in range(7)) == 11
+
+
+def test_burnside_count_matches_oeis():
+    # OEIS A008406: graphs on n nodes, summed over the edge count
+    totals = {n: sum(burnside_graph_count(n, m) for m in range(n * (n - 1) // 2 + 1))
+              for n in range(4, 9)}
+    assert totals == {4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+    assert [burnside_graph_count(5, m) for m in range(11)] == \
+        [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1]
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 6)
+                                  for m in range(n * (n - 1) // 2 + 1)]
+                         + [(6, 7), (6, 8)])
+def test_graphs_up_to_iso_matches_burnside(n, m):
+    assert sum(1 for _ in graphs_up_to_iso(n, m)) == burnside_graph_count(n, m)
 
 
 def test_classical_turan():
@@ -143,6 +161,9 @@ def test_k6_universal_params_and_sample_count_guard():
     assert ok, detail
     with pytest.raises(ValueError, match="sample_count"):
         verify_k6_universal_3unique(color_cap=6, sample_count=-1)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="color_cap"):
+            verify_k6_universal_3unique(color_cap=cap, sample_count=10)
 
 
 def test_k2s4_construction():
