@@ -21,11 +21,11 @@ from .bounds import (BoundReport, AugmentedTree, erdos_sos_coefficient,
                      ds_1_odd_exact, augment_double_star, augment_caterpillar,
                      caterpillar_bounds, caterpillar_coefficient_literal,
                      augment_binary, binary_coefficients, augment_kary,
-                     kary_coefficients, verify_reduction)
+                     kary_coefficients)
 from .search import (AvoiderResult, exists_avoiding_coloring, classical_turan,
                      brute_extremal, graphs_up_to_iso, verify_k6_rainbow_free,
                      verify_k6_universal_3unique, verify_k2s4_construction,
-                     recheck_certificate, RAINBOW)
+                     verify_reduction, recheck_certificate, RAINBOW)
 from .certs import Certificate, save_certificate, load_certificate
 
 __version__ = "0.1.0"

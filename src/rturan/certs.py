@@ -1,4 +1,5 @@
-"""Machine-checkable certificates and the content-addressed cache."""
+"""Machine-checkable certificates and the directory they are written to,
+where each file is named by the hash of its kind and params."""
 
 from __future__ import annotations
 

@@ -12,11 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, _kernels
-from .bounds import (caterpillar_bounds, augment_caterpillar, augment_kary,
-                     augment_double_star, binary_coefficients,
+from .bounds import (AugmentedTree, caterpillar_bounds, augment_caterpillar,
+                     augment_kary, augment_double_star, binary_coefficients,
                      ds_1_odd_exact, ds22_bounds, ds_k_unique_bounds,
-                     ds_rainbow_bounds, kary_coefficients, verify_reduction)
-from .certs import (BUDGET_EXHAUSTED, FAIL, PASS, load_certificate,
+                     ds_rainbow_bounds, kary_coefficients)
+from .certs import (BUDGET_EXHAUSTED, FAIL, load_certificate,
                     save_certificate, default_cache_dir)
 from .coloring import BudgetExhausted
 from .graphs import (Graph, GraphError, make_broom, make_caterpillar,
@@ -24,7 +24,7 @@ from .graphs import (Graph, GraphError, make_broom, make_caterpillar,
                      make_perfect_kary)
 from .search import (RAINBOW, brute_extremal, recheck_certificate,
                      verify_k2s4_construction, verify_k6_rainbow_free,
-                     verify_k6_universal_3unique)
+                     verify_k6_universal_3unique, verify_reduction)
 from .spectrum import compute_spectrum, ds_spectrum_closed_form
 
 EXIT_OK = 0
@@ -34,7 +34,7 @@ EXIT_BUDGET = 3
 
 
 class SpecError(ValueError):
-    pass
+    """A usage error: main reports it as one line and exits 2."""
 
 
 # integer tokens after each keyword head; CAT's one token is a comma list
@@ -44,6 +44,8 @@ _AUGMENT_ARITY = {"DS": 3, "CAT": 1, "T": 2}
 _BUILDERS = {"P": make_path, "C": make_cycle, "K": make_complete,
              "DS": make_double_star, "B": make_broom, "CAT": make_caterpillar,
              "T": make_perfect_kary}
+_AUGMENTERS = {"DS": augment_double_star, "CAT": augment_caterpillar,
+               "T": augment_kary}
 
 
 def parse_spec(tokens: list[str],
@@ -65,7 +67,7 @@ def parse_spec(tokens: list[str],
             if head == "CAT":
                 return head, [[int(x) for x in tokens[1].split(",")]]
             return head, [int(x) for x in tokens[1:]]
-        if head[0] in "PCK" and len(head) > 1 and len(tokens) == 1:
+        if len(head) > 1 and head[0] in "PCK" and len(tokens) == 1:
             return head[0], [int(head[1:])]
     except ValueError as exc:
         raise SpecError(f"bad family spec {spec!r}: {exc}") from exc
@@ -86,6 +88,15 @@ def parse_family(tokens: list[str], graph_file: str | None = None) -> tuple[str,
         raise SpecError(f"bad family spec {' '.join(tokens)!r}: {exc}") from exc
 
 
+def parse_augment(tokens: list[str]) -> AugmentedTree:
+    """Augment grammar: DS <r> <s> <l>, CAT <c1,...,ck>, T <k> <d>."""
+    head, vals = parse_spec(tokens, _AUGMENT_ARITY)
+    if head not in _AUGMENTERS:
+        raise SpecError(f"bad augment spec {' '.join(tokens)!r}: expected "
+                        "DS <r> <s> <l>, CAT <c1,...,ck> or T <k> <d>")
+    return _AUGMENTERS[head](*vals)
+
+
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}n" if f.denominator == 1 else f"{f.numerator}n/{f.denominator}"
 
@@ -104,8 +115,7 @@ def cmd_spectrum(args) -> int:
     name, g = parse_family(args.family, args.graph_file)
     if args.closed_form:
         if not name.startswith("DS"):
-            print("--closed-form only applies to DS", file=sys.stderr)
-            return EXIT_USAGE
+            raise SpecError("--closed-form only applies to DS")
         _, r, s = name.split()
         spec = ds_spectrum_closed_form(int(r), int(s))
     else:
@@ -161,8 +171,7 @@ def cmd_bounds(args) -> int:
         extra = {"augmented_edges": out["augmented_edges"],
                  "discrepancy": out["discrepancy"]}
     else:
-        print(f"no bound family for spec {' '.join(tokens)!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError(f"no bound family for spec {' '.join(tokens)!r}")
     obj = {"family_spec": " ".join(tokens),
            "bounds": [rep.to_json() for rep in reports], **extra}
     lines = [f"bounds for {' '.join(tokens)}:"]
@@ -174,18 +183,9 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-_AUGMENTERS = {"DS": augment_double_star, "CAT": augment_caterpillar,
-               "T": augment_kary}
-
-
 def cmd_construct(args) -> int:
     if args.augment:
-        head, vals = parse_spec(args.family, _AUGMENT_ARITY)
-        if head not in _AUGMENTERS:
-            print("--augment supports DS <r> <s> <l>, CAT <c...>, T <k> <d>",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        aug = _AUGMENTERS[head](*vals)
+        aug = parse_augment(args.family)
         obj = {"original": aug.original.to_json(),
                "augmented": aug.augmented.to_json(),
                "construction_log": [list(x) for x in aug.construction_log],
@@ -208,6 +208,8 @@ def cmd_verify(args) -> int:
              [f"recheck {cert.kind}: {'OK' if ok else 'FAILED'} ({detail})"])
         return EXIT_OK if ok else EXIT_FAIL
     name = args.check
+    if args.spec and name != "reduction":
+        raise SpecError(f"unexpected arguments after {name}: {' '.join(args.spec)}")
     if name == "k6-rainbow-free":
         cert = verify_k6_rainbow_free()
     elif name == "k6-universal-3unique":
@@ -216,20 +218,13 @@ def cmd_verify(args) -> int:
             sample_count=args.samples, seed=args.seed)
     elif name == "k2s4":
         if args.s is None:
-            print("k2s4 needs --s", file=sys.stderr)
-            return EXIT_USAGE
+            raise SpecError("k2s4 needs --s")
         cert = verify_k2s4_construction(args.s)
-    elif name == "reduction-ds":
-        if None in (args.r, args.s_param, args.l):
-            print("reduction-ds needs --r --s-param --l", file=sys.stderr)
-            return EXIT_USAGE
-        r, s, l = args.r, args.s_param, args.l
-        aug = augment_double_star(r, s, l)
-        cert = verify_reduction(aug.original, aug, s - r + 1 + 2 * l,
-                                budget=args.budget)
+    elif name == "reduction":
+        aug = parse_augment(args.spec)
+        cert = verify_reduction(aug.original, aug, aug.k, budget=args.budget)
     else:
-        print(f"unknown check {name!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError(f"unknown check {name!r}")
     cert.seed = args.seed if cert.seed is None else cert.seed
     path = save_certificate(cert, args.cache_dir)
     emit(args, cert.to_json(),
@@ -245,8 +240,7 @@ def cmd_search(args) -> int:
     _, f = parse_family(args.pattern.split(), None)
     k = RAINBOW if args.rainbow else args.k
     if k is None:
-        print("search needs --rainbow or --k", file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError("search needs --rainbow or --k")
     out = brute_extremal(args.n, f, k, budget=args.budget)
     if out.get("value") is None:
         obj = {"bracket": {"lower": out["lower"], "upper": out["upper"]}}
@@ -277,8 +271,16 @@ def _at_least(low: int):
     return integer
 
 
+class _Parser(argparse.ArgumentParser):
+    """One `rturan: <message>` line and exit 2 on a usage error; subparsers
+    are built from the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"rturan: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="rturan",
+    p = _Parser(prog="rturan",
                                 description="rainbow / k-unique Turan workbench "
                                             f"(kernel backend: {_kernels.BACKEND})")
     p.add_argument("--version", action="version", version=__version__)
@@ -287,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_at_least(0), default=None,
                    help="node-count limit")
     p.add_argument("--cache-dir", default=None,
-                   help=f"certificate cache (default {default_cache_dir()})")
+                   help="directory certificates are written to, each named by "
+                        f"the hash of its kind and params (default {default_cache_dir()})")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="k-spectrum of a family graph")
@@ -298,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bp = sub.add_parser("bounds", help="bound formulas for a family")
     bp.add_argument("family", nargs="*")
-    bp.add_argument("--rainbow", action="store_true")
     bp.add_argument("--k-unique", type=int, default=None, metavar="L",
                     help="pendant-recoloring parameter l")
     bp.set_defaults(func=cmd_bounds)
@@ -311,11 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run a certified check")
     vp.add_argument("check", nargs="?")
+    vp.add_argument("spec", nargs="*",
+                    help="reduction only: DS <r> <s> <l>, CAT <c1,...,ck> or T <k> <d>")
     vp.add_argument("--recheck", metavar="FILE")
     vp.add_argument("--s", type=int, default=None)
-    vp.add_argument("--r", type=int, default=None)
-    vp.add_argument("--s-param", type=int, default=None)
-    vp.add_argument("--l", type=int, default=None)
     vp.add_argument("--color-cap", type=_at_least(1), default=7)
     vp.add_argument("--samples", type=_at_least(0), default=1_000_000)
     vp.set_defaults(func=cmd_verify)
@@ -334,7 +335,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return exc.code or EXIT_OK  # EXIT_USAGE from _Parser.error
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,5 +1,6 @@
-"""Exact desk-scale computation of rainbow / k-unique Turan numbers, plus the
-K_6 and K_{2s+4} verifications as first-class certified checks."""
+"""Exact desk-scale computation of rainbow / k-unique Turan numbers, plus
+every certified check: the K_6 and K_{2s+4} verifications, the
+reduction-method check on an augmented tree, and certificate rechecks."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import _kernels
+from .bounds import AugmentedTree
 from .certs import (BUDGET_EXHAUSTED, FAIL, PASS, Certificate)
 from .coloring import (EdgeColoring, conflict_lists, graph_hash, is_proper,
                        one_factorization)
@@ -16,6 +18,8 @@ from .graphs import (Graph, canonical_key, enumerate_embeddings, is_int,
                      make_complete, make_double_star)
 
 RAINBOW = "rainbow"
+# hosts with more labeled copies of the pattern are refused, not searched
+MAX_COPIES = 100_000
 
 
 @dataclass
@@ -23,6 +27,7 @@ class AvoiderResult:
     coloring: Optional[EdgeColoring]
     nodes_visited: int
     exhaustive: bool
+    copies: int  # labeled copies of the pattern in the host
 
 
 def _resolve_k(f: Graph, k) -> int:
@@ -38,19 +43,24 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k, mode: str = "at_least",
     """Search for a proper coloring of g with no k-unique copy of f.
 
     Canonical coloring DFS; branches where a fully colored copy already
-    satisfies k are cut.  Exhaustive unless the budget trips.
+    satisfies k are cut.  Exhaustive unless the budget trips.  Raises
+    ValueError when g holds more than MAX_COPIES labeled copies of f.
     """
     if mode not in ("at_least", "exactly"):
         raise ValueError(f"unknown mode {mode!r}")
     kk = _resolve_k(f, k)
-    emb_edges = [list(e.edge_map) for e in enumerate_embeddings(f, g)]
+    emb_edges = [list(e.edge_map) for e in
+                 itertools.islice(enumerate_embeddings(f, g), MAX_COPIES + 1)]
+    if len(emb_edges) > MAX_COPIES:
+        raise ValueError(f"host holds over {MAX_COPIES} labeled copies of the "
+                         "pattern; too many to search")
     if g.num_edges == 0:
-        return AvoiderResult(EdgeColoring(g, ()), 0, True)
+        return AvoiderResult(EdgeColoring(g, ()), 0, True, len(emb_edges))
     colors, nodes, exhausted = _kernels.find_avoiding_coloring(
         g.num_edges, conflict_lists(g), emb_edges, kk,
         mode == "exactly", g.num_edges, budget)
     coloring = EdgeColoring(g, tuple(colors), canonical=True) if colors is not None else None
-    return AvoiderResult(coloring, nodes, exhausted)
+    return AvoiderResult(coloring, nodes, exhausted, len(emb_edges))
 
 
 def graphs_up_to_iso(n: int, m: int) -> Iterator[Graph]:
@@ -209,6 +219,29 @@ def verify_k2s4_construction(s: int, s_cap: int = 4) -> Certificate:
                                 "m": s + 2})
 
 
+def verify_reduction(original: Graph, augmented: AugmentedTree | Graph, k: int,
+                     budget: Optional[int] = None) -> Certificate:
+    """Exhaustively check that every proper coloring of the augmented graph
+    contains a k-unique copy of the original."""
+    if isinstance(augmented, AugmentedTree):
+        augmented.validate()
+        augmented = augmented.augmented
+    params = {"original": original.to_json(), "augmented": augmented.to_json(), "k": k}
+    res = exists_avoiding_coloring(augmented, original, k, budget=budget)
+    if not res.copies:
+        return Certificate("reduction", FAIL, params,
+                           payload={"reason": "no copy of the original at all"})
+    if res.coloring is not None:
+        return Certificate("reduction", FAIL, params,
+                           payload={"counterexample_coloring": list(res.coloring.colors)},
+                           nodes_visited=res.nodes_visited)
+    if not res.exhaustive:
+        return Certificate("reduction", BUDGET_EXHAUSTED, params,
+                           nodes_visited=res.nodes_visited, exhaustive=False)
+    return Certificate("reduction", PASS, params, nodes_visited=res.nodes_visited,
+                       payload={"embeddings_considered": res.copies})
+
+
 def revalidate_avoider(cert: Certificate) -> tuple[bool, str]:
     g = Graph.from_json(cert.payload["graph"])
     f = Graph.from_json(cert.params["pattern"])
@@ -246,8 +279,6 @@ def _int_param(cert: Certificate, name: str, section: str = "params") -> int:
 
 
 def _recheck(cert: Certificate) -> tuple[bool, str]:
-    from .bounds import verify_reduction  # local import avoids a cycle
-
     if cert.kind == "avoider":
         return revalidate_avoider(cert)
     if cert.kind == "exhaustion":

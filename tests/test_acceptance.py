@@ -10,15 +10,14 @@ from fractions import Fraction
 
 from rturan.bounds import (augment_binary, augment_double_star,
                            binary_coefficients, caterpillar_bounds,
-                           ds22_bounds, ds_1_odd_exact, kary_coefficients,
-                           verify_reduction)
+                           ds22_bounds, ds_1_odd_exact, kary_coefficients)
 from rturan.coloring import enumerate_proper_colorings, is_proper
 from rturan.graphs import (enumerate_embeddings, graph_from_edges,
                            make_caterpillar, make_complete, make_cycle,
                            make_double_star, make_path)
 from rturan.search import (RAINBOW, brute_extremal, classical_turan,
                            verify_k2s4_construction, verify_k6_rainbow_free,
-                           verify_k6_universal_3unique)
+                           verify_k6_universal_3unique, verify_reduction)
 from rturan.spectrum import (compute_spectrum, ds_spectrum_closed_form,
                              find_qualifying_coloring, round_up_k,
                              self_unique_count, witness_family)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,13 @@ from rturan.bounds import (ERDOS_SOS, MCLENNAN, augment_binary,
                            caterpillar_bounds, caterpillar_coefficient_literal,
                            ds22_bounds, ds_1_odd_exact, ds_k_unique_bounds,
                            ds_rainbow_bounds, erdos_sos_coefficient,
-                           kary_coefficients, tree_assumption, verify_reduction)
+                           kary_coefficients, tree_assumption)
 from rturan.certs import BUDGET_EXHAUSTED, FAIL, PASS
 from rturan.coloring import EdgeColoring, is_proper
 from rturan.detect import find_k_unique
-from rturan.graphs import (canonical_key, diameter, make_double_star,
-                           make_path, make_perfect_kary)
+from rturan.graphs import (GraphError, canonical_key, diameter,
+                           make_double_star, make_path, make_perfect_kary)
+from rturan.search import verify_reduction
 
 
 def test_erdos_sos_coefficient():
@@ -139,6 +141,27 @@ def test_kary_coefficients():
     aug = augment_kary(2, 3)
     aug.validate()
     assert aug.edge_count == 142
+
+
+def test_augmenters_record_the_lemma_k():
+    assert augment_double_star(2, 3, 1).k == 3 - 2 + 1 + 2
+    for aug in (augment_caterpillar([1, 0, 2]), augment_kary(3, 2)):
+        assert aug.k == aug.original.num_edges  # rainbow
+
+
+@pytest.mark.parametrize("build", [lambda: augment_kary(4, 4),
+                                   lambda: augment_caterpillar([0] * 18)])
+def test_augmenters_refuse_before_building_an_oversized_level(build):
+    # the refused level holds millions of vertices; only the levels below
+    # it (a few thousand) may be built before the cap check
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_bound_report_json():

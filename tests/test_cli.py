@@ -1,9 +1,13 @@
+import argparse
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rturan.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, SpecError,
-                        main, parse_family)
+                        build_parser, main, parse_family)
 from rturan.graphs import canonical_key, make_caterpillar, make_double_star
 
 
@@ -128,11 +132,25 @@ def test_verify_k6_rainbow_free(capsys, tmp_path):
 
 def test_verify_reduction_ds(capsys, tmp_path):
     code, out, _ = run(capsys, "--format", "json", "--cache-dir", str(tmp_path),
-                       "verify", "reduction-ds", "--r", "1", "--s-param", "1",
-                       "--l", "1")
+                       "verify", "reduction", "DS", "1", "1", "1")
     assert code == EXIT_OK and json.loads(out)["verdict"] == "PASS"
-    code, _, err = run(capsys, "verify", "reduction-ds", "--r", "1")
+    assert json.loads(out)["params"]["k"] == 1 - 1 + 1 + 2 * 1
+    code, _, err = run(capsys, "verify", "reduction-ds", "--r", "1",
+                       "--s-param", "1", "--l", "1")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("spec", ["CAT 1,1,1", "T 2 2"])
+def test_verify_reduction_rainbow_specs_pass_and_recheck(capsys, tmp_path, spec):
+    code, out, _ = run(capsys, "--format", "json", "--cache-dir", str(tmp_path),
+                       "verify", "reduction", *spec.split())
+    obj = json.loads(out)
+    assert code == EXIT_OK and obj["verdict"] == "PASS"
+    original = obj["params"]["original"]
+    assert obj["params"]["k"] == len(original["edges"])  # rainbow
+    (cert,) = tmp_path.glob("*.json")
+    code, out, _ = run(capsys, "verify", "--recheck", str(cert))
+    assert code == EXIT_OK and "OK" in out
 
 
 def test_verify_usage_errors(capsys):
@@ -170,6 +188,9 @@ MALFORMED_CERTIFICATES = {
     "not-an-object.json": "[1]",
     "k2s4-s-string.json": '{"schema": 1, "kind": "k2s4", "verdict": "PASS", "params": {"s": "x"}}',
     "k2s4-s-bool.json": '{"schema": 1, "kind": "k2s4", "verdict": "PASS", "params": {"s": true}}',
+    "reduction-k-negative.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", "params": '
+                                 '{"original": {"n": 2, "edges": [[0, 1]]}, '
+                                 '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": -1}}',
     "reduction-k-null.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", "params": '
                              '{"original": {"n": 2, "edges": [[0, 1]]}, '
                              '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": null}}',
@@ -194,6 +215,18 @@ MALFORMED_CERTIFICATES = {
     "search --n 8 --pattern P3 --rainbow",
     "verify --recheck missing.json",
     *(f"verify --recheck {name}" for name in MALFORMED_CERTIFICATES),
+    "verify reduction T 2 3",  # over the copy cap
+    "verify reduction DS 0 9 0",
+    "verify reduction P3",
+    "verify reduction DS 1",
+    "verify reduction-ds --r 1 --s-param 1 --l 1",
+    "verify k2s4 --s 1 junk",
+    "verify k2s4 junk --s 1",
+    "verify k6-universal-3unique --color-cap 0",
+    "verify k6-universal-3unique --samples -5",
+    "--budget -1 spectrum C5",
+    "bounds DS 2 2 --rainbow",
+    "no-such-command",
 ])
 def test_user_errors_exit_usage_with_one_line(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -223,7 +256,7 @@ SWEEP_RUNS = (
     ["verify", "k6-rainbow-free"],
     ["verify", "k6-universal-3unique", "--samples", "10"],
     ["verify", "k2s4", "--s", "0"],
-    ["verify", "reduction-ds", "--r", "1", "--s-param", "1", "--l", "0"],
+    ["verify", "reduction", "DS", "1", "1", "0"],
 )
 BAD_VALUES = (None, "x", 1.5, True, [], {})
 # fields whose type `verify --recheck` checks: every bad value there exits 2
@@ -279,3 +312,37 @@ def test_certificate_field_type_sweep(capsys, tmp_path):
                     assert code == EXIT_USAGE, (site, bad)
                     assert len(err.strip().splitlines()) == 1, (site, bad, err)
     assert TYPED_SITES <= seen
+
+
+def _subcommand_flags() -> dict[str, list[str]]:
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {name: sorted(opt for a in sp._actions for opt in a.option_strings)
+            for name, sp in sub.choices.items()}
+
+
+SUBCOMMAND_FLAGS = _subcommand_flags()
+FUZZ_WORDS = ["P3", "C4", "K4", "P20", "DS", "B", "CAT", "T", "1,0,2", "2,,1",
+              "k6-rainbow-free", "k6-universal-3unique", "k2s4", "reduction",
+              "junk", "", "-", "--", "x1", "1.5"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_contract_code(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    word = st.sampled_from(SUBCOMMAND_FLAGS[command] + FUZZ_WORDS) | \
+        st.integers(-2, 5).map(str)
+    tokens = data.draw(st.lists(word, max_size=7))
+    if command == "verify":
+        # the sampled K6 regime has no node budget; keep it tiny
+        tokens = ["--samples", "3", *tokens]
+    argv = ["--budget", data.draw(st.sampled_from(["0", "1", "10"])),
+            "--cache-dir", str(tmp_path_factory.getbasetemp() / "fuzz"),
+            command, *tokens]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET), argv
+    assert "Traceback" not in err.getvalue(), argv
