@@ -119,11 +119,7 @@ def cmd_spectrum(args) -> int:
         _, r, s = name.split()
         spec = ds_spectrum_closed_form(int(r), int(s))
     else:
-        try:
-            spec = compute_spectrum(g, budget=args.budget)
-        except BudgetExhausted:
-            print("budget exhausted before any result", file=sys.stderr)
-            return EXIT_BUDGET
+        spec = compute_spectrum(g, budget=args.budget)
     obj = spec.to_json()
     obj["family"] = name
     lines = [f"Spec({name}) = {{{', '.join(map(str, spec.values))}}}"
@@ -272,8 +268,11 @@ def _at_least(low: int):
 
 
 class _Parser(argparse.ArgumentParser):
-    """One `rturan: <message>` line and exit 2 on a usage error; subparsers
-    are built from the same class."""
+    """One `rturan: <message>` line and exit 2 on a usage error, and no
+    abbreviated long flags; subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"rturan: {message}\n")

@@ -1,9 +1,13 @@
-"""Exact k-spectra: canonical enumeration, the closed-form double-star
-spectrum, the full-spectrum criterion with its witness procedure, and the
-k -> k' rounding rule.
+"""Exact k-spectra: canonical enumeration cut by reachable values, the
+closed-form double-star spectrum, the full-spectrum criterion with its
+witness procedure, and the k -> k' rounding rule.
 
 Spec(F) is a property of proper colorings of F itself; unique counts are
-taken over the identity embedding.
+taken over the identity embedding.  The enumeration cuts a subtree once every
+value its colorings could reach already has a witness, so it stops early on
+spectra without gaps; a value no coloring reaches (a gap) is refuted only by
+exhausting every subtree that could still reach it, which is where the cost
+of a spectrum lies.
 """
 
 from __future__ import annotations
@@ -47,16 +51,38 @@ def compute_spectrum(f: Graph, budget: Optional[int] = None,
                      edge_cap: int = DEFAULT_EDGE_CAP) -> KSpectrum:
     """Exact spectrum by canonical proper-coloring enumeration.
 
-    Colors are capped at ||F|| (more are never needed).  On budget exhaustion
-    the partial spectrum is returned flagged non-exhaustive.
+    Colors are capped at ||F|| (more are never needed).  One more colored
+    edge moves the unique count by at most 1, so a prefix of edges 0..i with
+    unique count u can only finish in [u - r, u + r], r = ||F|| - 1 - i.  The
+    subtree is cut once every value in that window has a witness; ||F|| - 1
+    counts as witnessed, as it never occurs (a lone non-unique edge shares its
+    color with another edge, which is then non-unique too).  Leaves arrive in
+    lexicographic order and a cut never removes an unwitnessed value, so each
+    witness is the first coloring with its value, as in the full enumeration.
+    Gap values are refuted by exhausting every subtree whose window holds
+    them.  On budget exhaustion the partial spectrum is returned flagged
+    non-exhaustive.
     """
     m = f.num_edges
     if m > edge_cap:
         raise GraphError(f"graph has {m} edges, above the spectrum cap {edge_cap}")
     witnesses: dict[int, EdgeColoring] = {}
+    # prefix_unique[i]: unique count of edges 0..i-1 on the current DFS path;
+    # the DFS calls settled(colors, i) on a prefix only after settled(colors, i - 1)
+    prefix_unique = [0] * (m + 1)
+
+    def settled(colors: list[int], i: int) -> bool:
+        repeats = colors[:i].count(colors[i])
+        u = prefix_unique[i] + (1 if repeats == 0 else -1 if repeats == 1 else 0)
+        prefix_unique[i + 1] = u
+        left = m - 1 - i
+        return all(v in witnesses or v == m - 1
+                   for v in range(max(u - left, 0), min(u + left, m) + 1))
+
     nodes = 0
     exhaustive = True
-    gen = enumerate_proper_colorings(f, max_colors=max(m, 1), budget=budget)
+    gen = enumerate_proper_colorings(f, max_colors=max(m, 1), budget=budget,
+                                     prune=settled)
     try:
         for c in gen:
             v = self_unique_count(c)

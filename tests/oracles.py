@@ -132,3 +132,30 @@ def burnside_graph_count(n: int, m: int) -> int:
     count, rest = divmod(total, math.factorial(n))
     assert rest == 0, "Burnside sum not divisible by n!"
     return count
+
+
+def naive_spectrum(g: Graph):
+    """Spec(g) by the full canonical enumeration: every proper coloring with
+    at most ||g|| colors whose colors first occur in order 0, 1, 2, ..., in
+    lexicographic order, keeping the first coloring of each unique count.
+    Returns (values, {value: colors})."""
+    m = g.num_edges
+    witnesses: dict[int, tuple] = {}
+    colors: list[int] = []
+
+    def walk():
+        i = len(colors)
+        if i == m:
+            counts = Counter(colors)
+            witnesses.setdefault(sum(1 for c in colors if counts[c] == 1),
+                                 tuple(colors))
+            return
+        for c in range(min(max(colors, default=-1) + 2, max(m, 1))):
+            if all(colors[j] != c or not set(g.edges[i]) & set(g.edges[j])
+                   for j in range(i)):
+                colors.append(c)
+                walk()
+                colors.pop()
+
+    walk()
+    return tuple(sorted(witnesses)), witnesses

@@ -224,6 +224,8 @@ MALFORMED_CERTIFICATES = {
     "verify k2s4 junk --s 1",
     "verify k6-universal-3unique --color-cap 0",
     "verify k6-universal-3unique --samples -5",
+    "verify k6-universal-3unique --sam 5",  # no abbreviated flags
+    "--form json spectrum C5",
     "--budget -1 spectrum C5",
     "bounds DS 2 2 --rainbow",
     "no-such-command",

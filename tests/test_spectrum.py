@@ -1,5 +1,10 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import naive_spectrum
+from rturan.cli import parse_family
 from rturan.coloring import (ColoringError, color_class_profile, is_proper,
                              proper_coloring)
 from rturan.graphs import (GraphError, graph_from_edges, make_caterpillar,
@@ -118,3 +123,88 @@ def test_spectrum_of_disconnected_pattern():
     g = graph_from_edges(4, [(0, 1), (2, 3)])
     # two independent edges: same color gives 0 unique, distinct gives 2
     assert compute_spectrum(g).values == (0, 2)
+
+
+def family_specs(max_edges):
+    """Every P/C/K/DS/B/T spec, and every caterpillar with at most 4 spine
+    vertices, of at most max_edges edges, as CLI tokens."""
+    m = max_edges
+    yield from ([f"P{k}"] for k in range(1, m + 1))
+    yield from ([f"C{k}"] for k in range(3, m + 1))
+    yield from ([f"K{n}"] for n in range(1, m + 2) if n * (n - 1) // 2 <= m)
+    yield from (["DS", str(r), str(s)] for r in range(m) for s in range(m - r))
+    yield from (["B", str(k), str(r)] for k in range(1, m + 2)
+                for r in range(m + 2 - k))
+    yield from (["T", str(k), str(d)] for k in range(2, m + 1) for d in range(1, m)
+                if sum(k ** i for i in range(1, d + 1)) <= m)
+    for spine in range(1, 5):
+        for pendants in itertools.product(range(m + 1), repeat=spine):
+            if spine - 1 + sum(pendants) <= m:
+                yield ["CAT", ",".join(map(str, pendants))]
+
+
+def assert_matches_oracle(g):
+    spec = compute_spectrum(g)
+    values, witnesses = naive_spectrum(g)
+    assert spec.exhaustive
+    assert spec.values == values
+    assert {v: w.colors for v, w in spec.witnesses.items()} == witnesses
+
+
+def test_spectrum_matches_full_enumeration_on_families():
+    specs = list(family_specs(9))
+    assert len(specs) == 514
+    for tokens in specs:
+        assert_matches_oracle(parse_family(tokens)[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_spectrum_matches_full_enumeration_on_random_graphs(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True)
+                      if pairs else st.just([]))
+    assert_matches_oracle(graph_from_edges(n, edges))
+
+
+# recorded from the full enumeration; witness colors as base-12 digits
+FROZEN_12_EDGE_SPECTRA = {
+    "P12": {0: "010101010101", 1: "010101010102", 2: "010101010123",
+            3: "010101010234", 4: "010101012345", 5: "010101023456",
+            6: "010101234567", 7: "010102345678", 8: "010123456789",
+            9: "010203456789", 10: "01023456789a", 12: "0123456789ab"},
+    "C12": {0: "011010101010", 1: "011010101012", 2: "011010101023",
+            3: "011010101234", 4: "011010102345", 5: "011010123456",
+            6: "011010234567", 7: "011012345678", 8: "011023456789",
+            9: "011213456789", 10: "01123456789a", 12: "0123456789ab"},
+    "T 3 2": {0: "012123023013", 1: "012123023014", 2: "012123023045",
+              3: "012123023456", 4: "012123024056", 5: "012123024567",
+              6: "012123045678", 7: "012123245678", 8: "012123456789",
+              9: "012134567189", 10: "01213456789a", 12: "0123456789ab"},
+    "B 8 5": {0: "012345012345", 1: "010234012345", 2: "010123012345",
+              3: "010102012345", 4: "010101012345", 5: "010101023456",
+              6: "010101234567", 7: "010102345678", 8: "010123456789",
+              9: "010203456789", 10: "01023456789a", 12: "0123456789ab"},
+    "DS 5 6": {2: "012345123456", 4: "012345123467", 6: "012345123678",
+               8: "012345126789", 10: "01234516789a", 12: "0123456789ab"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_12_EDGE_SPECTRA))
+def test_frozen_12_edge_spectra(name):
+    spec = compute_spectrum(parse_family(name.split())[1])
+    frozen = FROZEN_12_EDGE_SPECTRA[name]
+    assert spec.exhaustive and spec.nodes_visited == 0
+    assert spec.values == tuple(sorted(frozen))
+    assert {v: w.colors for v, w in spec.witnesses.items()} == {
+        v: tuple(int(c, 12) for c in digits) for v, digits in frozen.items()}
+
+
+@pytest.mark.parametrize("name", ["P12", "DS 4 7"])
+def test_budgeted_spectrum_keeps_first_witnesses(name):
+    g = parse_family(name.split())[1]
+    full = compute_spectrum(g)
+    for budget in (1, 10, 100, 1000):
+        partial = compute_spectrum(g, budget=budget)
+        for v, w in partial.witnesses.items():
+            assert w.colors == full.witnesses[v].colors
