@@ -24,6 +24,10 @@ from .graphs import (DEFAULT_VERTEX_CAP, Embedding, Graph, GraphError,
 ERDOS_SOS = "erdos_sos_conjecture"
 MCLENNAN = "mclennan_diam4"
 EMPTY_SUM_NOTE = "literal empty products over i=4..j-2 evaluated as 1"
+# vertex caps of the augmented trees; an augmenter refuses a level that
+# would grow its tree past the cap before building it
+CATERPILLAR_CAP = 4 * DEFAULT_VERTEX_CAP
+KARY_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,7 @@ def ds22_bounds() -> tuple[BoundReport, BoundReport]:
     1-factorization and strictly improves the generic 3/2."""
     lower = BoundReport("ds22_lower", {}, Fraction(5, 2),
                         notes=("witness: 1-factorized K_6 blowup",))
-    upper = BoundReport("ds_rainbow_upper", {"r": 2, "s": 2}, Fraction(3),
-                        assumptions=(tree_assumption(make_double_star(2, 4)),))
-    return lower, upper
+    return lower, ds_rainbow_bounds(2, 2)[1]
 
 
 def ds_1_odd_exact(s: int) -> BoundReport:
@@ -146,8 +148,15 @@ def _check_growth(n: int, cap: int):
         raise GraphError(f"augmented tree needs {n} vertices, cap {cap}")
 
 
-def augment_caterpillar(c: Sequence[int],
-                        cap: int = 4 * DEFAULT_VERTEX_CAP) -> AugmentedTree:
+def _hang(edges: list[tuple[int, int]], parent: int, count: int,
+          nxt: int) -> range:
+    """Join the new vertices nxt, ..., nxt + count - 1 to parent."""
+    kids = range(nxt, nxt + count)
+    edges.extend((parent, v) for v in kids)
+    return kids
+
+
+def augment_caterpillar(c: Sequence[int]) -> AugmentedTree:
     """Constructive augmentation of the caterpillar C_{c_1..c_k} (k >= 3).
 
     Base (k=3): pendant counts (c1+1, c1+c2, c1+c2+c3+2), 3c1+2c2+c3+5 edges.
@@ -160,7 +169,7 @@ def augment_caterpillar(c: Sequence[int],
         raise ValueError("the construction starts at spine length 3")
     if any(x < 0 for x in c):
         raise ValueError("pendant counts must be nonnegative")
-    original = make_caterpillar(c, cap=cap)
+    original = make_caterpillar(c, cap=CATERPILLAR_CAP)
 
     edges: list[tuple[int, int]] = [(0, 1), (1, 2)]
     nxt = 3
@@ -169,39 +178,29 @@ def augment_caterpillar(c: Sequence[int],
     # base pendant counts; the x3 count carries one more pendant than the
     # prose narrative so the total matches the stated 3c1+2c2+c3+5 edges
     base = (c1 + 1, c1 + c2, c1 + c2 + c3 + 2)
-    _check_growth(nxt + sum(base), cap)
-    pend: dict[int, list[int]] = {0: [], 1: [], 2: []}
+    _check_growth(nxt + sum(base), CATERPILLAR_CAP)
+    pend: dict[int, range] = {}
     for spine_v, cnt in zip((0, 1, 2), base):
-        for _ in range(cnt):
-            edges.append((spine_v, nxt))
-            pend[spine_v].append(nxt)
-            nxt += 1
+        pend[spine_v] = _hang(edges, spine_v, cnt, nxt)
+        nxt += cnt
         log.append((f"x_{spine_v + 1}: {cnt} pendants", cnt))
     parents = [2]
-    branch_child: dict[int, list[int]] = {}
+    branch_child: dict[int, range] = {}
     for j in range(4, k + 1):
         bj = sum(c[:j - 2]) + 2
         lj = (j - 1) + sum(c[:j])
-        _check_growth(nxt + len(parents) * bj * (1 + lj), cap)
+        _check_growth(nxt + len(parents) * bj * (1 + lj), CATERPILLAR_CAP)
         new_parents = []
-        added = 0
+        start = nxt
         for p in parents:
-            branch_child[p] = []
-            for _ in range(bj):
-                edges.append((p, nxt))
-                branch_child[p].append(nxt)
-                new_parents.append(nxt)
-                nxt += 1
-                added += 1
+            branch_child[p] = _hang(edges, p, bj, nxt)
+            nxt += bj
+            new_parents.extend(branch_child[p])
             for child in branch_child[p]:
-                pend[child] = []
-                for _ in range(lj):
-                    edges.append((child, nxt))
-                    pend[child].append(nxt)
-                    nxt += 1
-                    added += 1
+                pend[child] = _hang(edges, child, lj, nxt)
+                nxt += lj
         log.append((f"level {j}: {bj} branches per parent, "
-                    f"{lj} pendants per branch", added))
+                    f"{lj} pendants per branch", nxt - start))
         parents = new_parents
     augmented = graph_from_edges(nxt, edges)
 
@@ -262,35 +261,27 @@ def _kary_leaf_factor(k: int, i: int) -> int:
     return k ** i + (k ** i - 1) // (k - 1) - 2
 
 
-def augment_kary(k: int, d: int, cap: int = 100_000) -> AugmentedTree:
+def augment_kary(k: int, d: int) -> AugmentedTree:
     """Constructive T'(k,d): k spine edges at the root, then every vertex at
     depth j-1 gets k^j + (k^j-1)/(k-1) - 2 children, cascading to depth d."""
     if k < 2 or d < 2:
         raise ValueError("need arity >= 2 and depth >= 2")
-    original = make_perfect_kary(k, d, cap=cap)
+    original = make_perfect_kary(k, d, cap=KARY_CAP)
     edges: list[tuple[int, int]] = []
-    nxt = 1
-    level = []
-    for _ in range(k):
-        edges.append((0, nxt))
-        level.append(nxt)
-        nxt += 1
+    children: dict[int, range] = {0: _hang(edges, 0, k, 1)}
+    nxt = 1 + k
+    level = list(children[0])
     log: list[tuple[str, int]] = [(f"root: {k} branch edges", k)]
-    children: dict[int, list[int]] = {0: list(level)}
     for j in range(2, d + 1):
         bj = _kary_leaf_factor(k, j)
-        _check_growth(nxt + len(level) * bj, cap)
+        _check_growth(nxt + len(level) * bj, KARY_CAP)
         new_level = []
-        added = 0
+        start = nxt
         for p in level:
-            children[p] = []
-            for _ in range(bj):
-                edges.append((p, nxt))
-                children[p].append(nxt)
-                new_level.append(nxt)
-                nxt += 1
-                added += 1
-        log.append((f"depth {j}: {bj} children per parent", added))
+            children[p] = _hang(edges, p, bj, nxt)
+            nxt += bj
+            new_level.extend(children[p])
+        log.append((f"depth {j}: {bj} children per parent", nxt - start))
         level = new_level
     augmented = graph_from_edges(nxt, edges)
 
@@ -308,9 +299,9 @@ def augment_kary(k: int, d: int, cap: int = 100_000) -> AugmentedTree:
     return AugmentedTree(original, augmented, tuple(log), emb, original.num_edges)
 
 
-def augment_binary(d: int, cap: int = 100_000) -> AugmentedTree:
+def augment_binary(d: int) -> AugmentedTree:
     """T'(2,d) per the construction: 2^{j+1}-3 children per depth-(j-1) vertex."""
-    return augment_kary(2, d, cap=cap)
+    return augment_kary(2, d)
 
 
 def binary_coefficients(d: int) -> dict:

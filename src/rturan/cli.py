@@ -18,7 +18,6 @@ from .bounds import (AugmentedTree, caterpillar_bounds, augment_caterpillar,
                      ds_rainbow_bounds, kary_coefficients)
 from .certs import (BUDGET_EXHAUSTED, FAIL, load_certificate,
                     save_certificate, default_cache_dir)
-from .coloring import BudgetExhausted
 from .graphs import (Graph, GraphError, make_broom, make_caterpillar,
                      make_complete, make_cycle, make_double_star, make_path,
                      make_perfect_kary)
@@ -342,9 +341,6 @@ def main(argv=None) -> int:
         # and ColoringError among them); OSError is an unreadable file
         print(f"rturan: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExhausted:
-        print("budget exhausted", file=sys.stderr)
-        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

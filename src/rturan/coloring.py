@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph, make_complete
@@ -35,7 +35,6 @@ class EdgeColoring:
 
     graph: Graph
     colors: tuple[int, ...]
-    canonical: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if len(self.colors) != self.graph.num_edges:
@@ -53,12 +52,6 @@ class EdgeColoring:
     def to_json(self) -> dict:
         return {"graph_hash": graph_hash(self.graph), "colors": list(self.colors)}
 
-    @classmethod
-    def from_json(cls, obj: dict, graph: Graph) -> "EdgeColoring":
-        if obj.get("graph_hash") not in (None, graph_hash(graph)):
-            raise ColoringError("coloring belongs to a different graph")
-        return cls(graph, tuple(obj["colors"]))
-
 
 def is_proper(g: Graph, coloring: EdgeColoring | Sequence[int]) -> bool:
     """True iff no two edges sharing a vertex have the same color."""
@@ -74,8 +67,8 @@ def is_proper(g: Graph, coloring: EdgeColoring | Sequence[int]) -> bool:
     return True
 
 
-def proper_coloring(g: Graph, colors: Sequence[int], canonical: bool = False) -> EdgeColoring:
-    c = EdgeColoring(g, tuple(colors), canonical=canonical)
+def proper_coloring(g: Graph, colors: Sequence[int]) -> EdgeColoring:
+    c = EdgeColoring(g, tuple(colors))
     if not is_proper(g, c):
         raise ColoringError("coloring is not proper")
     return c
@@ -170,7 +163,7 @@ def enumerate_proper_colorings(g: Graph, max_colors: int,
     if max_colors < 1:
         raise ColoringError("need at least one color")
     for colors in canonical_dfs(conflict_lists(g), max_colors, budget, prune):
-        yield EdgeColoring(g, tuple(colors), canonical=True)
+        yield EdgeColoring(g, tuple(colors))
 
 
 def one_factorization(m: int) -> EdgeColoring:
@@ -210,9 +203,6 @@ class ColorClassProfile:
     """Color class sizes sorted descending."""
 
     sizes: tuple[int, ...]
-
-    def qualifies_full_spectrum(self) -> bool:
-        return bool(self.sizes) and self.sizes[0] >= 3 and self.sizes[-1] >= 2
 
 
 def color_class_profile(c: EdgeColoring) -> ColorClassProfile:

@@ -28,12 +28,12 @@ class UniquenessReport:
         }
 
 
-def unique_count(host: Graph, c: EdgeColoring, e: Embedding) -> int:
+def unique_count(c: EdgeColoring, e: Embedding) -> int:
     """Number of embedded pattern edges whose color occurs exactly once on the copy."""
     return unique_color_count([c.colors[i] for i in e.edge_map])
 
 
-def report_for(host: Graph, c: EdgeColoring, e: Embedding) -> UniquenessReport:
+def report_for(c: EdgeColoring, e: Embedding) -> UniquenessReport:
     colors = tuple(c.colors[i] for i in e.edge_map)
     return UniquenessReport(e, unique_color_count(colors), colors)
 
@@ -74,7 +74,7 @@ def find_k_unique(host: Graph, c: EdgeColoring, pattern: Graph, k: int,
     emb = next(enumerate_embeddings(pattern, host, out_of_reach, twins=True), None)
     if emb is None:
         return None
-    return report_for(host, c, emb)
+    return report_for(c, emb)
 
 
 def is_rainbow_free(host: Graph, c: EdgeColoring, pattern: Graph) -> bool:

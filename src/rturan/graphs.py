@@ -105,9 +105,6 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]],
                      labels: Optional[Sequence[str]] = None) -> Graph:
     """Normalize an edge list (sort endpoints, sort and dedup edges) into a Graph."""
     norm = sorted({(min(u, v), max(u, v)) for (u, v) in edges})
-    for (u, v) in norm:
-        if u == v:
-            raise GraphError(f"self-loop at {u}")
     return Graph(n, tuple(norm), tuple(labels) if labels is not None else None)
 
 

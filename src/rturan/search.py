@@ -20,6 +20,10 @@ from .graphs import (Graph, canonical_key, enumerate_embeddings, is_int,
 RAINBOW = "rainbow"
 # hosts with more labeled copies of the pattern are refused, not searched
 MAX_COPIES = 100_000
+# largest host order brute_extremal searches
+N_CAP = 7
+# largest s verify_k2s4_construction checks (K_12, DS_{1,9})
+S_CAP = 4
 
 
 @dataclass
@@ -38,7 +42,7 @@ def _resolve_k(f: Graph, k) -> int:
     return k
 
 
-def exists_avoiding_coloring(g: Graph, f: Graph, k, mode: str = "at_least",
+def exists_avoiding_coloring(g: Graph, f: Graph, k,
                              budget: Optional[int] = None) -> AvoiderResult:
     """Search for a proper coloring of g with no k-unique copy of f.
 
@@ -46,8 +50,6 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k, mode: str = "at_least",
     satisfies k are cut.  Exhaustive unless the budget trips.  Raises
     ValueError when g holds more than MAX_COPIES labeled copies of f.
     """
-    if mode not in ("at_least", "exactly"):
-        raise ValueError(f"unknown mode {mode!r}")
     kk = _resolve_k(f, k)
     emb_edges = [list(e.edge_map) for e in
                  itertools.islice(enumerate_embeddings(f, g), MAX_COPIES + 1)]
@@ -57,9 +59,8 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k, mode: str = "at_least",
     if g.num_edges == 0:
         return AvoiderResult(EdgeColoring(g, ()), 0, True, len(emb_edges))
     colors, nodes, exhausted = _kernels.find_avoiding_coloring(
-        g.num_edges, conflict_lists(g), emb_edges, kk,
-        mode == "exactly", g.num_edges, budget)
-    coloring = EdgeColoring(g, tuple(colors), canonical=True) if colors is not None else None
+        g.num_edges, conflict_lists(g), emb_edges, kk, False, g.num_edges, budget)
+    coloring = EdgeColoring(g, tuple(colors)) if colors is not None else None
     return AvoiderResult(coloring, nodes, exhausted, len(emb_edges))
 
 
@@ -89,15 +90,14 @@ def classical_turan(n: int, f: Graph) -> int:
     raise AssertionError("unreachable: the empty graph is always f-free")
 
 
-def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None,
-                   n_cap: int = 7) -> dict:
+def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
     """Exact ex_k(n, f): largest m whose best avoider admits a proper coloring
     with no k-unique copy of f.  Searches m downward from binom(n, 2).
 
     On budget exhaustion returns a bracket {lower, upper} instead of a value.
     """
-    if n > n_cap:
-        raise ValueError(f"n={n} above the brute-force cap {n_cap}")
+    if n > N_CAP:
+        raise ValueError(f"n={n} above the brute-force cap {N_CAP}")
     kk = _resolve_k(f, k)
     total = n * (n - 1) // 2
     inconclusive_top: Optional[int] = None
@@ -199,10 +199,10 @@ def verify_k6_universal_3unique(budget: Optional[int] = None,
         exhaustive=False)  # the full quantifier over all colorings is out of reach
 
 
-def verify_k2s4_construction(s: int, s_cap: int = 4) -> Certificate:
+def verify_k2s4_construction(s: int) -> Certificate:
     """1-factorized K_{2s+4} avoids a rainbow DS_{1,2s+1}."""
-    if not (0 <= s <= s_cap):
-        raise ValueError(f"s must be within 0..{s_cap}")
+    if not (0 <= s <= S_CAP):
+        raise ValueError(f"s must be within 0..{S_CAP}")
     host_n = 2 * s + 4
     coloring = one_factorization(s + 2)
     host = coloring.graph
@@ -246,10 +246,10 @@ def revalidate_avoider(cert: Certificate) -> tuple[bool, str]:
     g = Graph.from_json(cert.payload["graph"])
     f = Graph.from_json(cert.params["pattern"])
     coloring = cert.payload["coloring"]
-    colors = coloring.get("colors") if isinstance(coloring, dict) else None
-    if not (isinstance(colors, list) and all(map(is_int, colors))):
-        raise ValueError("avoider certificate field 'coloring' is not an object "
-                         "with a list of integer 'colors'")
+    if not isinstance(coloring, dict):
+        raise ValueError(f"avoider certificate field 'coloring' is not an "
+                         f"object: {coloring!r}")
+    colors = _int_list(cert, coloring.get("colors"), "colors")
     if coloring.get("graph_hash") != graph_hash(g):
         return False, "coloring hash does not match the stored graph"
     if not is_proper(g, colors):
@@ -278,6 +278,13 @@ def _int_param(cert: Certificate, name: str, section: str = "params") -> int:
     return value
 
 
+def _int_list(cert: Certificate, value, name: str) -> list[int]:
+    if not (isinstance(value, list) and all(map(is_int, value))):
+        raise ValueError(f"{cert.kind} certificate needs a list of integer "
+                         f"{name!r}, got {value!r}")
+    return value
+
+
 def _recheck(cert: Certificate) -> tuple[bool, str]:
     if cert.kind == "avoider":
         return revalidate_avoider(cert)
@@ -301,7 +308,8 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
     if cert.kind == "k6_universal":
         if cert.verdict == FAIL:
             host, pattern, emb = _k6_embedding_edges()
-            colors = cert.payload["counterexample_coloring"]
+            colors = _int_list(cert, cert.payload["counterexample_coloring"],
+                               "counterexample_coloring")
             if not is_proper(host, colors):
                 return False, "counterexample is not proper"
             counts = _kernels.unique_counts(colors, emb)

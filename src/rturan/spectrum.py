@@ -21,7 +21,8 @@ from .coloring import (BudgetExhausted, ColorClassProfile, ColoringError,
                        unique_color_count)
 from .graphs import Graph, GraphError, make_double_star
 
-DEFAULT_EDGE_CAP = 12
+# largest edge count compute_spectrum enumerates
+EDGE_CAP = 12
 
 
 def self_unique_count(c: EdgeColoring) -> int:
@@ -47,8 +48,7 @@ class KSpectrum:
         }
 
 
-def compute_spectrum(f: Graph, budget: Optional[int] = None,
-                     edge_cap: int = DEFAULT_EDGE_CAP) -> KSpectrum:
+def compute_spectrum(f: Graph, budget: Optional[int] = None) -> KSpectrum:
     """Exact spectrum by canonical proper-coloring enumeration.
 
     Colors are capped at ||F|| (more are never needed).  One more colored
@@ -60,18 +60,22 @@ def compute_spectrum(f: Graph, budget: Optional[int] = None,
     lexicographic order and a cut never removes an unwitnessed value, so each
     witness is the first coloring with its value, as in the full enumeration.
     Gap values are refuted by exhausting every subtree whose window holds
-    them.  On budget exhaustion the partial spectrum is returned flagged
-    non-exhaustive.
+    them.  nodes_visited counts the colored edges the search tried, the unit
+    of the budget; on budget exhaustion the partial spectrum is returned
+    flagged non-exhaustive.
     """
     m = f.num_edges
-    if m > edge_cap:
-        raise GraphError(f"graph has {m} edges, above the spectrum cap {edge_cap}")
+    if m > EDGE_CAP:
+        raise GraphError(f"graph has {m} edges, above the spectrum cap {EDGE_CAP}")
     witnesses: dict[int, EdgeColoring] = {}
     # prefix_unique[i]: unique count of edges 0..i-1 on the current DFS path;
     # the DFS calls settled(colors, i) on a prefix only after settled(colors, i - 1)
     prefix_unique = [0] * (m + 1)
+    nodes = 0
 
     def settled(colors: list[int], i: int) -> bool:
+        nonlocal nodes
+        nodes += 1  # the DFS consults the prune once per node
         repeats = colors[:i].count(colors[i])
         u = prefix_unique[i] + (1 if repeats == 0 else -1 if repeats == 1 else 0)
         prefix_unique[i + 1] = u
@@ -79,7 +83,6 @@ def compute_spectrum(f: Graph, budget: Optional[int] = None,
         return all(v in witnesses or v == m - 1
                    for v in range(max(u - left, 0), min(u + left, m) + 1))
 
-    nodes = 0
     exhaustive = True
     gen = enumerate_proper_colorings(f, max_colors=max(m, 1), budget=budget,
                                      prune=settled)
@@ -124,15 +127,14 @@ def ds_spectrum_closed_form(r: int, s: int) -> KSpectrum:
 
 def full_spectrum_criterion(profile: ColorClassProfile) -> bool:
     """Sufficient condition: largest class >= 3 and smallest class >= 2."""
-    return profile.qualifies_full_spectrum()
+    sizes = profile.sizes
+    return bool(sizes) and sizes[0] >= 3 and sizes[-1] >= 2
 
 
-def find_qualifying_coloring(f: Graph,
-                             budget: Optional[int] = None) -> Optional[EdgeColoring]:
+def find_qualifying_coloring(f: Graph) -> Optional[EdgeColoring]:
     """Lexicographically least canonical proper coloring whose class profile
     satisfies the full-spectrum criterion, or None."""
-    for c in enumerate_proper_colorings(f, max_colors=max(f.num_edges, 1),
-                                        budget=budget):
+    for c in enumerate_proper_colorings(f, max_colors=max(f.num_edges, 1)):
         if full_spectrum_criterion(color_class_profile(c)):
             return c
     return None

@@ -182,6 +182,11 @@ def test_bad_arguments_exit_usage(capsys):
     assert main(["--threads", "2", "verify", "k6-rainbow-free"]) == EXIT_USAGE
 
 
+def _k6_fail(counterexample) -> str:
+    return json.dumps({"schema": 1, "kind": "k6_universal", "verdict": "FAIL", "params": {},
+                       "payload": {"counterexample_coloring": counterexample}})
+
+
 MALFORMED_CERTIFICATES = {
     "no-kind.json": '{"schema": 1}',
     "no-graph.json": '{"schema": 1, "kind": "avoider", "verdict": "PASS", "params": {}}',
@@ -202,6 +207,11 @@ MALFORMED_CERTIFICATES = {
                               '"params": {"color_cap": 0, "sample_count": 10, "seed": 1}}',
     "k6-color-cap-negative.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
                                   '"params": {"color_cap": -1, "sample_count": 10, "seed": 1}}',
+    # FAIL verdicts: K6 has 15 edges, so each wrong-typed list has the right length
+    "k6-fail-null.json": _k6_fail(None),
+    "k6-fail-nested.json": _k6_fail([[i] for i in range(15)]),
+    "k6-fail-objects.json": _k6_fail([{} for _ in range(15)]),
+    "k6-fail-strings.json": _k6_fail([str(i) for i in range(15)]),
 }
 
 
@@ -213,6 +223,7 @@ MALFORMED_CERTIFICATES = {
     "construct --augment CAT 1,1",
     "spectrum P20",
     "search --n 8 --pattern P3 --rainbow",
+    "verify k2s4 --s 5",
     "verify --recheck missing.json",
     *(f"verify --recheck {name}" for name in MALFORMED_CERTIFICATES),
     "verify reduction T 2 3",  # over the copy cap

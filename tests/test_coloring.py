@@ -10,6 +10,7 @@ from rturan.coloring import (BudgetExhausted, ColoringError, EdgeColoring,
                              one_factorization, proper_coloring)
 from rturan.graphs import (graph_from_edges, make_complete, make_cycle,
                            make_double_star, make_path)
+from rturan.spectrum import full_spectrum_criterion
 
 from oracles import naive_proper_colorings
 
@@ -135,13 +136,13 @@ def test_color_class_profile():
     c = one_factorization(3)
     prof = color_class_profile(c)
     assert prof.sizes == (3, 3, 3, 3, 3)
-    assert prof.qualifies_full_spectrum()
+    assert full_spectrum_criterion(prof)
     rainbow = proper_coloring(make_path(3), (0, 1, 2))
     assert color_class_profile(rainbow).sizes == (1, 1, 1)
-    assert not color_class_profile(rainbow).qualifies_full_spectrum()
+    assert not full_spectrum_criterion(color_class_profile(rainbow))
     c4 = proper_coloring(make_cycle(4), (0, 1, 1, 0))
     assert color_class_profile(c4).sizes == (2, 2)
-    assert not color_class_profile(c4).qualifies_full_spectrum()
+    assert not full_spectrum_criterion(color_class_profile(c4))
 
 
 def test_empty_graph_coloring():

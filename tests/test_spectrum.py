@@ -190,14 +190,24 @@ FROZEN_12_EDGE_SPECTRA = {
 }
 
 
+# nodes of the cut canonical search, the unit --budget counts
+FROZEN_12_EDGE_NODES = {"P12": 319, "C12": 309, "T 3 2": 241, "B 8 5": 30_181,
+                        "DS 5 6": 6_277}
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN_12_EDGE_SPECTRA))
 def test_frozen_12_edge_spectra(name):
-    spec = compute_spectrum(parse_family(name.split())[1])
+    g = parse_family(name.split())[1]
+    spec = compute_spectrum(g)
     frozen = FROZEN_12_EDGE_SPECTRA[name]
-    assert spec.exhaustive and spec.nodes_visited == 0
+    nodes = FROZEN_12_EDGE_NODES[name]
+    assert spec.exhaustive and spec.nodes_visited == nodes
     assert spec.values == tuple(sorted(frozen))
     assert {v: w.colors for v, w in spec.witnesses.items()} == {
         v: tuple(int(c, 12) for c in digits) for v, digits in frozen.items()}
+    # the count is the budget that just suffices
+    assert compute_spectrum(g, budget=nodes).exhaustive
+    assert not compute_spectrum(g, budget=nodes - 1).exhaustive
 
 
 @pytest.mark.parametrize("name", ["P12", "DS 4 7"])
