@@ -65,16 +65,41 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k,
 
 
 def graphs_up_to_iso(n: int, m: int) -> Iterator[Graph]:
-    """All n-vertex, m-edge graphs up to isomorphism (canonical-form dedup)."""
+    """All n-vertex, m-edge graphs up to isomorphism, one per class.
+
+    Built level by level from the empty graph: each level adds every absent
+    edge to each representative of the level before and keeps the first graph
+    to reach each canonical_key (McKay, *Isomorph-free exhaustive
+    generation*, 1998).  Every m-edge class arises so, as deleting any edge of
+    a graph gives one of the level below.  Above half of binom(n, 2) edges,
+    the classes of the complementary level are built and complemented, which
+    maps classes one-to-one.  Classes come in increasing canonical_key order
+    of the built graph, before any complementing.  A negative m raises
+    ValueError.
+    """
+    if m < 0:
+        raise ValueError(f"negative edge count {m}")
     all_edges = list(itertools.combinations(range(n), 2))
-    seen = set()
-    for subset in itertools.combinations(all_edges, m):
-        g = Graph(n, subset)  # combinations yields sorted, unique pairs
-        key = canonical_key(g)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield g
+    total = len(all_edges)
+    if m > total:
+        return
+    steps = min(m, total - m)
+    level = [Graph(n, ())]
+    for _ in range(steps):
+        reps: dict[tuple, Graph] = {}
+        for g in level:
+            present = set(g.edges)
+            for e in all_edges:
+                if e not in present:
+                    h = Graph(n, tuple(sorted((*g.edges, e))))
+                    reps.setdefault(canonical_key(h), h)
+        level = [reps[key] for key in sorted(reps)]
+    for g in level:
+        if steps == m:
+            yield g
+        else:
+            present = set(g.edges)
+            yield Graph(n, tuple(e for e in all_edges if e not in present))
 
 
 def contains_copy(g: Graph, f: Graph) -> bool:

@@ -2,14 +2,16 @@
 
 These are deliberately naive: generate-and-filter over full product or
 permutation spaces, with no pruning and no shared code with the package
-internals beyond the Graph container.
+internals beyond the Graph container, except that naive_graphs_up_to_iso
+takes canonical_key as its isomorphism test (naive_canonical_key checks that
+one).
 """
 
 import itertools
 import math
 from collections import Counter
 
-from rturan.graphs import Graph
+from rturan.graphs import Graph, canonical_key
 
 
 def naive_is_proper(g: Graph, colors) -> bool:
@@ -91,6 +93,19 @@ def naive_canonical_key(g: Graph) -> tuple:
         if best is None or key < best:
             best = key
     return (g.n, best)
+
+
+def naive_graphs_up_to_iso(n: int, m: int):
+    """One graph per isomorphism class of n-vertex, m-edge graphs: the
+    lexicographically first labeled m-subset of K_n's edges in each class,
+    in that order, found by canonicalising every subset."""
+    seen = set()
+    for subset in itertools.combinations(itertools.combinations(range(n), 2), m):
+        g = Graph(n, subset)  # combinations yields sorted, unique pairs
+        key = canonical_key(g)
+        if key not in seen:
+            seen.add(key)
+            yield g
 
 
 def _partitions(n: int, largest: int):

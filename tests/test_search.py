@@ -1,21 +1,23 @@
 import json
+import math
 
 import pytest
 
-from rturan import certs
+from rturan import certs, search
 from rturan.certs import (FAIL, PASS, Certificate, load_certificate,
                           save_certificate)
 from rturan.coloring import is_proper, one_factorization
 from rturan.detect import find_k_unique
-from rturan.graphs import (graph_from_edges, make_complete, make_cycle,
-                           make_double_star, make_path)
+from rturan.graphs import (Graph, canonical_key, graph_from_edges,
+                           make_complete, make_cycle, make_double_star,
+                           make_path)
 from rturan.search import (RAINBOW, brute_extremal, classical_turan,
                            contains_copy, exists_avoiding_coloring,
                            graphs_up_to_iso, recheck_certificate,
                            verify_k2s4_construction, verify_k6_rainbow_free,
                            verify_k6_universal_3unique)
 
-from oracles import burnside_graph_count
+from oracles import burnside_graph_count, naive_graphs_up_to_iso
 
 
 def test_exists_avoiding_basic():
@@ -59,11 +61,34 @@ def test_burnside_count_matches_oeis():
         [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1]
 
 
-@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 6)
-                                  for m in range(n * (n - 1) // 2 + 1)]
-                         + [(6, 7), (6, 8)])
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 7)
+                                  for m in range(n * (n - 1) // 2 + 1)])
 def test_graphs_up_to_iso_matches_burnside(n, m):
     assert sum(1 for _ in graphs_up_to_iso(n, m)) == burnside_graph_count(n, m)
+
+
+def test_graphs_up_to_iso_total_n7():
+    # OEIS A008406: 1,044 graphs on seven vertices
+    assert sum(sum(1 for _ in graphs_up_to_iso(7, m))
+               for m in range(math.comb(7, 2) + 1)) == 1044
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_graphs_up_to_iso_matches_labeled_scan(n):
+    for m in range(n * (n - 1) // 2 + 1):
+        got = list(graphs_up_to_iso(n, m))
+        assert all(g.n == n and g.num_edges == m for g in got)
+        keys = [canonical_key(g) for g in got]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {canonical_key(g) for g in naive_graphs_up_to_iso(n, m)}
+
+
+def test_graphs_up_to_iso_edge_cases():
+    assert list(graphs_up_to_iso(0, 0)) == [Graph(0, ())]
+    assert list(graphs_up_to_iso(0, 1)) == []
+    assert list(graphs_up_to_iso(4, 7)) == []
+    with pytest.raises(ValueError):
+        list(graphs_up_to_iso(4, -1))
 
 
 def test_classical_turan():
@@ -72,6 +97,45 @@ def test_classical_turan():
     assert classical_turan(5, make_cycle(3)) == 6  # bipartite Turan
     assert contains_copy(make_complete(4), make_cycle(3))
     assert not contains_copy(make_path(4), make_cycle(3))
+
+
+def test_classical_turan_paths_faudree_schelp():
+    # Faudree & Schelp (JCTB 1975): ex(n, P) for the path with e edges is
+    # q * C(e, 2) + C(r, 2) where n = q * e + r and 0 <= r < e
+    for e in range(1, 6):
+        for n in range(2, 7):
+            q, r = divmod(n, e)
+            assert classical_turan(n, make_path(e)) == \
+                q * math.comb(e, 2) + math.comb(r, 2), (n, e)
+
+
+def _rechecked_value(out):
+    for key in ("lower_witness", "upper_exhaustion"):
+        ok, detail = recheck_certificate(out[key])
+        assert ok, detail
+    return out["value"]
+
+
+@pytest.mark.parametrize("f", [make_path(2), make_path(3), make_double_star(1, 1),
+                               make_double_star(1, 2)],
+                         ids=["P2", "P3", "DS11", "DS12"])
+def test_brute_extremal_matches_labeled_scan(f, monkeypatch):
+    cases = [(n, k) for n in range(1, 6)
+             for k in [*range(f.num_edges + 1), RAINBOW]]
+    levelled = [_rechecked_value(brute_extremal(n, f, k)) for n, k in cases]
+    monkeypatch.setattr(search, "graphs_up_to_iso", naive_graphs_up_to_iso)
+    assert levelled == [_rechecked_value(brute_extremal(n, f, k)) for n, k in cases]
+
+
+def test_brute_extremal_at_n_cap():
+    # ex*(7, P3) = 9, witnessed by K4 + K3; ex*(7, DS_{2,2}) = 15
+    p3 = brute_extremal(7, make_path(3), RAINBOW)
+    assert _rechecked_value(p3) == 9
+    k4_k3 = graph_from_edges(7, [(a, b) for a in range(4) for b in range(a + 1, 4)]
+                             + [(4, 5), (4, 6), (5, 6)])
+    witness = Graph.from_json(p3["lower_witness"].payload["graph"])
+    assert canonical_key(witness) == canonical_key(k4_k3)
+    assert _rechecked_value(brute_extremal(7, make_double_star(2, 2), RAINBOW)) == 15
 
 
 def test_brute_extremal_value_and_certificates(tmp_path):
