@@ -5,14 +5,13 @@ exhaustively verified certificates."""
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .graphs import (Graph, Embedding, graph_from_edges, make_path, make_cycle,
                      make_complete, make_double_star, make_broom,
-                     make_caterpillar, make_perfect_kary, make_near_regular,
-                     enumerate_embeddings, is_tree, canonical_key, diameter)
+                     make_caterpillar, make_perfect_kary, enumerate_embeddings,
+                     canonical_key, diameter)
 from .coloring import (EdgeColoring, ColorClassProfile, BudgetExhausted,
                        is_proper, proper_coloring, enumerate_proper_colorings,
                        one_factorization, greedy_delta_plus_one,
                        color_class_profile)
-from .detect import (UniquenessReport, unique_count, find_k_unique,
-                     is_rainbow_free)
+from .detect import UniquenessReport, find_k_unique
 from .spectrum import (KSpectrum, compute_spectrum, ds_spectrum_closed_form,
                        full_spectrum_criterion, witness_family, round_up_k,
                        find_qualifying_coloring)
@@ -22,8 +21,8 @@ from .bounds import (BoundReport, AugmentedTree, erdos_sos_coefficient,
                      caterpillar_bounds, caterpillar_coefficient_literal,
                      augment_binary, binary_coefficients, augment_kary,
                      kary_coefficients)
-from .search import (AvoiderResult, exists_avoiding_coloring, classical_turan,
-                     brute_extremal, graphs_up_to_iso, verify_k6_rainbow_free,
+from .search import (AvoiderResult, exists_avoiding_coloring, brute_extremal,
+                     graphs_up_to_iso, verify_k6_rainbow_free,
                      verify_k6_universal_3unique, verify_k2s4_construction,
                      verify_reduction, recheck_certificate, RAINBOW)
 from .certs import Certificate, save_certificate, load_certificate

@@ -58,8 +58,9 @@ static int avoid(search *s, int i, int used)
     for (int c = 0; c < top; c++) {
         if (!allowed(s->colors, s->conf_off, s->conf, i, c))
             continue;
-        if (++s->nodes > s->limit && s->limit >= 0)
-            return -1;
+        if (s->limit >= 0 && s->nodes >= s->limit)
+            return -1;  /* *nodes reports the nodes completed: the budget */
+        s->nodes++;
         s->colors[i] = c;
         int cut = 0;
         for (int j = s->last_off[i]; j < s->last_off[i + 1] && !cut; j++)

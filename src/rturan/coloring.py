@@ -74,16 +74,6 @@ def proper_coloring(g: Graph, colors: Sequence[int]) -> EdgeColoring:
     return c
 
 
-def is_canonical(colors: Sequence[int]) -> bool:
-    """First-occurrence canonical form: color of edge i <= 1 + max color before i."""
-    top = -1
-    for c in colors:
-        if c > top + 1:
-            return False
-        top = max(top, c)
-    return True
-
-
 def canonicalize(colors: Sequence[int]) -> tuple[int, ...]:
     relabel: dict[int, int] = {}
     out = []
@@ -119,9 +109,9 @@ def canonical_dfs(conflicts: Sequence[Sequence[int]], max_colors: int,
     color at most one above the largest color before it, below max_colors.
     `prune(colors, i)` is consulted after edge i is assigned (edges after i
     read -1); returning True cuts the subtree.  Each assignment is a node;
-    BudgetExhausted is raised when nodes exceed the budget, where None or a
-    negative budget means no limit.  Yields the same list at every leaf, so
-    callers copy what they keep.
+    when a node beyond the budget is due, BudgetExhausted is raised with the
+    budget as the nodes visited.  None or a negative budget means no limit.
+    Yields the same list at every leaf, so callers copy what they keep.
     """
     m = len(conflicts)
     colors = [-1] * m
@@ -138,9 +128,9 @@ def canonical_dfs(conflicts: Sequence[Sequence[int]], max_colors: int,
         for c in range(min(used + 1, max_colors)):
             if c in forbidden:
                 continue
-            nodes += 1
-            if budget is not None and nodes > budget:
+            if budget is not None and nodes >= budget:
                 raise BudgetExhausted(nodes)
+            nodes += 1
             colors[i] = c
             if prune is None or not prune(colors, i):
                 yield from walk(i + 1, max(used, c + 1))

@@ -28,11 +28,6 @@ class UniquenessReport:
         }
 
 
-def unique_count(c: EdgeColoring, e: Embedding) -> int:
-    """Number of embedded pattern edges whose color occurs exactly once on the copy."""
-    return unique_color_count([c.colors[i] for i in e.edge_map])
-
-
 def report_for(c: EdgeColoring, e: Embedding) -> UniquenessReport:
     colors = tuple(c.colors[i] for i in e.edge_map)
     return UniquenessReport(e, unique_color_count(colors), colors)
@@ -75,8 +70,3 @@ def find_k_unique(host: Graph, c: EdgeColoring, pattern: Graph, k: int,
     if emb is None:
         return None
     return report_for(c, emb)
-
-
-def is_rainbow_free(host: Graph, c: EdgeColoring, pattern: Graph) -> bool:
-    """True iff the colored host contains no rainbow copy of pattern."""
-    return find_k_unique(host, c, pattern, pattern.num_edges, "at_least") is None

@@ -198,52 +198,6 @@ def make_perfect_kary(k: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     return graph_from_edges(n, edges, labels)
 
 
-def make_near_regular(n: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """d-regular graph on n vertices, or with one vertex of degree d-1 when d*n is odd.
-
-    Fixed circulant scheme (offsets 1..floor(d/2), plus an antipodal matching for
-    odd d) so lower-bound certificates are byte-for-byte reproducible.
-    """
-    if d >= n:
-        raise GraphError("degree must be below vertex count")
-    if d < 0:
-        raise GraphError("degree must be nonnegative")
-    _check_cap(n, cap)
-    edges = []
-    half = d // 2
-    for off in range(1, half + 1):
-        for i in range(n):
-            edges.append((i, (i + off) % n))
-    if d % 2 == 1:
-        m = n // 2
-        if n % 2 == 0:
-            edges += [(i, i + m) for i in range(m)]
-        else:
-            # near-perfect matching at offset floor(n/2); vertex n-1 stays deficient
-            edges += [(i, i + m) for i in range((n - 1) // 2)]
-    return graph_from_edges(n, edges)
-
-
-def is_tree(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    if g.num_edges != g.n - 1:
-        return False
-    return _component_size(g, 0) == g.n
-
-
-def _component_size(g: Graph, start: int) -> int:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen)
-
-
 def diameter(g: Graph) -> Optional[int]:
     """Longest shortest path; None if disconnected or empty."""
     if g.n == 0:

@@ -102,22 +102,10 @@ def graphs_up_to_iso(n: int, m: int) -> Iterator[Graph]:
             yield Graph(n, tuple(e for e in all_edges if e not in present))
 
 
-def contains_copy(g: Graph, f: Graph) -> bool:
-    return next(enumerate_embeddings(f, g), None) is not None
-
-
-def classical_turan(n: int, f: Graph) -> int:
-    """ex(n, f) by brute force, colorings ignored; the k=0 chain endpoint."""
-    for m in range(n * (n - 1) // 2, -1, -1):
-        for g in graphs_up_to_iso(n, m):
-            if not contains_copy(g, f):
-                return m
-    raise AssertionError("unreachable: the empty graph is always f-free")
-
-
 def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
     """Exact ex_k(n, f): largest m whose best avoider admits a proper coloring
     with no k-unique copy of f.  Searches m downward from binom(n, 2).
+    k = 0 accepts any copy, so ex_0(n, f) is the classical ex(n, f).
 
     On budget exhaustion returns a bracket {lower, upper} instead of a value.
     """

@@ -25,10 +25,6 @@ from .graphs import Graph, GraphError, make_double_star
 EDGE_CAP = 12
 
 
-def self_unique_count(c: EdgeColoring) -> int:
-    return unique_color_count(c.colors)
-
-
 @dataclass
 class KSpectrum:
     graph: Graph
@@ -88,7 +84,7 @@ def compute_spectrum(f: Graph, budget: Optional[int] = None) -> KSpectrum:
                                      prune=settled)
     try:
         for c in gen:
-            v = self_unique_count(c)
+            v = unique_color_count(c.colors)
             if v not in witnesses:
                 witnesses[v] = c
     except BudgetExhausted as exc:
@@ -168,7 +164,7 @@ def witness_family(f: Graph, coloring: EdgeColoring) -> dict[int, EdgeColoring]:
 
     def emit(expected: int, colors: list[int]):
         c = proper_coloring(f, list(colors))
-        got = self_unique_count(c)
+        got = unique_color_count(c.colors)
         if got != expected:
             raise ColoringError(
                 f"switch procedure produced {got}-unique, expected {expected}")

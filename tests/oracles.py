@@ -108,6 +108,18 @@ def naive_graphs_up_to_iso(n: int, m: int):
             yield g
 
 
+def naive_classical_turan(n: int, f: Graph) -> int:
+    """Classical ex(n, f): the most edges of a subgraph of K_n holding no copy
+    of f, found by testing every edge subset with naive_embeddings, largest
+    subsets first."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for m in range(len(pairs), -1, -1):
+        for subset in itertools.combinations(pairs, m):
+            if not naive_embeddings(f, Graph(n, subset)):
+                return m
+    raise AssertionError("unreachable: the empty graph holds no copy of f")
+
+
 def _partitions(n: int, largest: int):
     """Partitions of n into parts of at most `largest`, parts non-increasing."""
     if n == 0:

@@ -11,18 +11,20 @@ from fractions import Fraction
 from rturan.bounds import (augment_binary, augment_double_star,
                            binary_coefficients, caterpillar_bounds,
                            ds22_bounds, ds_1_odd_exact, kary_coefficients)
-from rturan.coloring import enumerate_proper_colorings, is_proper
+from rturan.coloring import (enumerate_proper_colorings, is_proper,
+                             unique_color_count)
 from rturan.graphs import (enumerate_embeddings, graph_from_edges,
                            make_caterpillar, make_complete, make_cycle,
                            make_double_star, make_path)
-from rturan.search import (RAINBOW, brute_extremal, classical_turan,
-                           verify_k2s4_construction, verify_k6_rainbow_free,
-                           verify_k6_universal_3unique, verify_reduction)
+from rturan.search import (RAINBOW, brute_extremal, verify_k2s4_construction,
+                           verify_k6_rainbow_free, verify_k6_universal_3unique,
+                           verify_reduction)
 from rturan.spectrum import (compute_spectrum, ds_spectrum_closed_form,
                              find_qualifying_coloring, round_up_k,
-                             self_unique_count, witness_family)
+                             witness_family)
 
-from oracles import naive_embeddings, naive_proper_colorings
+from oracles import (naive_classical_turan, naive_embeddings,
+                     naive_proper_colorings)
 
 
 @contextmanager
@@ -83,7 +85,7 @@ def test_criterion_04_full_spectrum_witness_procedure():
             assert sorted(fam) == list(range(m - 1)) + [m]
             for v, w in fam.items():
                 assert is_proper(f, w)
-                assert self_unique_count(w) == v
+                assert unique_color_count(w.colors) == v
 
 
 def test_criterion_05_k6_one_factorization_rainbow_free():
@@ -162,7 +164,7 @@ def test_criterion_10_chain_of_inequalities():
             for n in (4, 5):
                 vals = [brute_extremal(n, f, k)["value"] for k in range(m + 1)]
                 assert vals == sorted(vals), (n, vals)
-                assert vals[0] == classical_turan(n, f)
+                assert vals[0] == naive_classical_turan(n, f)
                 assert vals[m] == brute_extremal(n, f, RAINBOW)["value"]
                 for k in range(m + 1):  # rounding identity
                     assert vals[k] == vals[round_up_k(f, k, spectrum=spectrum)]

@@ -62,6 +62,13 @@ def test_spectrum_closed_form(capsys):
 def test_spectrum_budget_exit_code(capsys):
     code, _, _ = run(capsys, "--budget", "1", "spectrum", "C6")
     assert code == EXIT_BUDGET
+    # Spec(P12) takes 319 nodes; a budget one short trips after 318
+    for budget, code, exhaustive in ((318, EXIT_BUDGET, False), (319, EXIT_OK, True)):
+        got, out, _ = run(capsys, "--format", "json", "--budget", str(budget),
+                          "spectrum", "P12")
+        obj = json.loads(out)
+        assert got == code
+        assert (obj["nodes_visited"], obj["exhaustive"]) == (budget, exhaustive)
 
 
 def test_bounds_ds22(capsys):
@@ -168,6 +175,18 @@ def test_search_command(capsys, tmp_path):
     assert (tmp_path / obj["lower_witness"].split("/")[-1]).exists()
     code, _, err = run(capsys, "search", "--n", "4", "--pattern", "P2")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("n, value", [(5, 4), (6, 6), (7, 6)])
+def test_search_k0_is_classical_turan(capsys, tmp_path, n, value):
+    # Faudree & Schelp: ex(n, P3) = floor(n/3) * 3 + C(n mod 3, 2)
+    code, out, _ = run(capsys, "--format", "json", "--cache-dir", str(tmp_path),
+                       "search", "--n", str(n), "--pattern", "P3", "--k", "0")
+    obj = json.loads(out)
+    assert code == EXIT_OK and obj["value"] == value
+    for key in ("lower_witness", "upper_exhaustion"):
+        code, out, _ = run(capsys, "verify", "--recheck", obj[key])
+        assert code == EXIT_OK and "OK" in out
 
 
 def test_json_output_is_deterministic(capsys):

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from rturan.coloring import (BudgetExhausted, ColoringError, EdgeColoring,
                              canonicalize, color_class_profile, color_classes,
                              conflict_lists, enumerate_proper_colorings,
-                             greedy_delta_plus_one, is_canonical, is_proper,
+                             greedy_delta_plus_one, is_proper,
                              one_factorization, proper_coloring)
 from rturan.graphs import (graph_from_edges, make_complete, make_cycle,
                            make_double_star, make_path)
 from rturan.spectrum import full_spectrum_criterion
 
-from oracles import naive_proper_colorings
+from oracles import naive_is_canonical, naive_proper_colorings
 
 
 def test_is_proper_basics():
@@ -38,16 +38,16 @@ def test_proper_coloring_constructor():
 
 
 def test_canonical_form():
-    assert is_canonical((0, 1, 0, 2))
-    assert not is_canonical((1, 0))
-    assert not is_canonical((0, 2))
+    assert naive_is_canonical((0, 1, 0, 2))
+    assert not naive_is_canonical((1, 0))
+    assert not naive_is_canonical((0, 2))
     assert canonicalize((5, 3, 5, 7)) == (0, 1, 0, 2)
 
 
 @given(st.lists(st.integers(0, 9), max_size=8))
 def test_canonicalize_idempotent_and_canonical(colors):
     out = canonicalize(colors)
-    assert is_canonical(out)
+    assert naive_is_canonical(out)
     assert canonicalize(out) == out
 
 

@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from rturan._kernels import pure
 from rturan.coloring import (EdgeColoring, conflict_lists, one_factorization,
-                             proper_coloring)
-from rturan.detect import (find_k_unique, is_rainbow_free, report_for,
-                           unique_count)
+                             proper_coloring, unique_color_count)
+from rturan.detect import find_k_unique, report_for
 from rturan.graphs import (enumerate_embeddings, graph_from_edges,
                            make_caterpillar, make_complete, make_cycle,
                            make_double_star, make_path)
@@ -19,12 +18,12 @@ def test_unique_count_examples():
     p3 = make_path(3)
     rainbow = proper_coloring(p3, (0, 1, 2))
     ident = next(enumerate_embeddings(p3, p3))
-    assert unique_count(rainbow, ident) == 3
+    assert unique_color_count([rainbow.colors[i] for i in ident.edge_map]) == 3
     c4 = make_cycle(4)
     paired = proper_coloring(c4, (0, 1, 1, 0))
     ident4 = next(e for e in enumerate_embeddings(c4, c4)
                   if e.vertex_map == (0, 1, 2, 3))
-    assert unique_count(paired, ident4) == 0
+    assert unique_color_count([paired.colors[i] for i in ident4.edge_map]) == 0
     rep = report_for(paired, ident4)
     assert rep.unique_count == 0 and sorted(rep.color_multiset) == [0, 0, 1, 1]
 
@@ -50,7 +49,8 @@ def test_found_report_is_self_consistent():
         rep = find_k_unique(host, c, f, k)
         if rep is not None:
             assert rep.unique_count >= k
-            assert unique_count(c, rep.embedding) == rep.unique_count
+            copy_colors = [c.colors[i] for i in rep.embedding.edge_map]
+            assert unique_color_count(copy_colors) == rep.unique_count
 
 
 def test_against_naive_max_over_embeddings():
@@ -81,8 +81,9 @@ def test_monotone_in_k():
 
 def test_rainbow_free_k6():
     c = one_factorization(3)
-    assert is_rainbow_free(c.graph, c, make_double_star(2, 2))
-    assert not is_rainbow_free(c.graph, c, make_path(2))
+    ds22, p2 = make_double_star(2, 2), make_path(2)
+    assert find_k_unique(c.graph, c, ds22, ds22.num_edges) is None
+    assert find_k_unique(c.graph, c, p2, p2.num_edges) is not None
 
 
 def test_no_copy_at_all():
@@ -106,7 +107,7 @@ def test_pruned_search_matches_plain_filter(host):
         c = proper_coloring(host, tuple(colors))
         for f in patterns:
             embs = list(enumerate_embeddings(f, host))
-            counts = [unique_count(c, e) for e in embs]
+            counts = [report_for(c, e).unique_count for e in embs]
             for k in range(f.num_edges + 1):
                 for mode, accept in (("at_least", lambda u: u >= k),
                                      ("exactly", lambda u: u == k)):
@@ -137,7 +138,7 @@ def test_orbit_search_matches_labeled_filter(n, data):
     c = EdgeColoring(host, tuple(colors))
     for f in TWIN_PATTERNS:
         embs = list(enumerate_embeddings(f, host))
-        counts = [unique_count(c, e) for e in embs]
+        counts = [report_for(c, e).unique_count for e in embs]
         for k in range(f.num_edges + 1):
             for mode, accept in (("at_least", lambda u: u >= k),
                                  ("exactly", lambda u: u == k)):

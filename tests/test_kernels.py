@@ -36,19 +36,20 @@ CASES = [
 
 
 # the pure kernel on CASES: the coloring it finds, then (nodes_visited,
-# exhausted) under each of BUDGETS; a negative budget means no limit
+# exhausted) under each of BUDGETS; a negative budget means no limit, and a
+# tripped budget reports the nodes completed, which is the budget
 BUDGETS = (None, 1, 10, 100, -1)
 FROZEN = [
     ([0, 1, 2, 2, 1, 0],
-     [(6, True), (2, False), (6, True), (6, True), (6, True)]),
+     [(6, True), (1, False), (6, True), (6, True), (6, True)]),
     ([0, 1, 2, 2, 1, 0],
-     [(6, True), (2, False), (6, True), (6, True), (6, True)]),
+     [(6, True), (1, False), (6, True), (6, True), (6, True)]),
     (None,
-     [(50, True), (2, False), (11, False), (50, True), (50, True)]),
+     [(50, True), (1, False), (10, False), (50, True), (50, True)]),
     ([0, 1, 2, 3, 4, 2, 3, 4, 1, 4, 0, 3, 1, 0, 2],
-     [(23, True), (2, False), (11, False), (23, True), (23, True)]),
+     [(23, True), (1, False), (10, False), (23, True), (23, True)]),
     (None,
-     [(2, True), (2, False), (2, True), (2, True), (2, True)]),
+     [(2, True), (1, False), (2, True), (2, True), (2, True)]),
 ]
 
 

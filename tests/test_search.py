@@ -11,13 +11,13 @@ from rturan.detect import find_k_unique
 from rturan.graphs import (Graph, canonical_key, graph_from_edges,
                            make_complete, make_cycle, make_double_star,
                            make_path)
-from rturan.search import (RAINBOW, brute_extremal, classical_turan,
-                           contains_copy, exists_avoiding_coloring,
+from rturan.search import (RAINBOW, brute_extremal, exists_avoiding_coloring,
                            graphs_up_to_iso, recheck_certificate,
                            verify_k2s4_construction, verify_k6_rainbow_free,
                            verify_k6_universal_3unique)
 
-from oracles import burnside_graph_count, naive_graphs_up_to_iso
+from oracles import (burnside_graph_count, naive_classical_turan,
+                     naive_graphs_up_to_iso)
 
 
 def test_exists_avoiding_basic():
@@ -91,12 +91,18 @@ def test_graphs_up_to_iso_edge_cases():
         list(graphs_up_to_iso(4, -1))
 
 
+def _rechecked_value(out):
+    for key in ("lower_witness", "upper_exhaustion"):
+        ok, detail = recheck_certificate(out[key])
+        assert ok, detail
+    return out["value"]
+
+
 def test_classical_turan():
-    assert classical_turan(4, make_path(2)) == 2  # max matching
-    assert classical_turan(4, make_path(3)) == 3
-    assert classical_turan(5, make_cycle(3)) == 6  # bipartite Turan
-    assert contains_copy(make_complete(4), make_cycle(3))
-    assert not contains_copy(make_path(4), make_cycle(3))
+    # k = 0 accepts any copy, so ex_0(n, F) is the classical ex(n, F)
+    assert _rechecked_value(brute_extremal(4, make_path(2), 0)) == 2  # max matching
+    assert _rechecked_value(brute_extremal(4, make_path(3), 0)) == 3
+    assert _rechecked_value(brute_extremal(5, make_cycle(3), 0)) == 6  # bipartite Turan
 
 
 def test_classical_turan_paths_faudree_schelp():
@@ -105,15 +111,8 @@ def test_classical_turan_paths_faudree_schelp():
     for e in range(1, 6):
         for n in range(2, 7):
             q, r = divmod(n, e)
-            assert classical_turan(n, make_path(e)) == \
+            assert _rechecked_value(brute_extremal(n, make_path(e), 0)) == \
                 q * math.comb(e, 2) + math.comb(r, 2), (n, e)
-
-
-def _rechecked_value(out):
-    for key in ("lower_witness", "upper_exhaustion"):
-        ok, detail = recheck_certificate(out[key])
-        assert ok, detail
-    return out["value"]
 
 
 @pytest.mark.parametrize("f", [make_path(2), make_path(3), make_double_star(1, 1),
@@ -176,7 +175,7 @@ def test_brute_extremal_chain_p3():
     f = make_path(3)
     vals = [brute_extremal(4, f, k)["value"] for k in range(4)]
     assert vals == [3, 3, 6, 6]
-    assert vals[0] == classical_turan(4, f)
+    assert vals[0] == naive_classical_turan(4, f)
     assert brute_extremal(4, f, RAINBOW)["value"] == vals[-1]
 
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import naive_spectrum
 from rturan.cli import parse_family
 from rturan.coloring import (ColoringError, color_class_profile, is_proper,
-                             proper_coloring)
+                             proper_coloring, unique_color_count)
 from rturan.graphs import (GraphError, graph_from_edges, make_caterpillar,
                            make_cycle, make_double_star, make_path)
 from rturan.spectrum import (KSpectrum, compute_spectrum, ds_spectrum_closed_form,
                              find_qualifying_coloring, full_spectrum_criterion,
-                             round_up_k, self_unique_count, witness_family)
+                             round_up_k, witness_family)
 
 
 def full_values(m):
@@ -48,7 +48,7 @@ def test_witnesses_are_valid():
                  ds_spectrum_closed_form(2, 3)):
         for v, w in spec.witnesses.items():
             assert is_proper(spec.graph, w)
-            assert self_unique_count(w) == v
+            assert unique_color_count(w.colors) == v
 
 
 def test_ds_closed_form_matches_enumeration():
@@ -81,7 +81,7 @@ def test_witness_family_cycle():
     fam = witness_family(f, find_qualifying_coloring(f))
     assert sorted(fam) == [0, 1, 2, 3, 4, 6]
     for v, w in fam.items():
-        assert is_proper(f, w) and self_unique_count(w) == v
+        assert is_proper(f, w) and unique_color_count(w.colors) == v
 
 
 def test_witness_family_requires_qualifying_input():
@@ -205,9 +205,11 @@ def test_frozen_12_edge_spectra(name):
     assert spec.values == tuple(sorted(frozen))
     assert {v: w.colors for v, w in spec.witnesses.items()} == {
         v: tuple(int(c, 12) for c in digits) for v, digits in frozen.items()}
-    # the count is the budget that just suffices
+    # the count is the budget that just suffices; one less reports the nodes
+    # the cut search completed
     assert compute_spectrum(g, budget=nodes).exhaustive
-    assert not compute_spectrum(g, budget=nodes - 1).exhaustive
+    partial = compute_spectrum(g, budget=nodes - 1)
+    assert not partial.exhaustive and partial.nodes_visited == nodes - 1
 
 
 @pytest.mark.parametrize("name", ["P12", "DS 4 7"])
