@@ -46,9 +46,6 @@ class EdgeColoring:
     def num_colors(self) -> int:
         return len(set(self.colors))
 
-    def is_rainbow(self) -> bool:
-        return self.num_colors == len(self.colors)
-
     def to_json(self) -> dict:
         return {"graph_hash": graph_hash(self.graph), "colors": list(self.colors)}
 

@@ -66,9 +66,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_index
-
     def to_json(self) -> dict:
         out = {"n": self.n, "edges": [list(e) for e in self.edges]}
         if self.labels is not None:

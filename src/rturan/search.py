@@ -64,82 +64,82 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k,
     return AvoiderResult(coloring, nodes, exhausted, len(emb_edges))
 
 
-def graphs_up_to_iso(n: int, m: int) -> Iterator[Graph]:
-    """All n-vertex, m-edge graphs up to isomorphism, one per class.
+def graphs_up_to_iso(n: int) -> Iterator[Graph]:
+    """All n-vertex graphs up to isomorphism, one per class, by edge count
+    from binom(n, 2) down to 0.
 
-    Built level by level from the empty graph: each level adds every absent
-    edge to each representative of the level before and keeps the first graph
-    to reach each canonical_key (McKay, *Isomorph-free exhaustive
-    generation*, 1998).  Every m-edge class arises so, as deleting any edge of
-    a graph gives one of the level below.  Above half of binom(n, 2) edges,
-    the classes of the complementary level are built and complemented, which
-    maps classes one-to-one.  Classes come in increasing canonical_key order
-    of the built graph, before any complementing.  A negative m raises
-    ValueError.
+    Level s is built from level s - 1 by adding every absent edge to each
+    representative and keeping the first graph to reach each canonical_key
+    (McKay, *Isomorph-free exhaustive generation*, 1998).  Every s-edge class
+    arises so, as deleting any edge of a graph gives one of the level below.
+    Each level is built once, when the stream first needs it.  Above half of
+    binom(n, 2) edges, the classes of the complementary level are complemented,
+    which maps classes one-to-one.  Within an edge count, classes come in
+    increasing canonical_key order of the built graph, before any
+    complementing.
     """
-    if m < 0:
-        raise ValueError(f"negative edge count {m}")
     all_edges = list(itertools.combinations(range(n), 2))
     total = len(all_edges)
-    if m > total:
-        return
-    steps = min(m, total - m)
-    level = [Graph(n, ())]
-    for _ in range(steps):
-        reps: dict[tuple, Graph] = {}
-        for g in level:
-            present = set(g.edges)
-            for e in all_edges:
-                if e not in present:
-                    h = Graph(n, tuple(sorted((*g.edges, e))))
-                    reps.setdefault(canonical_key(h), h)
-        level = [reps[key] for key in sorted(reps)]
-    for g in level:
-        if steps == m:
-            yield g
-        else:
-            present = set(g.edges)
-            yield Graph(n, tuple(e for e in all_edges if e not in present))
+    levels = [[Graph(n, ())]]
+    for m in range(total, -1, -1):
+        steps = min(m, total - m)
+        if steps == len(levels):
+            reps: dict[tuple, Graph] = {}
+            for g in levels[-1]:
+                present = set(g.edges)
+                for e in all_edges:
+                    if e not in present:
+                        h = Graph(n, tuple(sorted((*g.edges, e))))
+                        reps.setdefault(canonical_key(h), h)
+            levels.append([reps[key] for key in sorted(reps)])
+        for g in levels[steps]:
+            if steps == m:
+                yield g
+            else:
+                present = set(g.edges)
+                yield Graph(n, tuple(e for e in all_edges if e not in present))
 
 
 def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
     """Exact ex_k(n, f): largest m whose best avoider admits a proper coloring
-    with no k-unique copy of f.  Searches m downward from binom(n, 2).
-    k = 0 accepts any copy, so ex_0(n, f) is the classical ex(n, f).
+    with no k-unique copy of f.  Searches the classes of graphs_up_to_iso(n),
+    largest edge count first.  k = 0 accepts any copy, so ex_0(n, f) is the
+    classical ex(n, f).
 
-    On budget exhaustion returns a bracket {lower, upper} instead of a value.
+    The budget bounds each class's avoider search on its own; the exhaustion
+    certificate's nodes_visited is the sum over the classes checked.  On
+    budget exhaustion returns a bracket {lower, upper} instead of a value.
     """
     if n > N_CAP:
         raise ValueError(f"n={n} above the brute-force cap {N_CAP}")
     kk = _resolve_k(f, k)
-    total = n * (n - 1) // 2
     inconclusive_top: Optional[int] = None
     graphs_checked = 0
     nodes_total = 0
-    for m in range(total, -1, -1):
-        for g in graphs_up_to_iso(n, m):
-            graphs_checked += 1
-            res = exists_avoiding_coloring(g, f, kk, budget=budget)
-            nodes_total += res.nodes_visited
-            if res.coloring is not None:
-                lower = Certificate(
-                    "avoider", PASS,
-                    {"n": n, "m": m, "pattern": f.to_json(), "k": kk},
-                    payload={"graph": g.to_json(),
-                             "coloring": res.coloring.to_json()},
-                    nodes_visited=res.nodes_visited)
-                if inconclusive_top is not None:
-                    return {"value": None, "lower": m, "upper": inconclusive_top,
-                            "lower_witness": lower, "upper_exhaustion": None}
-                upper = Certificate(
-                    "exhaustion", PASS,
-                    {"n": n, "pattern": f.to_json(), "k": kk, "above_edges": m},
-                    payload={"graphs_checked": graphs_checked},
-                    nodes_visited=nodes_total)
-                return {"value": m, "lower_witness": lower,
-                        "upper_exhaustion": upper}
-            if not res.exhaustive and inconclusive_top is None:
-                inconclusive_top = m
+    for g in graphs_up_to_iso(n):
+        m = g.num_edges
+        graphs_checked += 1
+        res = exists_avoiding_coloring(g, f, kk, budget=budget)
+        nodes_total += res.nodes_visited
+        if res.coloring is not None:
+            lower = Certificate(
+                "avoider", PASS,
+                {"n": n, "m": m, "pattern": f.to_json(), "k": kk},
+                payload={"graph": g.to_json(),
+                         "coloring": res.coloring.to_json()},
+                nodes_visited=res.nodes_visited)
+            if inconclusive_top is not None:
+                return {"value": None, "lower": m, "upper": inconclusive_top,
+                        "lower_witness": lower, "upper_exhaustion": None}
+            upper = Certificate(
+                "exhaustion", PASS,
+                {"n": n, "pattern": f.to_json(), "k": kk, "above_edges": m},
+                payload={"graphs_checked": graphs_checked},
+                nodes_visited=nodes_total)
+            return {"value": m, "lower_witness": lower,
+                    "upper_exhaustion": upper}
+        if not res.exhaustive and inconclusive_top is None:
+            inconclusive_top = m
     raise AssertionError("unreachable: the empty graph avoids everything")
 
 
@@ -284,6 +284,7 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
 
 
 def _int_param(cert: Certificate, name: str, section: str = "params") -> int:
+    # section "__dict__" reads a top-level field such as nodes_visited
     value = getattr(cert, section)[name]
     if not is_int(value):
         raise ValueError(f"{cert.kind} certificate field {name!r} is not an "
@@ -313,10 +314,13 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
     if cert.kind == "k2s4":
         fresh = verify_k2s4_construction(_int_param(cert, "s"))
         return fresh.verdict == cert.verdict, f"re-run verdict {fresh.verdict}"
+    # a re-run gets the recorded node count as its budget, so it repeats the
+    # recorded search: a budget-exhausted run trips at the same node
     if cert.kind == "reduction":
         original = Graph.from_json(cert.params["original"])
         host = Graph.from_json(cert.params["augmented"])
-        fresh = verify_reduction(original, host, _int_param(cert, "k"))
+        fresh = verify_reduction(original, host, _int_param(cert, "k"),
+                                 _int_param(cert, "nodes_visited", "__dict__"))
         return fresh.verdict == cert.verdict, f"re-run verdict {fresh.verdict}"
     if cert.kind == "k6_universal":
         if cert.verdict == FAIL:
@@ -330,6 +334,7 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
             return ok, "counterexample re-validated" if ok else \
                 "stored coloring does contain an exactly-3-unique copy"
         fresh = verify_k6_universal_3unique(
+            budget=_int_param(cert, "nodes_visited", "__dict__"),
             color_cap=_int_param(cert, "color_cap"),
             sample_count=min(_int_param(cert, "sample_count"), 50_000),
             seed=_int_param(cert, "seed"))

@@ -44,7 +44,8 @@ def naive_embeddings(pattern: Graph, host: Graph):
     """Every injective vertex map preserving edges, as sorted vertex-map tuples."""
     out = []
     for perm in itertools.permutations(range(host.n), pattern.n):
-        if all(host.has_edge(perm[u], perm[v]) for (u, v) in pattern.edges):
+        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in host.edge_index
+               for (u, v) in pattern.edges):
             out.append(perm)
     return sorted(out)
 
@@ -95,17 +96,20 @@ def naive_canonical_key(g: Graph) -> tuple:
     return (g.n, best)
 
 
-def naive_graphs_up_to_iso(n: int, m: int):
-    """One graph per isomorphism class of n-vertex, m-edge graphs: the
-    lexicographically first labeled m-subset of K_n's edges in each class,
-    in that order, found by canonicalising every subset."""
-    seen = set()
-    for subset in itertools.combinations(itertools.combinations(range(n), 2), m):
-        g = Graph(n, subset)  # combinations yields sorted, unique pairs
-        key = canonical_key(g)
-        if key not in seen:
-            seen.add(key)
-            yield g
+def naive_graphs_up_to_iso(n: int):
+    """One graph per isomorphism class of n-vertex graphs, by edge count from
+    binom(n, 2) down to 0: within an edge count m, the lexicographically first
+    labeled m-subset of K_n's edges in each class, in that order, found by
+    canonicalising every subset."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for m in range(len(pairs), -1, -1):
+        seen = set()
+        for subset in itertools.combinations(pairs, m):
+            g = Graph(n, subset)  # combinations yields sorted, unique pairs
+            key = canonical_key(g)
+            if key not in seen:
+                seen.add(key)
+                yield g
 
 
 def naive_classical_turan(n: int, f: Graph) -> int:

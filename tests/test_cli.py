@@ -189,6 +189,28 @@ def test_search_k0_is_classical_turan(capsys, tmp_path, n, value):
         assert code == EXIT_OK and "OK" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "reduction", "CAT", "2,0,2"],
+    ["verify", "k6-universal-3unique", "--samples", "10"],
+], ids=["reduction", "k6_universal"])
+def test_budget_exhausted_certificate_rechecks(capsys, tmp_path, argv):
+    code, _, _ = run(capsys, "--budget", "5", "--cache-dir", str(tmp_path), *argv)
+    assert code == EXIT_BUDGET
+    (path,) = tmp_path.glob("*.json")
+    code, out, _ = run(capsys, "verify", "--recheck", str(path))
+    assert code == EXIT_OK and "OK" in out
+    # the re-run trips at the recorded node, so a claimed PASS fails
+    obj = json.loads(path.read_text())
+    assert obj["nodes_visited"] == 5
+    target = tmp_path / "tampered.json"
+    target.write_text(json.dumps({**obj, "verdict": "PASS"}))
+    code, out, _ = run(capsys, "verify", "--recheck", str(target))
+    assert code == EXIT_FAIL and "FAILED" in out
+    target.write_text(json.dumps({**obj, "nodes_visited": "5"}))
+    code, _, err = run(capsys, "verify", "--recheck", str(target))
+    assert code == EXIT_USAGE and "nodes_visited" in err
+
+
 def test_json_output_is_deterministic(capsys):
     _, a, _ = run(capsys, "--format", "json", "bounds", "DS", "2", "2")
     _, b, _ = run(capsys, "--format", "json", "bounds", "DS", "2", "2")
@@ -302,6 +324,7 @@ TYPED_SITES = {
     ("avoider", "payload.graph.n"), ("avoider", "payload.graph.edges"),
     ("avoider", "payload.coloring"), ("avoider", "payload.coloring.colors"),
     ("exhaustion", "payload.graphs_checked"),
+    ("k6_universal", "nodes_visited"), ("reduction", "nodes_visited"),
     *(("reduction", f"params.{g}{f}") for g in ("original", "augmented")
       for f in ("", ".n", ".edges", ".labels")),
 }

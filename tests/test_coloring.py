@@ -32,7 +32,7 @@ def test_proper_coloring_constructor():
     with pytest.raises(ColoringError):
         proper_coloring(make_path(2), (0, 0))
     c = proper_coloring(make_path(2), (0, 1))
-    assert c.num_colors == 2 and c.is_rainbow()
+    assert c.num_colors == 2 == len(c.colors)
     with pytest.raises(ColoringError):
         EdgeColoring(make_path(2), (0, -1))
 

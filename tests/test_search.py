@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -46,10 +47,10 @@ def test_exists_avoiding_k6_ds22():
 
 
 def test_graphs_up_to_iso_counts():
-    assert sum(1 for _ in graphs_up_to_iso(4, 3)) == 3
-    assert sum(1 for _ in graphs_up_to_iso(5, 4)) == 6
+    assert sum(g.num_edges == 3 for g in graphs_up_to_iso(4)) == 3
+    assert sum(g.num_edges == 4 for g in graphs_up_to_iso(5)) == 6
     # 11 graphs on four vertices in total
-    assert sum(sum(1 for _ in graphs_up_to_iso(4, m)) for m in range(7)) == 11
+    assert sum(1 for _ in graphs_up_to_iso(4)) == 11
 
 
 def test_burnside_count_matches_oeis():
@@ -64,31 +65,52 @@ def test_burnside_count_matches_oeis():
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 7)
                                   for m in range(n * (n - 1) // 2 + 1)])
 def test_graphs_up_to_iso_matches_burnside(n, m):
-    assert sum(1 for _ in graphs_up_to_iso(n, m)) == burnside_graph_count(n, m)
+    assert sum(g.num_edges == m for g in graphs_up_to_iso(n)) == burnside_graph_count(n, m)
 
 
 def test_graphs_up_to_iso_total_n7():
     # OEIS A008406: 1,044 graphs on seven vertices
-    assert sum(sum(1 for _ in graphs_up_to_iso(7, m))
-               for m in range(math.comb(7, 2) + 1)) == 1044
+    by_edges = Counter(g.num_edges for g in graphs_up_to_iso(7))
+    assert by_edges == {m: burnside_graph_count(7, m) for m in range(math.comb(7, 2) + 1)}
+    assert sum(by_edges.values()) == 1044
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_graphs_up_to_iso_matches_labeled_scan(n):
-    for m in range(n * (n - 1) // 2 + 1):
-        got = list(graphs_up_to_iso(n, m))
-        assert all(g.n == n and g.num_edges == m for g in got)
-        keys = [canonical_key(g) for g in got]
-        assert len(set(keys)) == len(keys)
-        assert set(keys) == {canonical_key(g) for g in naive_graphs_up_to_iso(n, m)}
+    got = list(graphs_up_to_iso(n))
+    naive = list(naive_graphs_up_to_iso(n))
+    assert all(g.n == n for g in got)
+    # the same edge counts in the same order, largest first
+    assert [g.num_edges for g in got] == [g.num_edges for g in naive]
+    keys = [canonical_key(g) for g in got]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {canonical_key(g) for g in naive}
 
 
 def test_graphs_up_to_iso_edge_cases():
-    assert list(graphs_up_to_iso(0, 0)) == [Graph(0, ())]
-    assert list(graphs_up_to_iso(0, 1)) == []
-    assert list(graphs_up_to_iso(4, 7)) == []
-    with pytest.raises(ValueError):
-        list(graphs_up_to_iso(4, -1))
+    assert list(graphs_up_to_iso(0)) == [Graph(0, ())]
+    for n in range(8):
+        got = list(graphs_up_to_iso(n))
+        edges = [g.num_edges for g in got]
+        assert edges == sorted(edges, reverse=True), n
+        keys = [canonical_key(g) for g in got]
+        assert len(set(keys)) == len(keys), n
+
+
+def test_brute_extremal_one_pass_cost(monkeypatch):
+    # each level is built once: every class of levels 0..6 gets each of its
+    # absent edges added once on the way to ex*(6, P3) = 7
+    calls = 0
+    canonical = search.canonical_key
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return canonical(g)
+
+    monkeypatch.setattr(search, "canonical_key", counting)
+    assert brute_extremal(6, make_path(3), RAINBOW)["value"] == 7
+    assert calls == sum(burnside_graph_count(6, s) * (15 - s) for s in range(7)) == 553
 
 
 def _rechecked_value(out):
