@@ -1,4 +1,4 @@
-"""Rainbow / k-unique / exactly-k-unique copy detection in colored hosts.
+"""Rainbow / k-unique copy detection in colored hosts.
 
 Unique counting is scoped to the embedded copy: an edge counts when its host
 color appears exactly once among the copy's edges, regardless of colors used
@@ -33,10 +33,10 @@ def report_for(c: EdgeColoring, e: Embedding) -> UniquenessReport:
     return UniquenessReport(e, unique_color_count(colors), colors)
 
 
-def find_k_unique(host: Graph, c: EdgeColoring, pattern: Graph, k: int,
-                  mode: str = "at_least") -> Optional[UniquenessReport]:
-    """First embedding of pattern whose unique count is >= k (or == k in
-    "exactly" mode), in the deterministic order of enumerate_embeddings.
+def find_k_unique(c: EdgeColoring, pattern: Graph,
+                  k: int) -> Optional[UniquenessReport]:
+    """First embedding of pattern in c.graph whose unique count is >= k, in
+    the deterministic order of enumerate_embeddings.
 
     Prunes the embedding search with a running bound on the reachable unique
     count; at a full embedding nothing remains, so the bound is the test.
@@ -54,19 +54,14 @@ def find_k_unique(host: Graph, c: EdgeColoring, pattern: Graph, k: int,
     So the first labeled hit already has increasing images on every twin
     class, and it is the first hit of the quotient search.
     """
-    if mode not in ("at_least", "exactly"):
-        raise ValueError(f"unknown mode {mode!r}")
-    exactly = mode == "exactly"
     colors = c.colors
     p = pattern.num_edges
 
     def out_of_reach(mapped: list[int]) -> bool:
-        uniq = unique_color_count([colors[e] for e in mapped])
-        remaining = p - len(mapped)
-        # each further edge can raise or lower the unique count by at most one
-        return uniq + remaining < k or (exactly and uniq - remaining > k)
+        # each further edge can raise the unique count by at most one
+        return unique_color_count([colors[e] for e in mapped]) + p - len(mapped) < k
 
-    emb = next(enumerate_embeddings(pattern, host, out_of_reach, twins=True), None)
+    emb = next(enumerate_embeddings(pattern, c.graph, out_of_reach, twins=True), None)
     if emb is None:
         return None
     return report_for(c, emb)

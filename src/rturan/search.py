@@ -5,6 +5,7 @@ reduction-method check on an augmented tree, and certificate rechecks."""
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -24,6 +25,8 @@ MAX_COPIES = 100_000
 N_CAP = 7
 # largest s verify_k2s4_construction checks (K_12, DS_{1,9})
 S_CAP = 4
+# samples of the K_6 stream a k6_universal recheck re-draws
+SAMPLE_PREFIX = 50_000
 
 
 @dataclass
@@ -35,6 +38,8 @@ class AvoiderResult:
 
 
 def _resolve_k(f: Graph, k) -> int:
+    if not f.num_edges:
+        raise ValueError("the pattern must have at least one edge")
     if k == RAINBOW:
         return f.num_edges
     if not isinstance(k, int) or k < 0:
@@ -56,8 +61,6 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k,
     if len(emb_edges) > MAX_COPIES:
         raise ValueError(f"host holds over {MAX_COPIES} labeled copies of the "
                          "pattern; too many to search")
-    if g.num_edges == 0:
-        return AvoiderResult(EdgeColoring(g, ()), 0, True, len(emb_edges))
     colors, nodes, exhausted = _kernels.find_avoiding_coloring(
         g.num_edges, conflict_lists(g), emb_edges, kk, False, g.num_edges, budget)
     coloring = EdgeColoring(g, tuple(colors)) if colors is not None else None
@@ -216,12 +219,10 @@ def verify_k2s4_construction(s: int) -> Certificate:
     """1-factorized K_{2s+4} avoids a rainbow DS_{1,2s+1}."""
     if not (0 <= s <= S_CAP):
         raise ValueError(f"s must be within 0..{S_CAP}")
-    host_n = 2 * s + 4
     coloring = one_factorization(s + 2)
-    host = coloring.graph
     pattern = make_double_star(1, 2 * s + 1)
-    params = {"s": s, "host": f"K{host_n}"}
-    hit = find_k_unique(host, coloring, pattern, pattern.num_edges, "at_least")
+    params = {"s": s, "host": f"K{2 * s + 4}"}
+    hit = find_k_unique(coloring, pattern, pattern.num_edges)
     if hit is not None:
         return Certificate("k2s4", FAIL, params,
                            payload={"rainbow_witness": hit.to_json(),
@@ -267,8 +268,7 @@ def revalidate_avoider(cert: Certificate) -> tuple[bool, str]:
         return False, "coloring hash does not match the stored graph"
     if not is_proper(g, colors):
         return False, "stored coloring is not proper"
-    c = EdgeColoring(g, tuple(colors))
-    if find_k_unique(g, c, f, _int_param(cert, "k"), "at_least") is not None:
+    if find_k_unique(EdgeColoring(g, tuple(colors)), f, _int_param(cert, "k")) is not None:
         return False, "stored coloring contains a k-unique copy"
     return True, "avoider re-validated"
 
@@ -308,36 +308,41 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
             _int_param(cert, "graphs_checked", "payload") > 0
         return ok, "exhaustion certificate structurally consistent" if ok else \
             "exhaustion certificate malformed"
+    if cert.kind == "k6_universal" and cert.verdict == FAIL:
+        host, pattern, emb = _k6_embedding_edges()
+        colors = _int_list(cert, cert.payload["counterexample_coloring"],
+                           "counterexample_coloring")
+        if not is_proper(host, colors):
+            return False, "counterexample is not proper"
+        counts = _kernels.unique_counts(colors, emb)
+        ok = all(c != 3 for c in counts) and len(set(colors)) < host.num_edges
+        return ok, "counterexample re-validated" if ok else \
+            "stored coloring does contain an exactly-3-unique copy"
+    # every other kind is re-run with the recorded node count as its budget,
+    # so the re-run repeats the recorded search, budget trip included
+    budget = _int_param(cert, "nodes_visited", "__dict__")
     if cert.kind == "k6_rainbow_free":
         fresh = verify_k6_rainbow_free()
-        return fresh.verdict == cert.verdict, f"re-run verdict {fresh.verdict}"
-    if cert.kind == "k2s4":
+    elif cert.kind == "k2s4":
         fresh = verify_k2s4_construction(_int_param(cert, "s"))
-        return fresh.verdict == cert.verdict, f"re-run verdict {fresh.verdict}"
-    # a re-run gets the recorded node count as its budget, so it repeats the
-    # recorded search: a budget-exhausted run trips at the same node
-    if cert.kind == "reduction":
+    elif cert.kind == "reduction":
         original = Graph.from_json(cert.params["original"])
         host = Graph.from_json(cert.params["augmented"])
-        fresh = verify_reduction(original, host, _int_param(cert, "k"),
-                                 _int_param(cert, "nodes_visited", "__dict__"))
-        return fresh.verdict == cert.verdict, f"re-run verdict {fresh.verdict}"
-    if cert.kind == "k6_universal":
-        if cert.verdict == FAIL:
-            host, pattern, emb = _k6_embedding_edges()
-            colors = _int_list(cert, cert.payload["counterexample_coloring"],
-                               "counterexample_coloring")
-            if not is_proper(host, colors):
-                return False, "counterexample is not proper"
-            counts = _kernels.unique_counts(colors, emb)
-            ok = all(c != 3 for c in counts) and len(set(colors)) < host.num_edges
-            return ok, "counterexample re-validated" if ok else \
-                "stored coloring does contain an exactly-3-unique copy"
+        fresh = verify_reduction(original, host, _int_param(cert, "k"), budget)
+    elif cert.kind == "k6_universal":
         fresh = verify_k6_universal_3unique(
-            budget=_int_param(cert, "nodes_visited", "__dict__"),
-            color_cap=_int_param(cert, "color_cap"),
-            sample_count=min(_int_param(cert, "sample_count"), 50_000),
+            budget=budget, color_cap=_int_param(cert, "color_cap"),
+            sample_count=min(_int_param(cert, "sample_count"), SAMPLE_PREFIX),
             seed=_int_param(cert, "seed"))
-        return fresh.verdict == cert.verdict, \
-            f"re-run (reduced sample prefix) verdict {fresh.verdict}"
-    return False, f"unknown certificate kind {cert.kind!r}"
+    else:
+        return False, f"unknown certificate kind {cert.kind!r}"
+    # it passes only when it reproduces these fields, compared as JSON text
+    # (so 1.0 and true are not 1); a sampled regime past the prefix is not
+    k6 = cert.kind == "k6_universal"
+    skip = "sampled_regime" if k6 and cert.params["sample_count"] > SAMPLE_PREFIX else None
+    stored, rerun = (json.dumps([c.verdict, c.nodes_visited, c.exhaustive,
+                                 {k: v for k, v in c.payload.items() if k != skip}],
+                                sort_keys=True) for c in (cert, fresh))
+    detail = f"re-run{' (reduced sample prefix)' if k6 else ''} verdict {fresh.verdict}"
+    ok = stored == rerun
+    return ok, detail if ok else f"{detail}, certificate not reproduced"

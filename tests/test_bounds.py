@@ -185,7 +185,7 @@ def test_verify_reduction_fail_with_counterexample():
     colors = cert.payload["counterexample_coloring"]
     assert is_proper(ds22, colors)
     c = EdgeColoring(ds22, tuple(colors))
-    assert find_k_unique(ds22, c, ds22, 5) is None
+    assert find_k_unique(c, ds22, 5) is None
 
 
 def test_verify_reduction_no_copy_and_budget():

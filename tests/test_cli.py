@@ -264,6 +264,8 @@ MALFORMED_CERTIFICATES = {
     "construct --augment CAT 1,1",
     "spectrum P20",
     "search --n 8 --pattern P3 --rainbow",
+    "search --n 1 --pattern K1 --k 0",  # a pattern with no edge
+    "search --n 4 --pattern K1 --k 0",
     "verify k2s4 --s 5",
     "verify --recheck missing.json",
     *(f"verify --recheck {name}" for name in MALFORMED_CERTIFICATES),
@@ -324,7 +326,8 @@ TYPED_SITES = {
     ("avoider", "payload.graph.n"), ("avoider", "payload.graph.edges"),
     ("avoider", "payload.coloring"), ("avoider", "payload.coloring.colors"),
     ("exhaustion", "payload.graphs_checked"),
-    ("k6_universal", "nodes_visited"), ("reduction", "nodes_visited"),
+    *((kind, "nodes_visited") for kind in ("k2s4", "k6_rainbow_free",
+                                           "k6_universal", "reduction")),
     *(("reduction", f"params.{g}{f}") for g in ("original", "augmented")
       for f in ("", ".n", ".edges", ".labels")),
 }
@@ -367,6 +370,63 @@ def test_certificate_field_type_sweep(capsys, tmp_path):
                     assert code == EXIT_USAGE, (site, bad)
                     assert len(err.strip().splitlines()) == 1, (site, bad, err)
     assert TYPED_SITES <= seen
+
+
+# payload fields of each re-run kind's SWEEP_RUNS certificate that a recheck
+# must find edited: an integer gets 1 added, a list is zeroed
+PAYLOAD_EDITS = {
+    "k6_rainbow_free": (("embeddings_checked",), ("coloring", "colors")),
+    "k6_universal": (("exhaustive_regime", "nodes_visited"),
+                     ("sampled_regime", "samples_checked")),
+    "k2s4": (("m",), ("coloring", "colors")),
+    "reduction": (("embeddings_considered",),),
+}
+
+
+def _edited(obj: dict, path: tuple[str, ...]) -> dict:
+    obj = json.loads(json.dumps(obj))
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    value = holder[path[-1]]
+    holder[path[-1]] = [0] * len(value) if isinstance(value, list) else value + 1
+    return obj
+
+
+@pytest.mark.parametrize("argv", SWEEP_RUNS[1:], ids=list(PAYLOAD_EDITS))
+def test_rerun_certificate_rechecks_only_when_reproduced(capsys, tmp_path, argv):
+    code, _, _ = run(capsys, "--cache-dir", str(tmp_path), *argv)
+    assert code == EXIT_OK
+    (path,) = tmp_path.glob("*.json")
+    code, out, _ = run(capsys, "verify", "--recheck", str(path))
+    assert code == EXIT_OK and "OK" in out
+    obj = json.loads(path.read_text())
+    tampered = [{**obj, "nodes_visited": obj["nodes_visited"] + 1000},
+                {**obj, "exhaustive": not obj["exhaustive"]},
+                *(_edited(obj, ("payload", *field))
+                  for field in PAYLOAD_EDITS[obj["kind"]])]
+    target = tmp_path / "tampered.json"
+    for bad in tampered:
+        target.write_text(json.dumps(bad))
+        code, out, _ = run(capsys, "verify", "--recheck", str(target))
+        assert code == EXIT_FAIL and "FAILED" in out, bad
+
+
+def test_k6_universal_recheck_above_the_sample_prefix(capsys, tmp_path):
+    # the recheck re-draws only the first 50,000 samples, so it compares
+    # everything but the sampled regime
+    code, _, _ = run(capsys, "--cache-dir", str(tmp_path),
+                     "verify", "k6-universal-3unique", "--samples", "60000")
+    assert code == EXIT_OK
+    (path,) = tmp_path.glob("*.json")
+    code, out, _ = run(capsys, "verify", "--recheck", str(path))
+    assert code == EXIT_OK and "OK (re-run (reduced sample prefix) verdict PASS)" in out
+    target = tmp_path / "tampered.json"
+    obj = json.loads(path.read_text())
+    target.write_text(json.dumps(_edited(obj, ("payload", "exhaustive_regime",
+                                               "nodes_visited"))))
+    code, out, _ = run(capsys, "verify", "--recheck", str(target))
+    assert code == EXIT_FAIL and "FAILED" in out
 
 
 def _subcommand_flags() -> dict[str, list[str]]:

@@ -29,15 +29,11 @@ def test_unique_count_examples():
 
 
 def test_find_k_unique_modes():
-    c4 = make_cycle(4)
-    c = proper_coloring(c4, (0, 1, 1, 0))
+    c = proper_coloring(make_cycle(4), (0, 1, 1, 0))
     p2 = make_path(2)
     # properness forces both edges of any 2-path to differ
-    assert find_k_unique(c4, c, p2, 2, "at_least") is not None
-    assert find_k_unique(c4, c, p2, 1, "exactly") is None
-    assert find_k_unique(c4, c, p2, 3) is None  # k above the edge count
-    with pytest.raises(ValueError):
-        find_k_unique(c4, c, p2, 1, "approximately")
+    assert find_k_unique(c, p2, 2) is not None
+    assert find_k_unique(c, p2, 3) is None  # k above the edge count
 
 
 def test_found_report_is_self_consistent():
@@ -46,7 +42,7 @@ def test_found_report_is_self_consistent():
     c = proper_coloring(host, tuple(pure.random_proper_coloring(
         host.num_edges, conflict_lists(host), pure.XorShift64Star(99))))
     for k in range(f.num_edges + 1):
-        rep = find_k_unique(host, c, f, k)
+        rep = find_k_unique(c, f, k)
         if rep is not None:
             assert rep.unique_count >= k
             copy_colors = [c.colors[i] for i in rep.embedding.edge_map]
@@ -65,15 +61,14 @@ def test_against_naive_max_over_embeddings():
         for f in patterns:
             best = naive_max_unique(f, host, colors)
             for k in range(f.num_edges + 1):
-                hit = find_k_unique(host, c, f, k)
+                hit = find_k_unique(c, f, k)
                 assert (hit is not None) == (best is not None and best >= k)
 
 
 def test_monotone_in_k():
-    host = make_complete(6)
     c = one_factorization(3)
     f = make_double_star(2, 2)
-    hits = [find_k_unique(host, c, f, k) is not None
+    hits = [find_k_unique(c, f, k) is not None
             for k in range(f.num_edges + 1)]
     # once absent, absent for all larger k
     assert hits == sorted(hits, reverse=True)
@@ -82,22 +77,22 @@ def test_monotone_in_k():
 def test_rainbow_free_k6():
     c = one_factorization(3)
     ds22, p2 = make_double_star(2, 2), make_path(2)
-    assert find_k_unique(c.graph, c, ds22, ds22.num_edges) is None
-    assert find_k_unique(c.graph, c, p2, p2.num_edges) is not None
+    assert find_k_unique(c, ds22, ds22.num_edges) is None
+    assert find_k_unique(c, p2, p2.num_edges) is not None
 
 
 def test_no_copy_at_all():
     host = make_path(2)
     c = proper_coloring(host, (0, 1))
-    assert find_k_unique(host, c, make_cycle(3), 0) is None
-    assert find_k_unique(host, c, make_complete(5), 0) is None
+    assert find_k_unique(c, make_cycle(3), 0) is None
+    assert find_k_unique(c, make_complete(5), 0) is None
 
 
 @pytest.mark.parametrize("host", [make_complete(5), make_complete(6), make_cycle(6)],
                          ids=["K5", "K6", "C6"])
 def test_pruned_search_matches_plain_filter(host):
     # the pruned search must return the first embedding a plain filter over
-    # the full enumeration accepts, for every k and in both modes
+    # the full enumeration accepts, for every k
     conf = conflict_lists(host)
     patterns = [make_path(2), make_path(3), make_double_star(1, 2),
                 make_double_star(2, 2)]
@@ -109,11 +104,9 @@ def test_pruned_search_matches_plain_filter(host):
             embs = list(enumerate_embeddings(f, host))
             counts = [report_for(c, e).unique_count for e in embs]
             for k in range(f.num_edges + 1):
-                for mode, accept in (("at_least", lambda u: u >= k),
-                                     ("exactly", lambda u: u == k)):
-                    want = next((e for e, u in zip(embs, counts) if accept(u)), None)
-                    rep = find_k_unique(host, c, f, k, mode)
-                    assert (rep.embedding if rep else None) == want, (seed, f.edges, k, mode)
+                want = next((e for e, u in zip(embs, counts) if u >= k), None)
+                rep = find_k_unique(c, f, k)
+                assert (rep.embedding if rep else None) == want, (seed, f.edges, k)
 
 
 # patterns with twin leaves (classes of 2, 3 and 4, one or two classes), and
@@ -129,7 +122,7 @@ TWIN_PATTERNS = [make_path(2), make_double_star(1, 2), make_double_star(2, 2),
 def test_orbit_search_matches_labeled_filter(n, data):
     # find_k_unique walks one embedding per twin orbit; it must still return
     # exactly the first labeled embedding a plain filter accepts, on any host
-    # and any coloring, proper or not, for every k and in both modes
+    # and any coloring, proper or not, for every k
     pairs = list(itertools.combinations(range(n), 2))
     host = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True,
                                                   min_size=1, max_size=len(pairs))))
@@ -140,8 +133,6 @@ def test_orbit_search_matches_labeled_filter(n, data):
         embs = list(enumerate_embeddings(f, host))
         counts = [report_for(c, e).unique_count for e in embs]
         for k in range(f.num_edges + 1):
-            for mode, accept in (("at_least", lambda u: u >= k),
-                                 ("exactly", lambda u: u == k)):
-                want = next((e for e, u in zip(embs, counts) if accept(u)), None)
-                rep = find_k_unique(host, c, f, k, mode)
-                assert (rep.embedding if rep else None) == want, (f.edges, k, mode)
+            want = next((e for e, u in zip(embs, counts) if u >= k), None)
+            rep = find_k_unique(c, f, k)
+            assert (rep.embedding if rep else None) == want, (f.edges, k)

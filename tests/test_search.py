@@ -39,7 +39,7 @@ def test_exists_avoiding_k6_ds22():
     res5 = exists_avoiding_coloring(k6, ds22, 5)
     assert res5.coloring is not None
     assert is_proper(k6, res5.coloring)
-    assert find_k_unique(k6, res5.coloring, ds22, 5) is None
+    assert find_k_unique(res5.coloring, ds22, 5) is None
     # at-least-3-unique copies cannot be dodged at all
     res3 = exists_avoiding_coloring(k6, ds22, 3)
     assert res3.coloring is None and res3.exhaustive
