@@ -8,6 +8,7 @@ that colorings and certificates refer to.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -288,23 +289,41 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     orbit of the twin permutations is yielded: the stream is the labeled
     stream filtered to those embeddings, and its length times the product
     of the class sizes' factorials is the labeled count.
+
+    Twin look-ahead: the twins of a class are placed after their common
+    parent and draw from one sorted list, the host neighbors of the parent's
+    image.  A twin starts just above the previous twin's image, and stops r
+    places before the end of the list when r twins of its class come after
+    it, since each of those needs a larger image from the same list.  What
+    is skipped holds no complete embedding, and candidates are still tried
+    in ascending order, so the stream is the same as without the look-ahead;
+    `prune` is only called less often.
     """
     if pattern.n > host.n or pattern.n == 0:
         return
     order = _search_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
     # for each step, (placed neighbor, pattern edge index) pairs: the pattern
-    # edges that become mapped when the step's vertex is placed
+    # edges that become mapped when the step's vertex is placed; the first
+    # one supplies the candidates, the others are adjacency tests
     steps = [[(w, pattern.edge_index[(min(v, w), max(v, w))])
               for w in pattern.adjacency[v] if pos[w] < pos[v]] for v in order]
+    checks = [[w for w, _ in nbrs[1:]] for nbrs in steps]
     # for each step, the twin placed just before it (its image is a floor
-    # for this step's image), or -1 when there is none
+    # for this step's image), or -1 when there is none, and the number of
+    # its twins placed after it
     floor_of = [-1] * len(order)
+    after = [0] * len(order)
     if twins:
         for leaves in twin_classes(pattern):
-            ranked = sorted(leaves, key=pos.__getitem__)
-            for prev, v in zip(ranked, ranked[1:]):
-                floor_of[pos[v]] = prev
+            ranked = sorted(map(pos.__getitem__, leaves))
+            for j, i in enumerate(ranked):
+                after[i] = len(ranked) - 1 - j
+                if j:
+                    floor_of[i] = order[ranked[j - 1]]
+    adjacency = host.adjacency
+    edge_index = host.edge_index
+    neighbors = [sorted(a) for a in adjacency]
     last = len(order) - 1
     vmap = [-1] * pattern.n
     emap = [-1] * pattern.num_edges
@@ -314,20 +333,18 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     def extend(i: int) -> Iterator[Embedding]:
         v = order[i]
         nbrs = steps[i]
-        if nbrs:
-            candidates = sorted(host.adjacency[vmap[nbrs[0][0]]])
-        else:
-            candidates = range(host.n)
-        floor = vmap[floor_of[i]] if floor_of[i] >= 0 else -1
-        for c in candidates:
-            if used[c] or c <= floor:
+        rest = checks[i]
+        candidates = neighbors[vmap[nbrs[0][0]]] if nbrs else range(host.n)
+        start = 0 if floor_of[i] < 0 else bisect_right(candidates, vmap[floor_of[i]])
+        for c in candidates[start:max(len(candidates) - after[i], 0)]:
+            if used[c]:
                 continue
-            if any(c not in host.adjacency[vmap[w]] for w, _ in nbrs):
+            if rest and any(c not in adjacency[vmap[w]] for w in rest):
                 continue
             vmap[v] = c
             for w, ei in nbrs:
                 hw = vmap[w]
-                emap[ei] = host.edge_index[(c, hw) if c < hw else (hw, c)]
+                emap[ei] = edge_index[(c, hw) if c < hw else (hw, c)]
                 mapped.append(emap[ei])
             if prune is None or not prune(mapped):
                 if i == last:

@@ -283,9 +283,9 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
         raise ValueError(f"{cert.kind} certificate has no {exc.args[0]!r} field") from None
 
 
-def _int_param(cert: Certificate, name: str, section: str = "params") -> int:
-    # section "__dict__" reads a top-level field such as nodes_visited
-    value = getattr(cert, section)[name]
+def _int_param(cert: Certificate, name: str, fields: Optional[dict] = None) -> int:
+    # fields defaults to cert.params; vars(cert) reads a top-level field
+    value = (cert.params if fields is None else fields)[name]
     if not is_int(value):
         raise ValueError(f"{cert.kind} certificate field {name!r} is not an "
                          f"integer: {value!r}")
@@ -305,7 +305,7 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
     if cert.kind == "exhaustion":
         # the exhaustion claim is the search itself; check internal consistency
         ok = cert.verdict == PASS and \
-            _int_param(cert, "graphs_checked", "payload") > 0
+            _int_param(cert, "graphs_checked", cert.payload) > 0
         return ok, "exhaustion certificate structurally consistent" if ok else \
             "exhaustion certificate malformed"
     if cert.kind == "k6_universal" and cert.verdict == FAIL:
@@ -320,7 +320,8 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
             "stored coloring does contain an exactly-3-unique copy"
     # every other kind is re-run with the recorded node count as its budget,
     # so the re-run repeats the recorded search, budget trip included
-    budget = _int_param(cert, "nodes_visited", "__dict__")
+    budget = _int_param(cert, "nodes_visited", vars(cert))
+    skip = None
     if cert.kind == "k6_rainbow_free":
         fresh = verify_k6_rainbow_free()
     elif cert.kind == "k2s4":
@@ -330,19 +331,34 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
         host = Graph.from_json(cert.params["augmented"])
         fresh = verify_reduction(original, host, _int_param(cert, "k"), budget)
     elif cert.kind == "k6_universal":
+        color_cap = _int_param(cert, "color_cap")
+        sample_count = _int_param(cert, "sample_count")
+        seed = _int_param(cert, "seed")
+        if sample_count > SAMPLE_PREFIX:
+            skip = "sampled_regime"
         fresh = verify_k6_universal_3unique(
-            budget=budget, color_cap=_int_param(cert, "color_cap"),
-            sample_count=min(_int_param(cert, "sample_count"), SAMPLE_PREFIX),
-            seed=_int_param(cert, "seed"))
+            budget=budget, color_cap=color_cap,
+            sample_count=min(sample_count, SAMPLE_PREFIX), seed=seed)
     else:
         return False, f"unknown certificate kind {cert.kind!r}"
     # it passes only when it reproduces these fields, compared as JSON text
-    # (so 1.0 and true are not 1); a sampled regime past the prefix is not
+    # (so 1.0 and true are not 1), the sampled regime past the prefix aside
     k6 = cert.kind == "k6_universal"
-    skip = "sampled_regime" if k6 and cert.params["sample_count"] > SAMPLE_PREFIX else None
     stored, rerun = (json.dumps([c.verdict, c.nodes_visited, c.exhaustive,
                                  {k: v for k, v in c.payload.items() if k != skip}],
                                 sort_keys=True) for c in (cert, fresh))
     detail = f"re-run{' (reduced sample prefix)' if k6 else ''} verdict {fresh.verdict}"
-    ok = stored == rerun
-    return ok, detail if ok else f"{detail}, certificate not reproduced"
+    if stored != rerun:
+        return False, f"{detail}, certificate not reproduced"
+    if skip in fresh.payload:
+        # the re-run does not re-draw the sampled regime past the prefix; the
+        # stored one must still count every sample drawn
+        sampled = cert.payload[skip]
+        if not isinstance(sampled, dict):
+            raise ValueError(f"{cert.kind} certificate field {skip!r} is not "
+                             f"an object: {sampled!r}")
+        counts = [_int_param(cert, name, sampled)
+                  for name in ("samples_checked", "rainbow_skipped")]
+        if min(counts) < 0 or sum(counts) != sample_count:
+            return False, f"{detail}, sampled counts do not add up to sample_count"
+    return True, detail

@@ -4,14 +4,15 @@ These are deliberately naive: generate-and-filter over full product or
 permutation spaces, with no pruning and no shared code with the package
 internals beyond the Graph container, except that naive_graphs_up_to_iso
 takes canonical_key as its isomorphism test (naive_canonical_key checks that
-one).
+one) and naive_embedding_stream takes the search order of the pattern's
+vertices from graphs._search_order, which fixes the stream's order.
 """
 
 import itertools
 import math
 from collections import Counter
 
-from rturan.graphs import Graph, canonical_key
+from rturan.graphs import Graph, _search_order, canonical_key
 
 
 def naive_is_proper(g: Graph, colors) -> bool:
@@ -48,6 +49,26 @@ def naive_embeddings(pattern: Graph, host: Graph):
                for (u, v) in pattern.edges):
             out.append(perm)
     return sorted(out)
+
+
+def naive_embedding_stream(pattern: Graph, host: Graph, twins: bool = False):
+    """Every injective vertex map preserving edges, in the order that
+    enumerate_embeddings yields them: sorted by the host images taken in
+    search order.  With twins, only the maps that give each class of twin
+    leaves (degree-1 vertices with the same neighbor) increasing images in
+    search order."""
+    order = _search_order(pattern)
+    maps = sorted(naive_embeddings(pattern, host),
+                  key=lambda vm: [vm[v] for v in order])
+    if not twins:
+        return maps
+    classes: dict[int, list[int]] = {}
+    for v in order:
+        if len(pattern.adjacency[v]) == 1:
+            classes.setdefault(next(iter(pattern.adjacency[v])), []).append(v)
+    return [vm for vm in maps
+            if all(vm[a] < vm[b] for leaves in classes.values()
+                   for a, b in zip(leaves, leaves[1:]))]
 
 
 def naive_unique_count(pattern: Graph, host: Graph, colors, vertex_map) -> int:

@@ -192,7 +192,8 @@ def test_search_k0_is_classical_turan(capsys, tmp_path, n, value):
 @pytest.mark.parametrize("argv", [
     ["verify", "reduction", "CAT", "2,0,2"],
     ["verify", "k6-universal-3unique", "--samples", "10"],
-], ids=["reduction", "k6_universal"])
+    ["verify", "k6-universal-3unique"],
+], ids=["reduction", "k6_universal", "k6_universal_default_samples"])
 def test_budget_exhausted_certificate_rechecks(capsys, tmp_path, argv):
     code, _, _ = run(capsys, "--budget", "5", "--cache-dir", str(tmp_path), *argv)
     assert code == EXIT_BUDGET
@@ -427,6 +428,32 @@ def test_k6_universal_recheck_above_the_sample_prefix(capsys, tmp_path):
                                                "nodes_visited"))))
     code, out, _ = run(capsys, "verify", "--recheck", str(target))
     assert code == EXIT_FAIL and "FAILED" in out
+    # the sampled counts are not re-drawn, but they must be non-negative
+    # integers that add up to the samples drawn
+    sampled = obj["payload"]["sampled_regime"]
+    total = 60000
+    assert sampled["samples_checked"] + sampled["rainbow_skipped"] == total
+    for checked, skipped in ((sampled["samples_checked"] + 1, sampled["rainbow_skipped"]),
+                             (sampled["samples_checked"], sampled["rainbow_skipped"] - 1),
+                             (total + 1, -1), (-1, total + 1)):
+        bad = json.loads(json.dumps(obj))
+        bad["payload"]["sampled_regime"].update(samples_checked=checked,
+                                                rainbow_skipped=skipped)
+        target.write_text(json.dumps(bad))
+        code, out, _ = run(capsys, "verify", "--recheck", str(target))
+        assert code == EXIT_FAIL and "FAILED" in out, (checked, skipped)
+    for path in (("sampled_regime",), ("sampled_regime", "samples_checked"),
+                 ("sampled_regime", "rainbow_skipped")):
+        for value in BAD_VALUES:
+            bad = json.loads(json.dumps(obj))
+            holder = bad["payload"]
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]] = value
+            target.write_text(json.dumps(bad))
+            code, out, err = run(capsys, "verify", "--recheck", str(target))
+            assert code == EXIT_USAGE and out == "", (path, value)
+            assert len(err.strip().splitlines()) == 1, (path, value, err)
 
 
 def _subcommand_flags() -> dict[str, list[str]]:

@@ -136,3 +136,23 @@ def test_orbit_search_matches_labeled_filter(n, data):
             want = next((e for e, u in zip(embs, counts) if u >= k), None)
             rep = find_k_unique(c, f, k)
             assert (rep.embedding if rep else None) == want, (f.edges, k)
+
+
+def test_twin_look_ahead_prune_calls_k10():
+    # the search behind `verify k2s4 --s 3`: a rainbow prune like
+    # find_k_unique's, DS_{1,7} in the 1-factorized K10.  A twin that has r
+    # twins of its class after it stops r places before the end of its
+    # candidate list; without that the search makes 59,252 prune calls
+    c = one_factorization(5)
+    pattern = make_double_star(1, 7)
+    p = pattern.num_edges
+    calls = 0
+
+    def not_rainbow(mapped):
+        nonlocal calls
+        calls += 1
+        return unique_color_count([c.colors[e] for e in mapped]) + p - len(mapped) < p
+
+    assert next(enumerate_embeddings(pattern, c.graph, not_rainbow, twins=True),
+                None) is None
+    assert calls <= 10_196

@@ -9,9 +9,9 @@ from rturan.graphs import (DEFAULT_VERTEX_CAP, Embedding, Graph, GraphError,
                            enumerate_embeddings, graph_from_edges,
                            make_broom, make_caterpillar, make_complete,
                            make_cycle, make_double_star, make_path,
-                           make_perfect_kary, twin_classes)
+                           make_perfect_kary, _search_order, twin_classes)
 
-from oracles import naive_canonical_key, naive_embeddings
+from oracles import naive_canonical_key, naive_embedding_stream, naive_embeddings
 
 
 def test_graph_normalization_and_validation():
@@ -182,6 +182,54 @@ def test_embeddings_match_naive_oracle():
     for pattern, host in cases:
         got = sorted(e.vertex_map for e in enumerate_embeddings(pattern, host))
         assert got == naive_embeddings(pattern, host)
+
+
+ORDER_PATTERNS = {
+    "P2": make_path(2),
+    "DS13": make_double_star(1, 3),
+    "DS22": make_double_star(2, 2),
+    "CAT203": make_caterpillar([2, 0, 3]),
+    "C4": make_cycle(4),
+    "forest": graph_from_edges(7, [(0, 1), (0, 2), (3, 4), (3, 5), (3, 6)]),
+}
+
+
+def _has_cut_prefix(pattern, host, vertex_map, cut) -> bool:
+    # grows the host edges mapped as each vertex of the search order is placed
+    placed, mapped = set(), []
+    for v in _search_order(pattern):
+        placed.add(v)
+        mapped += [host.edge_index[tuple(sorted((vertex_map[v], vertex_map[w])))]
+                   for w in pattern.adjacency[v] if w in placed]
+        if cut(mapped):
+            return True
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ORDER_PATTERNS)), st.booleans(), st.data())
+def test_embedding_stream_order_matches_oracle(name, twins, data):
+    # the stream itself, in order, not only its set of vertex maps; hosts are
+    # K_n minus a few edges, and since CAT 2,0,3 has 8 vertices, its go up to 8
+    pattern = ORDER_PATTERNS[name]
+    n = data.draw(st.integers(pattern.n, max(7, pattern.n)), label="n")
+    pairs = list(itertools.combinations(range(n), 2))
+    dropped = data.draw(st.sets(st.sampled_from(pairs)), label="dropped")
+    host = graph_from_edges(n, [e for e in pairs if e not in dropped])
+    expected = naive_embedding_stream(pattern, host, twins)
+    got = list(enumerate_embeddings(pattern, host, twins=twins))
+    assert [e.vertex_map for e in got] == expected
+    # a deterministic prune that reads the mapped edges as a set (their order
+    # within one step is not fixed): an embedding is yielded exactly when
+    # none of its prefixes is cut
+    salt = data.draw(st.integers(0, 10 ** 6), label="salt")
+
+    def cut(mapped):
+        return (salt + sum(7 * e * e + 3 for e in mapped)) % 5 == 0
+
+    pruned = list(enumerate_embeddings(pattern, host, cut, twins=twins))
+    assert pruned == [Embedding.from_vertex_map(pattern, host, vm) for vm in expected
+                      if not _has_cut_prefix(pattern, host, vm, cut)]
 
 
 def test_embeddings_empty_cases():
