@@ -9,8 +9,7 @@ from .graphs import (Graph, Embedding, graph_from_edges, make_path, make_cycle,
                      canonical_key, diameter)
 from .coloring import (EdgeColoring, ColorClassProfile, BudgetExhausted,
                        is_proper, proper_coloring, enumerate_proper_colorings,
-                       one_factorization, greedy_delta_plus_one,
-                       color_class_profile)
+                       one_factorization, color_class_profile)
 from .detect import UniquenessReport, find_k_unique
 from .spectrum import (KSpectrum, compute_spectrum, ds_spectrum_closed_form,
                        full_spectrum_criterion, witness_family, round_up_k,

@@ -137,6 +137,8 @@ def _report_lines(rep) -> str:
 def cmd_bounds(args) -> int:
     tokens = args.family
     head, vals = parse_spec(tokens)
+    if args.k_unique is not None and head != "DS":
+        raise SpecError("--k-unique only applies to DS")
     extra: dict = {}
     if head == "DS":
         r, s = vals
@@ -234,8 +236,6 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     _, f = parse_family(args.pattern.split(), None)
     k = RAINBOW if args.rainbow else args.k
-    if k is None:
-        raise SpecError("search needs --rainbow or --k")
     out = brute_extremal(args.n, f, k, budget=args.budget)
     if out.get("value") is None:
         obj = {"bracket": {"lower": out["lower"], "upper": out["upper"]}}
@@ -322,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     spp = sub.add_parser("search", help="brute-force ex_k at desk scale")
     spp.add_argument("--n", type=int, required=True)
     spp.add_argument("--pattern", required=True)
-    spp.add_argument("--rainbow", action="store_true")
-    spp.add_argument("--k", type=int, default=None)
+    kp = spp.add_mutually_exclusive_group(required=True)
+    kp.add_argument("--rainbow", action="store_true")
+    kp.add_argument("--k", type=int, default=None)
     spp.set_defaults(func=cmd_search)
     return p
 

@@ -1,5 +1,5 @@
 """Proper edge colorings: validation, canonical exhaustive enumeration,
-the circle-method 1-factorization of K_{2m}, and a Delta+1 coloring."""
+and the circle-method 1-factorization of K_{2m}."""
 
 from __future__ import annotations
 
@@ -168,20 +168,6 @@ def one_factorization(m: int) -> EdgeColoring:
             pairs.append(((rnd + i) % mod, (rnd - i) % mod))
         for (u, v) in pairs:
             colors[g.edge_index[(min(u, v), max(u, v))]] = rnd
-    return proper_coloring(g, colors)
-
-
-def greedy_delta_plus_one(g: Graph) -> EdgeColoring:
-    """Proper coloring with at most Delta+1 colors.
-
-    The first leaf of the canonical search over the Delta+1 palette; it is
-    also the lexicographically least proper coloring, since swapping a color
-    above every earlier one with the next unused color makes a smaller one.
-    Completeness of the search plus Vizing's theorem gives the guarantee.
-    """
-    colors = next(canonical_dfs(conflict_lists(g), g.max_degree() + 1), None)
-    if colors is None:  # unreachable for simple graphs by Vizing
-        raise ColoringError("no Delta+1 coloring found")
     return proper_coloring(g, colors)
 
 

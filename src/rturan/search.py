@@ -264,11 +264,14 @@ def revalidate_avoider(cert: Certificate) -> tuple[bool, str]:
         raise ValueError(f"avoider certificate field 'coloring' is not an "
                          f"object: {coloring!r}")
     colors = _int_list(cert, coloring.get("colors"), "colors")
+    n, m, k = (_int_param(cert, name) for name in ("n", "m", "k"))
+    if not is_proper(g, colors):  # first, as it raises on a wrong length
+        return False, "stored coloring is not proper"
+    if cert.verdict != PASS or (n, m) != (g.n, g.num_edges):
+        return False, "verdict, n or m does not match the stored graph"
     if coloring.get("graph_hash") != graph_hash(g):
         return False, "coloring hash does not match the stored graph"
-    if not is_proper(g, colors):
-        return False, "stored coloring is not proper"
-    if find_k_unique(EdgeColoring(g, tuple(colors)), f, _int_param(cert, "k")) is not None:
+    if find_k_unique(EdgeColoring(g, tuple(colors)), f, k) is not None:
         return False, "stored coloring contains a k-unique copy"
     return True, "avoider re-validated"
 
@@ -300,18 +303,23 @@ def _int_list(cert: Certificate, value, name: str) -> list[int]:
 
 
 def _recheck(cert: Certificate) -> tuple[bool, str]:
+    # Every kind is rechecked in one order, so the exit code for a wrong-typed
+    # field does not depend on which other fields were edited:
+    # 1. read and type-check every field the recheck uses (ValueError, exit 2);
+    # 2. run every check that needs no search (a failed one returns False);
+    # 3. run at most one search, then make one comparison.
     if cert.kind == "avoider":
         return revalidate_avoider(cert)
     if cert.kind == "exhaustion":
         # the exhaustion claim is the search itself; check internal consistency
-        ok = cert.verdict == PASS and \
-            _int_param(cert, "graphs_checked", cert.payload) > 0
+        graphs_checked = _int_param(cert, "graphs_checked", cert.payload)
+        ok = cert.verdict == PASS and graphs_checked > 0
         return ok, "exhaustion certificate structurally consistent" if ok else \
             "exhaustion certificate malformed"
     if cert.kind == "k6_universal" and cert.verdict == FAIL:
-        host, pattern, emb = _k6_embedding_edges()
         colors = _int_list(cert, cert.payload["counterexample_coloring"],
                            "counterexample_coloring")
+        host, pattern, emb = _k6_embedding_edges()
         if not is_proper(host, colors):
             return False, "counterexample is not proper"
         counts = _kernels.unique_counts(colors, emb)
@@ -322,6 +330,7 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
     # so the re-run repeats the recorded search, budget trip included
     budget = _int_param(cert, "nodes_visited", vars(cert))
     skip = None
+    reduced = ""
     if cert.kind == "k6_rainbow_free":
         fresh = verify_k6_rainbow_free()
     elif cert.kind == "k2s4":
@@ -331,11 +340,24 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
         host = Graph.from_json(cert.params["augmented"])
         fresh = verify_reduction(original, host, _int_param(cert, "k"), budget)
     elif cert.kind == "k6_universal":
-        color_cap = _int_param(cert, "color_cap")
-        sample_count = _int_param(cert, "sample_count")
-        seed = _int_param(cert, "seed")
+        color_cap, sample_count, seed = (
+            _int_param(cert, name) for name in ("color_cap", "sample_count", "seed"))
+        if color_cap < 1:  # as the producer does, but before the counts' check
+            raise ValueError(f"color_cap must be >= 1, got {color_cap}")
         if sample_count > SAMPLE_PREFIX:
-            skip = "sampled_regime"
+            reduced = " (reduced sample prefix)"
+            if cert.verdict == PASS and "sampled_regime" in cert.payload:
+                # the re-run does not re-draw the sampled regime past the
+                # prefix; the stored one must still count every sample drawn
+                skip = "sampled_regime"
+                sampled = cert.payload[skip]
+                if not isinstance(sampled, dict):
+                    raise ValueError(f"{cert.kind} certificate field {skip!r} "
+                                     f"is not an object: {sampled!r}")
+                counts = [_int_param(cert, name, sampled)
+                          for name in ("samples_checked", "rainbow_skipped")]
+                if min(counts) < 0 or sum(counts) != sample_count:
+                    return False, "sampled counts do not add up to sample_count"
         fresh = verify_k6_universal_3unique(
             budget=budget, color_cap=color_cap,
             sample_count=min(sample_count, SAMPLE_PREFIX), seed=seed)
@@ -343,22 +365,10 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
         return False, f"unknown certificate kind {cert.kind!r}"
     # it passes only when it reproduces these fields, compared as JSON text
     # (so 1.0 and true are not 1), the sampled regime past the prefix aside
-    k6 = cert.kind == "k6_universal"
     stored, rerun = (json.dumps([c.verdict, c.nodes_visited, c.exhaustive,
                                  {k: v for k, v in c.payload.items() if k != skip}],
                                 sort_keys=True) for c in (cert, fresh))
-    detail = f"re-run{' (reduced sample prefix)' if k6 else ''} verdict {fresh.verdict}"
+    detail = f"re-run{reduced} verdict {fresh.verdict}"
     if stored != rerun:
         return False, f"{detail}, certificate not reproduced"
-    if skip in fresh.payload:
-        # the re-run does not re-draw the sampled regime past the prefix; the
-        # stored one must still count every sample drawn
-        sampled = cert.payload[skip]
-        if not isinstance(sampled, dict):
-            raise ValueError(f"{cert.kind} certificate field {skip!r} is not "
-                             f"an object: {sampled!r}")
-        counts = [_int_param(cert, name, sampled)
-                  for name in ("samples_checked", "rainbow_skipped")]
-        if min(counts) < 0 or sum(counts) != sample_count:
-            return False, f"{detail}, sampled counts do not add up to sample_count"
     return True, detail

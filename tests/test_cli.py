@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -6,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rturan import search
 from rturan.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, SpecError,
                         build_parser, main, parse_family)
 from rturan.graphs import canonical_key, make_caterpillar, make_double_star
@@ -207,6 +209,10 @@ def test_budget_exhausted_certificate_rechecks(capsys, tmp_path, argv):
     target.write_text(json.dumps({**obj, "verdict": "PASS"}))
     code, out, _ = run(capsys, "verify", "--recheck", str(target))
     assert code == EXIT_FAIL and "FAILED" in out
+    # the sampled regime is left out of the comparison only for a PASS
+    target.write_text(json.dumps(_with(obj, ("payload", "sampled_regime"), "garbage")))
+    code, out, _ = run(capsys, "verify", "--recheck", str(target))
+    assert code == EXIT_FAIL and "FAILED" in out
     target.write_text(json.dumps({**obj, "nodes_visited": "5"}))
     code, _, err = run(capsys, "verify", "--recheck", str(target))
     assert code == EXIT_USAGE and "nodes_visited" in err
@@ -249,6 +255,11 @@ MALFORMED_CERTIFICATES = {
                               '"params": {"color_cap": 0, "sample_count": 10, "seed": 1}}',
     "k6-color-cap-negative.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
                                   '"params": {"color_cap": -1, "sample_count": 10, "seed": 1}}',
+    # a bad value exits 2 also beside sampled counts that do not add up
+    "k6-color-cap-zero-prefix.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+                                     '"params": {"color_cap": 0, "sample_count": 60000, "seed": 1}, '
+                                     '"payload": {"sampled_regime": {"samples_checked": 0, '
+                                     '"rainbow_skipped": 0}}}',
     # FAIL verdicts: K6 has 15 edges, so each wrong-typed list has the right length
     "k6-fail-null.json": _k6_fail(None),
     "k6-fail-nested.json": _k6_fail([[i] for i in range(15)]),
@@ -261,12 +272,15 @@ MALFORMED_CERTIFICATES = {
     "bounds DS",
     "bounds CAT x",
     "bounds DS 3 1 --k-unique 5",
+    "bounds CAT 1,1,1 --k-unique 5",
     "construct --augment DS 1",
     "construct --augment CAT 1,1",
     "spectrum P20",
     "search --n 8 --pattern P3 --rainbow",
     "search --n 1 --pattern K1 --k 0",  # a pattern with no edge
     "search --n 4 --pattern K1 --k 0",
+    "search --n 4 --pattern P3 --rainbow --k 1",
+    "search --n 4 --pattern P3",
     "verify k2s4 --s 5",
     "verify --recheck missing.json",
     *(f"verify --recheck {name}" for name in MALFORMED_CERTIFICATES),
@@ -323,7 +337,8 @@ TYPED_SITES = {
                                          "k6_rainbow_free", "k6_universal",
                                          "reduction")),
     ("avoider", "params.pattern"), ("avoider", "params.pattern.n"),
-    ("avoider", "params.pattern.edges"), ("avoider", "payload.graph"),
+    ("avoider", "params.pattern.edges"), ("avoider", "params.n"),
+    ("avoider", "params.m"), ("avoider", "params.k"), ("avoider", "payload.graph"),
     ("avoider", "payload.graph.n"), ("avoider", "payload.graph.edges"),
     ("avoider", "payload.coloring"), ("avoider", "payload.coloring.colors"),
     ("exhaustion", "payload.graphs_checked"),
@@ -333,6 +348,27 @@ TYPED_SITES = {
       for f in ("", ".n", ".edges", ".labels")),
 }
 LIST_FIELDS = {"assumptions", "edges", "colors", "labels"}
+# one edit per kind that alone fails its recheck (exit 1); a recheck reads and
+# type-checks every field before its first check, so a bad value at a typed
+# site still exits 2 beside it
+SPOILERS = {
+    "avoider": (("payload", "coloring", "graph_hash"), "0" * 16),
+    "exhaustion": (("verdict",), "FAIL"),
+    "k2s4": (("exhaustive",), False),
+    "k6_rainbow_free": (("exhaustive",), False),
+    "k6_universal": (("exhaustive",), True),
+    "reduction": (("exhaustive",), False),
+}
+
+
+def _with(obj: dict, path: tuple[str, ...], value) -> dict:
+    """A deep copy of obj with the field at path set to value."""
+    obj = json.loads(json.dumps(obj))
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return obj
 
 
 def _field_paths(obj, prefix=()):
@@ -355,20 +391,22 @@ def test_certificate_field_type_sweep(capsys, tmp_path):
     seen = set()
     target = tmp_path / "bad.json"
     for kind, cert in sorted(certs.items()):
+        spoiled = _with(cert, *SPOILERS[kind])
+        target.write_text(json.dumps(spoiled))
+        assert run(capsys, "verify", "--recheck", str(target))[0] == EXIT_FAIL, kind
         for path in _field_paths(cert):
             site = (kind, ".".join(path))
             seen.add(site)
             for bad in BAD_VALUES:
-                obj = json.loads(json.dumps(cert))
-                holder = obj
-                for key in path[:-1]:
-                    holder = holder[key]
-                holder[path[-1]] = bad
-                target.write_text(json.dumps(obj))
+                target.write_text(json.dumps(_with(cert, path, bad)))
                 code, _, err = run(capsys, "verify", "--recheck", str(target))
                 assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE), (site, bad)
                 if site in TYPED_SITES and not (bad == [] and path[-1] in LIST_FIELDS):
                     assert code == EXIT_USAGE, (site, bad)
+                    assert len(err.strip().splitlines()) == 1, (site, bad, err)
+                    target.write_text(json.dumps(_with(spoiled, path, bad)))
+                    code, _, err = run(capsys, "verify", "--recheck", str(target))
+                    assert code == EXIT_USAGE, (site, bad, "spoiled")
                     assert len(err.strip().splitlines()) == 1, (site, bad, err)
     assert TYPED_SITES <= seen
 
@@ -385,13 +423,8 @@ PAYLOAD_EDITS = {
 
 
 def _edited(obj: dict, path: tuple[str, ...]) -> dict:
-    obj = json.loads(json.dumps(obj))
-    holder = obj
-    for key in path[:-1]:
-        holder = holder[key]
-    value = holder[path[-1]]
-    holder[path[-1]] = [0] * len(value) if isinstance(value, list) else value + 1
-    return obj
+    value = functools.reduce(dict.__getitem__, path, obj)
+    return _with(obj, path, [0] * len(value) if isinstance(value, list) else value + 1)
 
 
 @pytest.mark.parametrize("argv", SWEEP_RUNS[1:], ids=list(PAYLOAD_EDITS))
@@ -401,6 +434,8 @@ def test_rerun_certificate_rechecks_only_when_reproduced(capsys, tmp_path, argv)
     (path,) = tmp_path.glob("*.json")
     code, out, _ = run(capsys, "verify", "--recheck", str(path))
     assert code == EXIT_OK and "OK" in out
+    # every sample the certificate records is re-drawn
+    assert "reduced sample prefix" not in out
     obj = json.loads(path.read_text())
     tampered = [{**obj, "nodes_visited": obj["nodes_visited"] + 1000},
                 {**obj, "exhaustive": not obj["exhaustive"]},
@@ -413,7 +448,11 @@ def test_rerun_certificate_rechecks_only_when_reproduced(capsys, tmp_path, argv)
         assert code == EXIT_FAIL and "FAILED" in out, bad
 
 
-def test_k6_universal_recheck_above_the_sample_prefix(capsys, tmp_path):
+def _no_rerun(*args, **kwargs):
+    raise AssertionError("the recheck re-ran the search")
+
+
+def test_k6_universal_recheck_above_the_sample_prefix(capsys, tmp_path, monkeypatch):
     # the recheck re-draws only the first 50,000 samples, so it compares
     # everything but the sampled regime
     code, _, _ = run(capsys, "--cache-dir", str(tmp_path),
@@ -429,7 +468,9 @@ def test_k6_universal_recheck_above_the_sample_prefix(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--recheck", str(target))
     assert code == EXIT_FAIL and "FAILED" in out
     # the sampled counts are not re-drawn, but they must be non-negative
-    # integers that add up to the samples drawn
+    # integers that add up to the samples drawn; they are read and checked
+    # before the re-run, and no case below gets that far
+    monkeypatch.setattr(search, "verify_k6_universal_3unique", _no_rerun)
     sampled = obj["payload"]["sampled_regime"]
     total = 60000
     assert sampled["samples_checked"] + sampled["rainbow_skipped"] == total
@@ -442,18 +483,16 @@ def test_k6_universal_recheck_above_the_sample_prefix(capsys, tmp_path):
         target.write_text(json.dumps(bad))
         code, out, _ = run(capsys, "verify", "--recheck", str(target))
         assert code == EXIT_FAIL and "FAILED" in out, (checked, skipped)
+    # a bad type exits 2 also beside an edit the re-run would catch
+    spoiled = _edited(obj, ("payload", "exhaustive_regime", "nodes_visited"))
     for path in (("sampled_regime",), ("sampled_regime", "samples_checked"),
                  ("sampled_regime", "rainbow_skipped")):
         for value in BAD_VALUES:
-            bad = json.loads(json.dumps(obj))
-            holder = bad["payload"]
-            for key in path[:-1]:
-                holder = holder[key]
-            holder[path[-1]] = value
-            target.write_text(json.dumps(bad))
-            code, out, err = run(capsys, "verify", "--recheck", str(target))
-            assert code == EXIT_USAGE and out == "", (path, value)
-            assert len(err.strip().splitlines()) == 1, (path, value, err)
+            for base in (obj, spoiled):
+                target.write_text(json.dumps(_with(base, ("payload", *path), value)))
+                code, out, err = run(capsys, "verify", "--recheck", str(target))
+                assert code == EXIT_USAGE and out == "", (path, value)
+                assert len(err.strip().splitlines()) == 1, (path, value, err)
 
 
 def _subcommand_flags() -> dict[str, list[str]]:

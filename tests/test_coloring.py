@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from rturan.coloring import (BudgetExhausted, ColoringError, EdgeColoring,
                              canonicalize, color_class_profile, color_classes,
                              conflict_lists, enumerate_proper_colorings,
-                             greedy_delta_plus_one, is_proper,
-                             one_factorization, proper_coloring)
+                             is_proper, one_factorization, proper_coloring)
 from rturan.graphs import (graph_from_edges, make_complete, make_cycle,
                            make_double_star, make_path)
 from rturan.spectrum import full_spectrum_criterion
@@ -110,26 +109,6 @@ def test_one_factorization():
             assert sorted(verts) == list(range(n))
     with pytest.raises(ColoringError):
         one_factorization(0)
-
-
-def test_greedy_delta_plus_one_examples():
-    for g in (make_cycle(5), make_complete(4), make_complete(6),
-              make_double_star(3, 3), make_path(6)):
-        c = greedy_delta_plus_one(g)
-        assert is_proper(g, c)
-        assert c.num_colors <= g.max_degree() + 1
-
-
-@settings(max_examples=40)
-@given(st.integers(2, 7), st.data())
-def test_greedy_delta_plus_one_random(n, data):
-    pairs = list(itertools.combinations(range(n), 2))
-    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
-                                min_size=1, max_size=len(pairs)))
-    g = graph_from_edges(n, chosen)
-    c = greedy_delta_plus_one(g)
-    assert is_proper(g, c)
-    assert c.num_colors <= g.max_degree() + 1
 
 
 def test_color_class_profile():

@@ -177,6 +177,12 @@ def test_brute_extremal_value_and_certificates(tmp_path):
 def test_recheck_rejects_tampering():
     out = brute_extremal(4, make_path(3), 2)  # avoider lives on K4
     cert = out["lower_witness"]
+    # the claim must be the stored graph's: ex(4, P3) >= 6 on K4, a PASS
+    for field, value in (("n", 5), ("m", 7), ("verdict", FAIL)):
+        edited = json.loads(json.dumps(cert.to_json()))
+        (edited if field == "verdict" else edited["params"])[field] = value
+        ok, detail = recheck_certificate(Certificate.from_json(edited))
+        assert not ok and "does not match the stored graph" in detail, field
     obj = cert.to_json()
     obj["payload"]["coloring"]["colors"] = [0] * len(
         obj["payload"]["coloring"]["colors"])
