@@ -41,9 +41,9 @@ def find_k_unique(c: EdgeColoring, pattern: Graph,
     Prunes the embedding search with a running bound on the reachable unique
     count; at a full embedding nothing remains, so the bound is the test.
 
-    The search walks only one embedding per orbit of twin-leaf swaps
-    (`twins=True`), yet returns the same report as a filter over every
-    labeled embedding:
+    enumerate_embeddings yields only one embedding per orbit of twin-leaf
+    swaps, yet the report is the same as a filter over every labeled
+    embedding would return:
     - the accept test reads only the copy's color multiset, which swapping
       the images of two twin leaves leaves unchanged;
     - the labeled stream is lexicographic in the images (candidates are
@@ -61,7 +61,7 @@ def find_k_unique(c: EdgeColoring, pattern: Graph,
         # each further edge can raise the unique count by at most one
         return unique_color_count([colors[e] for e in mapped]) + p - len(mapped) < k
 
-    emb = next(enumerate_embeddings(pattern, c.graph, out_of_reach, twins=True), None)
+    emb = next(enumerate_embeddings(pattern, c.graph, out_of_reach), None)
     if emb is None:
         return None
     return report_for(c, emb)

@@ -8,6 +8,7 @@ that colorings and certificates refer to.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -273,22 +274,29 @@ def twin_classes(pattern: Graph) -> list[list[int]]:
     return [leaves for leaves in by_parent.values() if len(leaves) > 1]
 
 
+def twin_orbit_size(pattern: Graph) -> int:
+    """Labeled embeddings per embedding that enumerate_embeddings yields: the
+    product of the twin classes' factorials, so labeled = orbits x this."""
+    return math.prod(math.factorial(len(leaves)) for leaves in twin_classes(pattern))
+
+
 def enumerate_embeddings(pattern: Graph, host: Graph,
                          prune: Optional[Callable[[list[int]], bool]] = None,
-                         *, twins: bool = False) -> Iterator[Embedding]:
-    """Yield every labeled embedding (injective homomorphism) of pattern into host.
+                         ) -> Iterator[Embedding]:
+    """Yield one embedding (injective homomorphism) of pattern into host per
+    orbit of twin-leaf swaps.
 
-    Embeddings related by pattern automorphisms are all yielded; the order is
-    deterministic: lexicographic in the host images taken in search order.
-    Empty stream when no copy exists.  `prune(mapped)` is consulted after
-    each pattern vertex is placed, with the host edge indices of the pattern
-    edges mapped so far; returning True cuts the subtree.
-
-    With `twins=True`, each class of twin leaves (see `twin_classes`) must
-    take increasing host vertices in search order, so one embedding per
-    orbit of the twin permutations is yielded: the stream is the labeled
-    stream filtered to those embeddings, and its length times the product
-    of the class sizes' factorials is the labeled count.
+    Each class of twin leaves (see `twin_classes`) takes increasing host
+    vertices in search order.  The stream is the labeled stream filtered to
+    those embeddings, so its length times `twin_orbit_size(pattern)` is the
+    labeled count.  Copies in one orbit map onto the same host edge set, so
+    a search that reads a copy only through its edges (its color multiset,
+    its largest edge) loses nothing.  Other pattern automorphisms are not
+    quotiented.  The order is deterministic: lexicographic in the host
+    images taken in search order.  Empty stream when no copy exists.
+    `prune(mapped)` is consulted after each pattern vertex is placed, with
+    the host edge indices of the pattern edges mapped so far; returning True
+    cuts the subtree.
 
     Twin look-ahead: the twins of a class are placed after their common
     parent and draw from one sorted list, the host neighbors of the parent's
@@ -314,13 +322,12 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     # its twins placed after it
     floor_of = [-1] * len(order)
     after = [0] * len(order)
-    if twins:
-        for leaves in twin_classes(pattern):
-            ranked = sorted(map(pos.__getitem__, leaves))
-            for j, i in enumerate(ranked):
-                after[i] = len(ranked) - 1 - j
-                if j:
-                    floor_of[i] = order[ranked[j - 1]]
+    for leaves in twin_classes(pattern):
+        ranked = sorted(map(pos.__getitem__, leaves))
+        for j, i in enumerate(ranked):
+            after[i] = len(ranked) - 1 - j
+            if j:
+                floor_of[i] = order[ranked[j - 1]]
     adjacency = host.adjacency
     edge_index = host.edge_index
     neighbors = [sorted(a) for a in adjacency]

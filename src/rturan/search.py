@@ -16,7 +16,7 @@ from .coloring import (EdgeColoring, conflict_lists, graph_hash, is_proper,
                        one_factorization)
 from .detect import find_k_unique
 from .graphs import (Graph, canonical_key, enumerate_embeddings, is_int,
-                     make_complete, make_double_star)
+                     make_complete, make_double_star, twin_orbit_size)
 
 RAINBOW = "rainbow"
 # hosts with more labeled copies of the pattern are refused, not searched
@@ -42,8 +42,9 @@ def _resolve_k(f: Graph, k) -> int:
         raise ValueError("the pattern must have at least one edge")
     if k == RAINBOW:
         return f.num_edges
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"bad k {k!r}")
+    if not isinstance(k, int) or not 0 <= k <= f.num_edges:
+        raise ValueError(f"bad k {k!r}: must be within 0..{f.num_edges}, "
+                         "the pattern's edge count")
     return k
 
 
@@ -52,19 +53,25 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k,
     """Search for a proper coloring of g with no k-unique copy of f.
 
     Canonical coloring DFS; branches where a fully colored copy already
-    satisfies k are cut.  Exhaustive unless the budget trips.  Raises
-    ValueError when g holds more than MAX_COPIES labeled copies of f.
+    satisfies k are cut.  Exhaustive unless the budget trips.  The kernel
+    gets one copy per orbit of twin-leaf swaps (enumerate_embeddings): the
+    copies of an orbit cover one host edge set, so the cut at a copy's
+    largest edge decides alike for each of them.  `copies` and the
+    MAX_COPIES cap still count labeled copies, orbits x twin_orbit_size(f).
+    Raises ValueError when g holds more than MAX_COPIES labeled copies of f.
     """
     kk = _resolve_k(f, k)
-    emb_edges = [list(e.edge_map) for e in
-                 itertools.islice(enumerate_embeddings(f, g), MAX_COPIES + 1)]
-    if len(emb_edges) > MAX_COPIES:
+    per_orbit = twin_orbit_size(f)
+    emb_edges = [list(e.edge_map) for e in itertools.islice(
+        enumerate_embeddings(f, g), MAX_COPIES // per_orbit + 1)]
+    copies = len(emb_edges) * per_orbit
+    if copies > MAX_COPIES:
         raise ValueError(f"host holds over {MAX_COPIES} labeled copies of the "
                          "pattern; too many to search")
     colors, nodes, exhausted = _kernels.find_avoiding_coloring(
         g.num_edges, conflict_lists(g), emb_edges, kk, False, g.num_edges, budget)
     coloring = EdgeColoring(g, tuple(colors)) if colors is not None else None
-    return AvoiderResult(coloring, nodes, exhausted, len(emb_edges))
+    return AvoiderResult(coloring, nodes, exhausted, copies)
 
 
 def graphs_up_to_iso(n: int) -> Iterator[Graph]:
@@ -146,7 +153,7 @@ def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
     raise AssertionError("unreachable: the empty graph avoids everything")
 
 
-def _k6_embedding_edges() -> tuple[Graph, EdgeColoring, list[list[int]]]:
+def _k6_embedding_edges() -> tuple[Graph, Graph, list[list[int]]]:
     host = make_complete(6)
     pattern = make_double_star(2, 2)
     emb = [list(e.edge_map) for e in enumerate_embeddings(pattern, host)]
@@ -155,7 +162,9 @@ def _k6_embedding_edges() -> tuple[Graph, EdgeColoring, list[list[int]]]:
 
 def verify_k6_rainbow_free() -> Certificate:
     """All DS_{2,2} embeddings of K_6 under the circle-method 1-factorization:
-    none is rainbow."""
+    none is rainbow.  One embedding per twin-leaf orbit is checked (180 of
+    them), and embeddings_checked counts the labeled ones, 180 x 4 = 720.
+    A FAIL's rainbow_embedding_rows index the orbit rows."""
     host, pattern, emb = _k6_embedding_edges()
     coloring = one_factorization(3)
     counts = _kernels.unique_counts(list(coloring.colors), emb)
@@ -166,7 +175,8 @@ def verify_k6_rainbow_free() -> Certificate:
                            payload={"rainbow_embedding_rows": rainbow,
                                     "coloring": coloring.to_json()})
     return Certificate("k6_rainbow_free", PASS, params,
-                       payload={"embeddings_checked": len(emb),
+                       payload={"embeddings_checked":
+                                    len(emb) * twin_orbit_size(pattern),
                                 "coloring": coloring.to_json()})
 
 
@@ -265,6 +275,7 @@ def revalidate_avoider(cert: Certificate) -> tuple[bool, str]:
                          f"object: {coloring!r}")
     colors = _int_list(cert, coloring.get("colors"), "colors")
     n, m, k = (_int_param(cert, name) for name in ("n", "m", "k"))
+    k = _resolve_k(f, k)
     if not is_proper(g, colors):  # first, as it raises on a wrong length
         return False, "stored coloring is not proper"
     if cert.verdict != PASS or (n, m) != (g.n, g.num_edges):

@@ -15,7 +15,7 @@ from rturan.coloring import (enumerate_proper_colorings, is_proper,
                              unique_color_count)
 from rturan.graphs import (enumerate_embeddings, graph_from_edges,
                            make_caterpillar, make_complete, make_cycle,
-                           make_double_star, make_path)
+                           make_double_star, make_path, twin_orbit_size)
 from rturan.search import (RAINBOW, brute_extremal, verify_k2s4_construction,
                            verify_k6_rainbow_free, verify_k6_universal_3unique,
                            verify_reduction)
@@ -23,8 +23,8 @@ from rturan.spectrum import (compute_spectrum, ds_spectrum_closed_form,
                              find_qualifying_coloring, round_up_k,
                              witness_family)
 
-from oracles import (naive_classical_turan, naive_embeddings,
-                     naive_proper_colorings)
+from oracles import (naive_classical_turan, naive_embedding_stream,
+                     naive_embeddings, naive_proper_colorings)
 
 
 @contextmanager
@@ -199,6 +199,10 @@ def test_criterion_11_oracle_equivalences():
             assert got == sorted(naive_proper_colorings(g, cap)), g
         for pattern, host in embedding_corpus:
             assert host.n <= 7
+            # one embedding per orbit of twin swaps, standing for the labeled ones
             got = sorted(e.vertex_map
                          for e in enumerate_embeddings(pattern, host))
-            assert got == naive_embeddings(pattern, host), (pattern, host)
+            assert got == sorted(naive_embedding_stream(pattern, host, twins=True)), \
+                (pattern, host)
+            assert len(got) * twin_orbit_size(pattern) == \
+                len(naive_embeddings(pattern, host)), (pattern, host)

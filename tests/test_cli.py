@@ -244,6 +244,9 @@ MALFORMED_CERTIFICATES = {
     "reduction-k-negative.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", "params": '
                                  '{"original": {"n": 2, "edges": [[0, 1]]}, '
                                  '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": -1}}',
+    "reduction-k-above.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", "params": '
+                              '{"original": {"n": 2, "edges": [[0, 1]]}, '
+                              '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": 2}}',
     "reduction-k-null.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", "params": '
                              '{"original": {"n": 2, "edges": [[0, 1]]}, '
                              '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": null}}',
@@ -281,6 +284,7 @@ MALFORMED_CERTIFICATES = {
     "search --n 4 --pattern K1 --k 0",
     "search --n 4 --pattern P3 --rainbow --k 1",
     "search --n 4 --pattern P3",
+    "search --n 4 --pattern P3 --k 4",  # above the pattern's 3 edges
     "verify k2s4 --s 5",
     "verify --recheck missing.json",
     *(f"verify --recheck {name}" for name in MALFORMED_CERTIFICATES),
@@ -348,6 +352,9 @@ TYPED_SITES = {
       for f in ("", ".n", ".edges", ".labels")),
 }
 LIST_FIELDS = {"assumptions", "edges", "colors", "labels"}
+# well-typed values out of range at a typed site, which exit 2 with one line
+# as a wrong type does: the avoider's pattern is P2, so k lies in 0..2
+RANGE_SITES = {("avoider", "params.k"): (-1, 99)}
 # one edit per kind that alone fails its recheck (exit 1); a recheck reads and
 # type-checks every field before its first check, so a bad value at a typed
 # site still exits 2 beside it
@@ -397,7 +404,7 @@ def test_certificate_field_type_sweep(capsys, tmp_path):
         for path in _field_paths(cert):
             site = (kind, ".".join(path))
             seen.add(site)
-            for bad in BAD_VALUES:
+            for bad in (*BAD_VALUES, *RANGE_SITES.get(site, ())):
                 target.write_text(json.dumps(_with(cert, path, bad)))
                 code, _, err = run(capsys, "verify", "--recheck", str(target))
                 assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE), (site, bad)

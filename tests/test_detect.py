@@ -7,11 +7,18 @@ from rturan._kernels import pure
 from rturan.coloring import (EdgeColoring, conflict_lists, one_factorization,
                              proper_coloring, unique_color_count)
 from rturan.detect import find_k_unique, report_for
-from rturan.graphs import (enumerate_embeddings, graph_from_edges,
+from rturan.graphs import (Embedding, enumerate_embeddings, graph_from_edges,
                            make_caterpillar, make_complete, make_cycle,
                            make_double_star, make_path)
 
-from oracles import naive_max_unique
+from oracles import naive_embedding_stream, naive_max_unique
+
+
+def labeled_stream(pattern, host):
+    """Every labeled embedding, in the order a search over all of them
+    would take: the plain filter that find_k_unique must agree with."""
+    return [Embedding.from_vertex_map(pattern, host, vm)
+            for vm in naive_embedding_stream(pattern, host)]
 
 
 def test_unique_count_examples():
@@ -92,16 +99,17 @@ def test_no_copy_at_all():
                          ids=["K5", "K6", "C6"])
 def test_pruned_search_matches_plain_filter(host):
     # the pruned search must return the first embedding a plain filter over
-    # the full enumeration accepts, for every k
+    # every labeled embedding accepts, for every k
     conf = conflict_lists(host)
     patterns = [make_path(2), make_path(3), make_double_star(1, 2),
                 make_double_star(2, 2)]
+    streams = {f: labeled_stream(f, host) for f in patterns}
     for seed in (3, 17, 2024):
         colors = pure.random_proper_coloring(host.num_edges, conf,
                                              pure.XorShift64Star(seed))
         c = proper_coloring(host, tuple(colors))
         for f in patterns:
-            embs = list(enumerate_embeddings(f, host))
+            embs = streams[f]
             counts = [report_for(c, e).unique_count for e in embs]
             for k in range(f.num_edges + 1):
                 want = next((e for e, u in zip(embs, counts) if u >= k), None)
@@ -130,7 +138,7 @@ def test_orbit_search_matches_labeled_filter(n, data):
                                 max_size=host.num_edges))
     c = EdgeColoring(host, tuple(colors))
     for f in TWIN_PATTERNS:
-        embs = list(enumerate_embeddings(f, host))
+        embs = labeled_stream(f, host)
         counts = [report_for(c, e).unique_count for e in embs]
         for k in range(f.num_edges + 1):
             want = next((e for e, u in zip(embs, counts) if u >= k), None)
@@ -153,6 +161,5 @@ def test_twin_look_ahead_prune_calls_k10():
         calls += 1
         return unique_color_count([c.colors[e] for e in mapped]) + p - len(mapped) < p
 
-    assert next(enumerate_embeddings(pattern, c.graph, not_rainbow, twins=True),
-                None) is None
+    assert next(enumerate_embeddings(pattern, c.graph, not_rainbow), None) is None
     assert calls <= 10_196

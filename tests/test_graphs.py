@@ -9,7 +9,8 @@ from rturan.graphs import (DEFAULT_VERTEX_CAP, Embedding, Graph, GraphError,
                            enumerate_embeddings, graph_from_edges,
                            make_broom, make_caterpillar, make_complete,
                            make_cycle, make_double_star, make_path,
-                           make_perfect_kary, _search_order, twin_classes)
+                           make_perfect_kary, _search_order, twin_classes,
+                           twin_orbit_size)
 
 from oracles import naive_canonical_key, naive_embedding_stream, naive_embeddings
 
@@ -118,15 +119,21 @@ def test_embedding_constructor_validates():
 
 
 def test_embedding_counts_frozen():
-    # single edge: ordered vertex pairs
-    assert sum(1 for _ in enumerate_embeddings(make_path(1), make_complete(4))) == 12
-    assert sum(1 for _ in enumerate_embeddings(make_path(2), make_complete(4))) == 24
-    # self-embeddings count the automorphism group
-    for g, aut in ((make_path(3), 2), (make_cycle(6), 12),
-                   (make_double_star(2, 2), 8), (make_complete(4), 24)):
-        assert sum(1 for _ in enumerate_embeddings(g, g)) == aut
-    assert sum(1 for _ in enumerate_embeddings(
-        make_double_star(2, 2), make_complete(6))) == 720
+    # labeled counts: orbits x twin_orbit_size, and the oracle's count
+    cases = [
+        # single edge: ordered vertex pairs
+        (make_path(1), make_complete(4), 12),
+        (make_path(2), make_complete(4), 24),
+        (make_double_star(2, 2), make_complete(6), 720),
+        # self-embeddings count the automorphism group
+        *((g, g, aut) for g, aut in ((make_path(3), 2), (make_cycle(6), 12),
+                                     (make_double_star(2, 2), 8),
+                                     (make_complete(4), 24))),
+    ]
+    for pattern, host, labeled in cases:
+        orbits = sum(1 for _ in enumerate_embeddings(pattern, host))
+        assert orbits * twin_orbit_size(pattern) == labeled
+        assert len(naive_embeddings(pattern, host)) == labeled
 
 
 def test_twin_classes():
@@ -137,12 +144,6 @@ def test_twin_classes():
     assert twin_classes(make_double_star(0, 3)) == [[0, 2, 3, 4]]
     assert twin_classes(make_caterpillar([2, 0, 3])) == [[3, 4], [5, 6, 7]]
     assert twin_classes(make_cycle(5)) == []
-
-
-def _increasing_on_twins(pattern, emb):
-    # the search order places the leaves of a twin class by increasing id
-    return all(emb.vertex_map[a] < emb.vertex_map[b]
-               for leaves in twin_classes(pattern) for a, b in zip(leaves, leaves[1:]))
 
 
 def circulant(n: int, offsets) -> Graph:
@@ -160,12 +161,13 @@ def circulant(n: int, offsets) -> Graph:
 def test_twin_orbit_counts(pattern, host, factor, labeled):
     # one embedding per orbit of twin swaps: orbit count x prod(|class|!) is
     # the labeled count (DS17-K10 is only counted: 3.6M labeled embeddings)
-    orbits = list(enumerate_embeddings(pattern, host, twins=True))
+    assert twin_orbit_size(pattern) == factor
+    orbits = [e.vertex_map for e in enumerate_embeddings(pattern, host)]
     if pattern.n < 10:
-        stream = list(enumerate_embeddings(pattern, host))
+        stream = naive_embedding_stream(pattern, host)
         assert labeled in (None, len(stream))
         labeled = len(stream)
-        assert orbits == [e for e in stream if _increasing_on_twins(pattern, e)]
+        assert orbits == naive_embedding_stream(pattern, host, twins=True)
     assert len(orbits) * factor == labeled
 
 
@@ -180,8 +182,10 @@ def test_embeddings_match_naive_oracle():
                                                       (3, 4), (4, 5)])),
     ]
     for pattern, host in cases:
+        # one embedding per orbit of twin swaps, standing for the labeled ones
         got = sorted(e.vertex_map for e in enumerate_embeddings(pattern, host))
-        assert got == naive_embeddings(pattern, host)
+        assert got == sorted(naive_embedding_stream(pattern, host, twins=True))
+        assert len(got) * twin_orbit_size(pattern) == len(naive_embeddings(pattern, host))
 
 
 ORDER_PATTERNS = {
@@ -207,8 +211,8 @@ def _has_cut_prefix(pattern, host, vertex_map, cut) -> bool:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(ORDER_PATTERNS)), st.booleans(), st.data())
-def test_embedding_stream_order_matches_oracle(name, twins, data):
+@given(st.sampled_from(sorted(ORDER_PATTERNS)), st.data())
+def test_embedding_stream_order_matches_oracle(name, data):
     # the stream itself, in order, not only its set of vertex maps; hosts are
     # K_n minus a few edges, and since CAT 2,0,3 has 8 vertices, its go up to 8
     pattern = ORDER_PATTERNS[name]
@@ -216,8 +220,8 @@ def test_embedding_stream_order_matches_oracle(name, twins, data):
     pairs = list(itertools.combinations(range(n), 2))
     dropped = data.draw(st.sets(st.sampled_from(pairs)), label="dropped")
     host = graph_from_edges(n, [e for e in pairs if e not in dropped])
-    expected = naive_embedding_stream(pattern, host, twins)
-    got = list(enumerate_embeddings(pattern, host, twins=twins))
+    expected = naive_embedding_stream(pattern, host, twins=True)
+    got = list(enumerate_embeddings(pattern, host))
     assert [e.vertex_map for e in got] == expected
     # a deterministic prune that reads the mapped edges as a set (their order
     # within one step is not fixed): an embedding is yielded exactly when
@@ -227,7 +231,7 @@ def test_embedding_stream_order_matches_oracle(name, twins, data):
     def cut(mapped):
         return (salt + sum(7 * e * e + 3 for e in mapped)) % 5 == 0
 
-    pruned = list(enumerate_embeddings(pattern, host, cut, twins=twins))
+    pruned = list(enumerate_embeddings(pattern, host, cut))
     assert pruned == [Embedding.from_vertex_map(pattern, host, vm) for vm in expected
                       if not _has_cut_prefix(pattern, host, vm, cut)]
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from collections import Counter
@@ -5,20 +6,22 @@ from collections import Counter
 import pytest
 
 from rturan import certs, search
+from rturan._kernels import pure
 from rturan.certs import (FAIL, PASS, Certificate, load_certificate,
                           save_certificate)
-from rturan.coloring import is_proper, one_factorization
+from rturan.coloring import conflict_lists, is_proper, one_factorization
 from rturan.detect import find_k_unique
 from rturan.graphs import (Graph, canonical_key, graph_from_edges,
-                           make_complete, make_cycle, make_double_star,
-                           make_path)
+                           make_caterpillar, make_complete, make_cycle,
+                           make_double_star, make_path)
 from rturan.search import (RAINBOW, brute_extremal, exists_avoiding_coloring,
                            graphs_up_to_iso, recheck_certificate,
                            verify_k2s4_construction, verify_k6_rainbow_free,
-                           verify_k6_universal_3unique)
+                           verify_k6_universal_3unique, verify_reduction)
+from rturan.bounds import augment_caterpillar
 
 from oracles import (burnside_graph_count, naive_classical_turan,
-                     naive_graphs_up_to_iso)
+                     naive_embeddings, naive_graphs_up_to_iso)
 
 
 def test_exists_avoiding_basic():
@@ -44,6 +47,45 @@ def test_exists_avoiding_k6_ds22():
     res3 = exists_avoiding_coloring(k6, ds22, 3)
     assert res3.coloring is None and res3.exhaustive
     assert res3.nodes_visited == 29
+
+
+ORBIT_FEED_PATTERNS = [make_path(2), make_double_star(1, 2), make_double_star(2, 2),
+                       make_caterpillar([2, 0, 1])]
+
+
+def _orbit_feed_hosts():
+    # every class on at most 5 vertices, and every third class on 6
+    for n in range(1, 6):
+        yield from graphs_up_to_iso(n)
+    yield from itertools.islice(graphs_up_to_iso(6), 0, None, 3)
+
+
+def test_orbit_feed_changes_no_avoider_search():
+    # exists_avoiding_coloring feeds the kernel one copy per twin-leaf orbit;
+    # the pure kernel fed every labeled copy (the oracle's) must give the same
+    # coloring, nodes and exhaustion, and .copies must count labeled copies
+    for g in _orbit_feed_hosts():
+        conf = conflict_lists(g)
+        for f in ORBIT_FEED_PATTERNS:
+            rows = [[g.edge_index[(min(vm[u], vm[v]), max(vm[u], vm[v]))]
+                     for (u, v) in f.edges] for vm in naive_embeddings(f, g)]
+            for k in range(f.num_edges + 1):
+                for budget in (None, 3):
+                    res = exists_avoiding_coloring(g, f, k, budget)
+                    got = (list(res.coloring.colors) if res.coloring else None,
+                           res.nodes_visited, res.exhaustive)
+                    want = pure.find_avoiding_coloring(
+                        g.num_edges, conf, rows, k, False, g.num_edges, budget)
+                    assert got == want, (g.edges, f.edges, k, budget)
+                    assert res.copies == len(rows)
+
+
+def test_verify_reduction_cat_202_frozen():
+    aug = augment_caterpillar([2, 0, 2])
+    cert = verify_reduction(aug.original, aug, aug.k)
+    assert cert.verdict == PASS
+    assert cert.nodes_visited == 7_868
+    assert cert.payload == {"embeddings_considered": 360}
 
 
 def test_graphs_up_to_iso_counts():
