@@ -7,6 +7,9 @@
  * A list of int lists (the earlier edges each edge conflicts with, the host
  * edges of each pattern copy, the copies whose largest edge is i) arrives as
  * two arrays: row r is idx[off[r]] .. idx[off[r + 1] - 1].
+ *
+ * The caller passes every output and work buffer too (the sampler's options
+ * and marks included), so nothing here allocates.
  */
 #include <stdint.h>
 
@@ -103,22 +106,36 @@ static uint64_t next_u64(uint64_t *state)
 
 /* pure.sample_and_check from the (nonzero) xorshift64* state.  Returns the
  * index of the first sample with no satisfied copy, left in colors, or -1;
- * counts gets (checked, rainbow_skipped).  options holds m + 1 ints. */
+ * counts gets (checked, rainbow_skipped).  options holds m + 1 ints and
+ * marks m + 1 zeroed uint64s.
+ *
+ * Each edge's choices are found by mark and scan: marks[c + 1] = stamp for
+ * every color c its conflict edges hold (an uncolored one, which a conflict
+ * list naming a later edge or the edge itself reads, marks slot 0), then one
+ * pass over c < used lists the unmarked colors in ascending order, as pure
+ * does.  stamp counts the edges colored in this call, starting above the
+ * zeroed buffer; 64 bits cannot wrap in any feasible run, so a stamp never
+ * repeats and no mark left by an earlier edge or sample reads as current. */
 long long rt_sample_and_check(int m, const int *conf_off, const int *conf,
                               int n_emb, const int *emb_off, const int *emb,
                               int k, int exactly, long long n_samples,
                               uint64_t state, int skip_rainbow,
-                              int *colors, int *options, long long *counts)
+                              int *colors, int *options, uint64_t *marks,
+                              long long *counts)
 {
+    uint64_t stamp = 0;
     counts[0] = counts[1] = 0;
     for (long long s = 0; s < n_samples; s++) {
         int used = 0;
         for (int i = 0; i < m; i++)  /* uncolored edges read -1, as in pure */
             colors[i] = -1;
         for (int i = 0; i < m; i++) {  /* pure.random_proper_coloring */
+            stamp++;
+            for (int j = conf_off[i]; j < conf_off[i + 1]; j++)
+                marks[colors[conf[j]] + 1] = stamp;
             int n_opt = 0;
             for (int c = 0; c < used; c++)
-                if (allowed(colors, conf_off, conf, i, c))
+                if (marks[c + 1] != stamp)
                     options[n_opt++] = c;
             options[n_opt++] = used;  /* a fresh color is always an option */
             colors[i] = options[(next_u64(&state) >> 33) % (uint64_t)n_opt];

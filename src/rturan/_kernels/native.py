@@ -26,14 +26,14 @@ try:
 except OSError as exc:
     raise ImportError(f"compiled kernel not built: {exc}") from exc
 
-_int, _ll = ctypes.c_int, ctypes.c_longlong
-_ints_p, _ll_p = ctypes.POINTER(_int), ctypes.POINTER(_ll)
+_int, _ll, _u64 = ctypes.c_int, ctypes.c_longlong, ctypes.c_uint64
+_ints_p, _ll_p, _u64_p = ctypes.POINTER(_int), ctypes.POINTER(_ll), ctypes.POINTER(_u64)
 _lib.rt_find_avoiding.argtypes = [_int, *[_ints_p] * 6, _int, _int, _int, _ll,
                                   _ints_p, _ll_p]
 _lib.rt_find_avoiding.restype = _int
 _lib.rt_sample_and_check.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _ints_p,
-                                     _int, _int, _ll, ctypes.c_uint64, _int,
-                                     _ints_p, _ints_p, _ll_p]
+                                     _int, _int, _ll, _u64, _int,
+                                     _ints_p, _ints_p, _u64_p, _ll_p]
 _lib.rt_sample_and_check.restype = _ll
 _lib.rt_unique_counts.argtypes = [_ints_p, _int, _ints_p, _ints_p, _ints_p]
 _lib.rt_unique_counts.restype = None
@@ -107,7 +107,7 @@ def sample_and_check(num_edges: int,
     index = _lib.rt_sample_and_check(
         num_edges, *conf, len(emb_edges), *emb, _sat(k), bool(exactly),
         _sat(num_samples, 64), XorShift64Star(seed).state, bool(skip_rainbow),
-        colors, (_int * (num_edges + 1))(), counts)
+        colors, (_int * (num_edges + 1))(), (_u64 * (num_edges + 1))(), counts)
     found = index >= 0
     return {"checked": counts[0], "rainbow_skipped": counts[1],
             "counterexample": list(colors) if found else None,

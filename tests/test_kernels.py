@@ -179,3 +179,29 @@ def test_backends_agree_on_arbitrary_conflict_lists():
                         == pure.find_avoiding_coloring(m, conf, emb, k, exactly, 3, budget))
             assert (native.sample_and_check(m, conf, emb, k, exactly, 20, trial)
                     == pure.sample_and_check(m, conf, emb, k, exactly, 20, trial))
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param(pure, id="pure"),
+    pytest.param(native, id="native", marks=needs_native),
+])
+def test_sampler_deep_counterexample_frozen(backend):
+    # the first sample of this stream with no copy of at least 4 unique
+    # edges is number 974; a choice of colors that leaks from one sample to
+    # the next changes the stream only this deep
+    m, conf, emb = instance(make_complete(6), make_double_star(2, 2))
+    assert backend.sample_and_check(m, conf, emb, 4, False, 200_000, 20240901) == {
+        "checked": 975, "rainbow_skipped": 0, "sample_index": 974,
+        "counterexample": [0, 1, 2, 3, 4, 3, 4, 2, 1, 0, 4, 2, 1, 3, 0]}
+
+
+@needs_native
+def test_sampler_backends_agree_past_64_colors():
+    # a 70-edge star: every edge conflicts with all earlier ones, so each
+    # sample is the rainbow coloring 0..69 and colors 64..69 are drawn
+    m, conf = 70, [list(range(i)) for i in range(70)]
+    emb = [[0, 1], [63, 64], [64, 65], [68, 69]]
+    for k in (2, 3):  # every copy, then no copy, satisfied when proper
+        for skip_rainbow in (False, True):
+            assert (native.sample_and_check(m, conf, emb, k, True, 2_000, 9, skip_rainbow)
+                    == pure.sample_and_check(m, conf, emb, k, True, 2_000, 9, skip_rainbow))
