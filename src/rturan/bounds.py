@@ -12,7 +12,6 @@ exposed and disagreements are flagged, never silently reconciled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from typing import Optional, Sequence
@@ -30,18 +29,29 @@ CATERPILLAR_CAP = 4 * DEFAULT_VERTEX_CAP
 KARY_CAP = 100_000
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    family: str
-    params: dict
-    coefficient: Fraction
-    assumptions: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-    construction_log: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.coefficient < 0:
+    def __init__(self, family: str, params: dict, coefficient: Fraction,
+                 assumptions: tuple[str, ...] = (), notes: tuple[str, ...] = (),
+                 construction_log: Optional[tuple] = None):
+        if coefficient < 0:
             raise ValueError("bound coefficients are nonnegative")
+        self.family = family
+        self.params = params
+        self.coefficient = coefficient
+        self.assumptions = assumptions
+        self.notes = notes
+        self.construction_log = construction_log
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return (f"BoundReport(family={self.family!r}, params={self.params!r}, "
+                f"coefficient={self.coefficient!r}, "
+                f"assumptions={self.assumptions!r}, notes={self.notes!r}, "
+                f"construction_log={self.construction_log!r})")
 
     def to_json(self) -> dict:
         out = {
@@ -58,13 +68,25 @@ class BoundReport:
         return out
 
 
-@dataclass
 class AugmentedTree:
-    original: Graph
-    augmented: Graph
-    construction_log: tuple[tuple[str, int], ...]  # (step description, edges added)
-    embedding: Embedding = field(repr=False)
-    k: int  # the lemma's claim: every proper coloring holds a k-unique original
+    def __init__(self, original: Graph, augmented: Graph,
+                 construction_log: tuple[tuple[str, int], ...],
+                 embedding: Embedding, k: int):
+        self.original = original
+        self.augmented = augmented
+        self.construction_log = construction_log  # (step description, edges added)
+        self.embedding = embedding
+        self.k = k  # the lemma's claim: every proper coloring holds a k-unique original
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return (f"AugmentedTree(original={self.original!r}, "
+                f"augmented={self.augmented!r}, "
+                f"construction_log={self.construction_log!r}, k={self.k!r})")
 
     @property
     def edge_count(self) -> int:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -19,16 +18,31 @@ FAIL = "FAIL"
 BUDGET_EXHAUSTED = "BUDGET-EXHAUSTED"
 
 
-@dataclass
 class Certificate:
-    kind: str          # avoider | exhaustion | k6_rainbow_free | k6_universal | k2s4 | reduction
-    verdict: str       # PASS | FAIL | BUDGET-EXHAUSTED
-    params: dict
-    payload: dict = field(default_factory=dict)
-    nodes_visited: int = 0
-    exhaustive: bool = True
-    assumptions: tuple[str, ...] = ()
-    seed: Optional[int] = None
+    def __init__(self, kind: str, verdict: str, params: dict,
+                 payload: Optional[dict] = None, nodes_visited: int = 0,
+                 exhaustive: bool = True, assumptions: tuple[str, ...] = (),
+                 seed: Optional[int] = None):
+        self.kind = kind        # avoider | exhaustion | k6_rainbow_free | k6_universal | k2s4 | reduction
+        self.verdict = verdict  # PASS | FAIL | BUDGET-EXHAUSTED
+        self.params = params
+        self.payload = {} if payload is None else payload
+        self.nodes_visited = nodes_visited
+        self.exhaustive = exhaustive
+        self.assumptions = assumptions
+        self.seed = seed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return (f"Certificate(kind={self.kind!r}, verdict={self.verdict!r}, "
+                f"params={self.params!r}, payload={self.payload!r}, "
+                f"nodes_visited={self.nodes_visited!r}, "
+                f"exhaustive={self.exhaustive!r}, "
+                f"assumptions={self.assumptions!r}, seed={self.seed!r})")
 
     def to_json(self) -> dict:
         return {

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import Graph, make_complete
+from .graphs import Graph, make_complete, read_only
 
 
 class ColoringError(ValueError):
@@ -29,18 +28,35 @@ def graph_hash(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
 class EdgeColoring:
-    """Total color assignment edge-index -> color id on a fixed graph."""
+    """Total color assignment edge-index -> color id on a fixed graph.
 
-    graph: Graph
-    colors: tuple[int, ...]
+    Immutable; equal and hashed by value over graph and colors."""
 
-    def __post_init__(self):
-        if len(self.colors) != self.graph.num_edges:
+    __slots__ = ("graph", "colors")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, graph: Graph, colors: tuple[int, ...]):
+        if len(colors) != graph.num_edges:
             raise ColoringError("coloring length does not match edge count")
-        if any(c < 0 for c in self.colors):
+        if any(c < 0 for c in colors):
             raise ColoringError("color ids must be nonnegative")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "colors", colors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.colors) == (other.graph, other.colors)
+
+    def __hash__(self):
+        return hash((self.graph, self.colors))
+
+    def __repr__(self):
+        return f"EdgeColoring(graph={self.graph!r}, colors={self.colors!r})"
+
+    def __reduce__(self):
+        return EdgeColoring, (self.graph, self.colors)
 
     @property
     def num_colors(self) -> int:
@@ -171,8 +187,7 @@ def one_factorization(m: int) -> EdgeColoring:
     return proper_coloring(g, colors)
 
 
-@dataclass(frozen=True)
-class ColorClassProfile:
+class ColorClassProfile(NamedTuple):
     """Color class sizes sorted descending."""
 
     sizes: tuple[int, ...]

@@ -7,15 +7,13 @@ elsewhere in the host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coloring import EdgeColoring, unique_color_count
 from .graphs import Embedding, Graph, enumerate_embeddings
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     embedding: Embedding
     unique_count: int
     color_multiset: tuple[int, ...]

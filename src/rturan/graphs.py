@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 DEFAULT_VERTEX_CAP = 64
 
@@ -20,23 +19,31 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+def read_only(self, name, value=None):
+    """__setattr__ and __delattr__ of the immutable Graph and EdgeColoring.
+
+    Their __init__ sets each slot once through object.__setattr__, and their
+    __reduce__ rebuilds through __init__, so copy and pickle never set a slot."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set "
+                         f"or delete {name!r}")
+
+
 class Graph:
-    """Simple undirected graph with canonical (lexicographic) edge indexing."""
+    """Simple undirected graph with canonical (lexicographic) edge indexing.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    labels: Optional[tuple[str, ...]] = None
-    adjacency: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
-    edge_index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    Immutable; equal and hashed by value over n, edges and labels."""
 
-    def __post_init__(self):
-        if self.n < 0:
+    __slots__ = ("n", "edges", "labels", "adjacency", "edge_index")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
+                 labels: Optional[tuple[str, ...]] = None):
+        if n < 0:
             raise GraphError("negative vertex count")
         seen = set()
         prev = None
-        for (u, v) in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+        for (u, v) in edges:
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range")
             if u >= v:
                 raise GraphError(f"edge ({u},{v}) endpoints not sorted / self-loop")
@@ -46,14 +53,31 @@ class Graph:
                 raise GraphError("edge list not sorted lexicographically")
             seen.add((u, v))
             prev = (u, v)
-        if self.labels is not None and len(self.labels) != self.n:
+        if labels is not None and len(labels) != n:
             raise GraphError("labels length mismatch")
-        adj = [set() for _ in range(self.n)]
-        for (u, v) in self.edges:
+        adj = [set() for _ in range(n)]
+        for (u, v) in edges:
             adj[u].add(v)
             adj[v].add(u)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adjacency", tuple(frozenset(a) for a in adj))
-        object.__setattr__(self, "edge_index", {e: i for i, e in enumerate(self.edges)})
+        object.__setattr__(self, "edge_index", {e: i for i, e in enumerate(edges)})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges, self.labels) == (other.n, other.edges, other.labels)
+
+    def __hash__(self):
+        return hash((self.n, self.edges, self.labels))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r}, labels={self.labels!r})"
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges, self.labels)
 
     @property
     def num_edges(self) -> int:
@@ -219,8 +243,7 @@ def diameter(g: Graph) -> Optional[int]:
     return best
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """Injective vertex map of a pattern into a host, with the induced edge map."""
 
     vertex_map: tuple[int, ...]

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import _kernels
 from .bounds import AugmentedTree
@@ -29,8 +28,7 @@ S_CAP = 4
 SAMPLE_PREFIX = 50_000
 
 
-@dataclass
-class AvoiderResult:
+class AvoiderResult(NamedTuple):
     coloring: Optional[EdgeColoring]
     nodes_visited: int
     exhaustive: bool

@@ -12,7 +12,6 @@ of a spectrum lies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .coloring import (BudgetExhausted, ColorClassProfile, ColoringError,
@@ -25,13 +24,25 @@ from .graphs import Graph, GraphError, make_double_star
 EDGE_CAP = 12
 
 
-@dataclass
 class KSpectrum:
-    graph: Graph
-    values: tuple[int, ...]
-    witnesses: dict[int, EdgeColoring] = field(repr=False)
-    exhaustive: bool = True
-    nodes_visited: int = 0
+    def __init__(self, graph: Graph, values: tuple[int, ...],
+                 witnesses: dict[int, EdgeColoring], exhaustive: bool = True,
+                 nodes_visited: int = 0):
+        self.graph = graph
+        self.values = values
+        self.witnesses = witnesses
+        self.exhaustive = exhaustive
+        self.nodes_visited = nodes_visited
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return (f"KSpectrum(graph={self.graph!r}, values={self.values!r}, "
+                f"exhaustive={self.exhaustive!r}, "
+                f"nodes_visited={self.nodes_visited!r})")
 
     def to_json(self) -> dict:
         return {

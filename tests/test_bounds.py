@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rturan.bounds import (ERDOS_SOS, MCLENNAN, augment_binary,
+from rturan.bounds import (ERDOS_SOS, MCLENNAN, BoundReport, augment_binary,
                            augment_caterpillar, augment_double_star,
                            augment_kary, binary_coefficients,
                            caterpillar_bounds, caterpillar_coefficient_literal,
@@ -25,6 +25,17 @@ def test_erdos_sos_coefficient():
     assert erdos_sos_coefficient(1) == 0
     with pytest.raises(ValueError):
         erdos_sos_coefficient(0)
+
+
+def test_bound_report_fields():
+    report = BoundReport("ds_rainbow_lower", {"r": 1, "s": 2}, Fraction(1),
+                         assumptions=(ERDOS_SOS,))
+    assert report == BoundReport(family="ds_rainbow_lower", params={"r": 1, "s": 2},
+                                 coefficient=Fraction(1), assumptions=(ERDOS_SOS,),
+                                 notes=(), construction_log=None)
+    assert report != BoundReport("ds_rainbow_lower", {"r": 1, "s": 2}, Fraction(1))
+    with pytest.raises(ValueError):
+        BoundReport("ds_rainbow_lower", {}, Fraction(-1, 2))
 
 
 def test_tree_assumption_flags():

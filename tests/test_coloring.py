@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,22 @@ def test_proper_coloring_constructor():
     assert c.num_colors == 2 == len(c.colors)
     with pytest.raises(ColoringError):
         EdgeColoring(make_path(2), (0, -1))
+    with pytest.raises(ColoringError):
+        EdgeColoring(make_path(2), (0, 1, 2))
+
+
+def test_edge_coloring_is_an_immutable_value():
+    c = EdgeColoring(make_path(3), (0, 1, 0))
+    same = EdgeColoring(graph=make_path(3), colors=(0, 1, 0))
+    assert c == same and hash(c) == hash(same) and len({c, same}) == 1
+    assert c != EdgeColoring(make_path(3), (1, 0, 1))
+    assert c != EdgeColoring(make_cycle(3), (0, 1, 0))
+    for field in ("graph", "colors"):
+        with pytest.raises(AttributeError):
+            setattr(c, field, None)
+        with pytest.raises(AttributeError):
+            delattr(c, field)
+    assert copy.deepcopy(c) == c == pickle.loads(pickle.dumps(c))
 
 
 def test_canonical_form():

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,25 @@ def test_isomorphism_basic():
     assert canonical_key(make_complete(11)) == canonical_key(make_complete(11))
     empty = [canonical_key(graph_from_edges(n, [])) for n in range(3)]
     assert len(set(empty)) == 3
+
+
+def test_graph_and_embedding_are_immutable_values():
+    g = make_double_star(2, 3)
+    same = Graph(n=g.n, edges=tuple(g.edges), labels=g.labels)
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert g.labels is not None and g != Graph(g.n, g.edges)
+    assert g != make_path(g.num_edges) and g != g.to_json()
+    for field in ("n", "edges", "labels", "adjacency", "edge_index"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, None)
+        with pytest.raises(AttributeError):
+            delattr(g, field)
+    assert copy.deepcopy(g) == g == pickle.loads(pickle.dumps(g))
+    e = Embedding.from_vertex_map(make_path(2), g, [2, 0, 1])
+    same_e = Embedding(vertex_map=(2, 0, 1), edge_map=e.edge_map)
+    assert e == same_e and hash(e) == hash(same_e) and len({e, same_e}) == 1
+    with pytest.raises(AttributeError):
+        e.vertex_map = (0, 1, 2)
 
 
 def test_embedding_constructor_validates():

@@ -343,6 +343,16 @@ def test_certificate_serialization(tmp_path):
         Certificate.from_json(bad)
 
 
+def test_certificate_fields():
+    a, b = Certificate("avoider", PASS, {}), Certificate("avoider", PASS, {})
+    assert a == b and a.payload == {} and a.payload is not b.payload
+    a.seed = 7
+    assert a.seed == 7 and a != b
+    cert = verify_k2s4_construction(0)
+    again = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert again == cert
+
+
 def test_recheck_unknown_kind():
     ok, detail = recheck_certificate(Certificate("mystery", PASS, {}))
     assert not ok and "unknown" in detail
