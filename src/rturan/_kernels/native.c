@@ -5,8 +5,8 @@
  * twin does, node counts and the xorshift64* sample stream included.
  *
  * A list of int lists (the earlier edges each edge conflicts with, the host
- * edges of each pattern copy, the copies whose largest edge is i) arrives as
- * two arrays: row r is idx[off[r]] .. idx[off[r + 1] - 1].
+ * edges of each pattern copy) arrives as two arrays: row r is
+ * idx[off[r]] .. idx[off[r + 1] - 1].
  *
  * The caller passes every output and work buffer too (the sampler's options
  * and marks included), so nothing here allocates.
@@ -77,14 +77,45 @@ static int avoid(search *s, int i, int used)
     return 0;
 }
 
-/* pure.find_avoiding_coloring; a negative limit means no budget.  Returns
- * 1 found (in colors), 0 none, -1 budget exhausted; *nodes gets the count. */
-int rt_find_avoiding(int m, const int *conf_off, const int *conf,
-                     const int *emb_off, const int *emb,
-                     const int *last_off, const int *last,
-                     int k, int exactly, int max_colors, long long limit,
-                     int *colors, long long *nodes)
+/* Largest edge of copy `row`; every copy has at least one edge. */
+static int largest(const int *emb_off, const int *emb, int row)
 {
+    int top = emb[emb_off[row]];
+    for (int j = emb_off[row] + 1; j < emb_off[row + 1]; j++)
+        if (emb[j] > top)
+            top = emb[j];
+    return top;
+}
+
+/* pure._embeddings_by_last_edge as two arrays, by a counting sort: the
+ * copies whose largest edge is i, in row order, are last[last_off[i]] ..
+ * last[last_off[i + 1] - 1].  last_off holds m + 1 ints, last one per copy. */
+static void group_by_last(int m, int copies, const int *emb_off, const int *emb,
+                          int *last_off, int *last)
+{
+    for (int i = 0; i <= m; i++)
+        last_off[i] = 0;
+    for (int r = 0; r < copies; r++)
+        last_off[largest(emb_off, emb, r) + 1]++;
+    for (int i = 0; i < m; i++)
+        last_off[i + 1] += last_off[i];
+    /* each group's start moves to its end, which is the next group's start */
+    for (int r = 0; r < copies; r++)
+        last[last_off[largest(emb_off, emb, r)]++] = r;
+    for (int i = m; i > 0; i--)
+        last_off[i] = last_off[i - 1];
+    last_off[0] = 0;
+}
+
+/* pure.find_avoiding_coloring; a negative limit means no budget.  Returns
+ * 1 found (in colors), 0 none, -1 budget exhausted; *nodes gets the count.
+ * last_off (m + 1 ints) and last (one int per copy) are work buffers. */
+int rt_find_avoiding(int m, const int *conf_off, const int *conf,
+                     int copies, const int *emb_off, const int *emb,
+                     int k, int exactly, int max_colors, long long limit,
+                     int *colors, long long *nodes, int *last_off, int *last)
+{
+    group_by_last(m, copies, emb_off, emb, last_off, last);
     search s = {m, k, exactly, max_colors, conf_off, conf, emb_off, emb,
                 last_off, last, limit, 0, colors};
     for (int i = 0; i < m; i++)

@@ -9,13 +9,14 @@ Importing raises ImportError until the library is built with
 from __future__ import annotations
 
 import ctypes
+import struct
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import Optional, Sequence
 
 from ..coloring import canonicalize
-from .pure import XorShift64Star, _embeddings_by_last_edge
+from .pure import XorShift64Star
 
 BACKEND = "c"
 
@@ -28,8 +29,8 @@ except OSError as exc:
 
 _int, _ll, _u64 = ctypes.c_int, ctypes.c_longlong, ctypes.c_uint64
 _ints_p, _ll_p, _u64_p = ctypes.POINTER(_int), ctypes.POINTER(_ll), ctypes.POINTER(_u64)
-_lib.rt_find_avoiding.argtypes = [_int, *[_ints_p] * 6, _int, _int, _int, _ll,
-                                  _ints_p, _ll_p]
+_lib.rt_find_avoiding.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _ints_p,
+                                  _int, _int, _int, _ll, _ints_p, _ll_p, _ints_p, _ints_p]
 _lib.rt_find_avoiding.restype = _int
 _lib.rt_sample_and_check.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _ints_p,
                                      _int, _int, _ll, _u64, _int,
@@ -48,7 +49,9 @@ def _sat(x: int, bits: int = 32) -> int:
 
 
 def _ints(values: Sequence[int]) -> ctypes.Array:
-    return (_int * len(values))(*values)
+    # one struct.pack call; (_int * n)(*values) converts element by element
+    n = len(values)
+    return (_int * n).from_buffer_copy(struct.pack(f"{n}i", *values))
 
 
 def _rows(rows: Sequence[Sequence[int]], bound: int) -> tuple[ctypes.Array, ctypes.Array]:
@@ -73,13 +76,16 @@ def find_avoiding_coloring(num_edges: int,
                            ) -> tuple[Optional[list[int]], int, bool]:
     """See pure.find_avoiding_coloring."""
     conf = _conflict_rows(num_edges, conflicts)
+    if not all(emb_edges):  # as pure's max() of an empty copy
+        raise ValueError("a pattern copy with no edge in kernel input")
     emb = _rows(emb_edges, num_edges)
-    last = _rows(_embeddings_by_last_edge(num_edges, emb_edges), len(emb_edges))
     colors = (_int * num_edges)()
     nodes = _ll()
-    found = _lib.rt_find_avoiding(num_edges, *conf, *emb, *last, _sat(k), bool(exactly),
-                                  _sat(max_colors), -1 if budget is None else _sat(budget, 64),
-                                  colors, ctypes.byref(nodes))
+    found = _lib.rt_find_avoiding(num_edges, *conf, len(emb_edges), *emb, _sat(k),
+                                  bool(exactly), _sat(max_colors),
+                                  -1 if budget is None else _sat(budget, 64),
+                                  colors, ctypes.byref(nodes),
+                                  (_int * (num_edges + 1))(), (_int * len(emb_edges))())
     return (list(colors) if found == 1 else None), nodes.value, found >= 0
 
 

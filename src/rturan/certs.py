@@ -3,7 +3,6 @@ where each file is named by the hash of its kind and params."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -91,6 +90,8 @@ def default_cache_dir() -> Path:
 
 
 def cache_key(operation: str, params: dict) -> str:
+    import hashlib  # loads OpenSSL; only runs that hash a certificate pay for it
+
     payload = json.dumps({"operation": operation, "params": params,
                           "engine": ENGINE_VERSION},
                          sort_keys=True, separators=(",", ":"))

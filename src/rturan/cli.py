@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.set_defaults(func=cmd_verify)
 
     spp = sub.add_parser("search", help="brute-force ex_k at desk scale")
-    spp.add_argument("--n", type=int, required=True)
+    spp.add_argument("--n", type=_at_least(0), required=True)
     spp.add_argument("--pattern", required=True)
     kp = spp.add_mutually_exclusive_group(required=True)
     kp.add_argument("--rainbow", action="store_true")

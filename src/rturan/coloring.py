@@ -3,7 +3,6 @@ and the circle-method 1-factorization of K_{2m}."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -23,6 +22,8 @@ class BudgetExhausted(Exception):
 
 
 def graph_hash(g: Graph) -> str:
+    import hashlib  # loads OpenSSL; only runs that hash a certificate pay for it
+
     payload = json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]},
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -47,7 +47,9 @@ def _resolve_k(f: Graph, k) -> int:
 
 
 def exists_avoiding_coloring(g: Graph, f: Graph, k,
-                             budget: Optional[int] = None) -> AvoiderResult:
+                             budget: Optional[int] = None,
+                             rows: Optional[list[list[int]]] = None,
+                             ) -> AvoiderResult:
     """Search for a proper coloring of g with no k-unique copy of f.
 
     Canonical coloring DFS; branches where a fully colored copy already
@@ -56,12 +58,15 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k,
     copies of an orbit cover one host edge set, so the cut at a copy's
     largest edge decides alike for each of them.  `copies` and the
     MAX_COPIES cap still count labeled copies, orbits x twin_orbit_size(f).
+    `rows`, when given, are the edge maps of enumerate_embeddings(f, g) in
+    its order (CopyTable.rows gives them); they are enumerated otherwise.
     Raises ValueError when g holds more than MAX_COPIES labeled copies of f.
     """
     kk = _resolve_k(f, k)
     per_orbit = twin_orbit_size(f)
-    emb_edges = [list(e.edge_map) for e in itertools.islice(
-        enumerate_embeddings(f, g), MAX_COPIES // per_orbit + 1)]
+    emb_edges = rows if rows is not None else [
+        list(e.edge_map) for e in itertools.islice(
+            enumerate_embeddings(f, g), MAX_COPIES // per_orbit + 1)]
     copies = len(emb_edges) * per_orbit
     if copies > MAX_COPIES:
         raise ValueError(f"host holds over {MAX_COPIES} labeled copies of the "
@@ -72,6 +77,60 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k,
     return AvoiderResult(coloring, nodes, exhausted, copies)
 
 
+class CopyTable:
+    """The copies of a pattern in K_n, enumerated once, so that each host on
+    the n vertices gets its copies by a filter instead of a search.
+
+    A copy of f in a subgraph g of K_n is a copy in K_n whose edges all lie
+    in g.  The order of enumerate_embeddings' stream (lexicographic in the
+    vertex images, over twin-increasing maps) depends on the pattern alone,
+    and filtering keeps it.  So rows(g) is the edge maps of
+    enumerate_embeddings(f, g), in the same order.
+    """
+
+    __slots__ = ("n", "copies")
+
+    def __init__(self, f: Graph, n: int):
+        complete = Graph(n, tuple(itertools.combinations(range(n), 2)))
+        self.n = n
+        # (edge bit mask, edge row) of each copy, in K_n's edge indices
+        self.copies = [(sum(1 << i for i in e.edge_map), e.edge_map)
+                       for e in enumerate_embeddings(f, complete)]
+
+    def rows(self, g: Graph) -> list[list[int]]:
+        """The copies lying in g, a graph on the table's n vertices, each a
+        list of g's edge indices."""
+        n = self.n
+        to_host: dict[int, int] = {}
+        present = 0
+        for j, (u, v) in enumerate(g.edges):
+            i = u * (2 * n - u - 1) // 2 + v - u - 1  # (u, v)'s index in K_n
+            to_host[i] = j
+            present |= 1 << i
+        absent = ~present
+        return [[to_host[i] for i in row]
+                for mask, row in self.copies if not mask & absent]
+
+
+def _twin_ranks(g: Graph) -> tuple[list[int], list[int]]:
+    """Each vertex's twin class, named by its smallest vertex, and the
+    vertex's place in it.  Twins are as in canonical_key: N(u) - {v} ==
+    N(v) - {u}.  A class is either independent (equal neighborhoods) or a
+    clique (equal closed neighborhoods), and no vertex has twins of both
+    kinds: with N(u) = N(v) and N[v] = N[w], w is in N(v) = N(u), so u is in
+    N[w] = N[v], against uv absent."""
+    cls = list(range(g.n))
+    rank = [0] * g.n
+    for closed in (False, True):
+        groups: dict[frozenset, list[int]] = {}
+        for v, nbrs in enumerate(g.adjacency):
+            groups.setdefault(nbrs | {v} if closed else nbrs, []).append(v)
+        for members in groups.values():
+            for r, v in enumerate(members[1:], 1):
+                cls[v], rank[v] = members[0], r
+    return cls, rank
+
+
 def graphs_up_to_iso(n: int) -> Iterator[Graph]:
     """All n-vertex graphs up to isomorphism, one per class, by edge count
     from binom(n, 2) down to 0.
@@ -80,11 +139,16 @@ def graphs_up_to_iso(n: int) -> Iterator[Graph]:
     representative and keeping the first graph to reach each canonical_key
     (McKay, *Isomorph-free exhaustive generation*, 1998).  Every s-edge class
     arises so, as deleting any edge of a graph gives one of the level below.
-    Each level is built once, when the stream first needs it.  Above half of
-    binom(n, 2) edges, the classes of the complementary level are complemented,
-    which maps classes one-to-one.  Within an edge count, classes come in
-    increasing canonical_key order of the built graph, before any
-    complementing.
+    Swapping two twins of g (_twin_ranks) is an automorphism s of g, so g + e
+    and g + s(e) are isomorphic: of each orbit of absent edges under the twin
+    swaps only the first in edge order is added.  Across twin classes A and B
+    that is (min A, min B); inside one class, its two smallest vertices.  The
+    edges skipped would reach a key their orbit's first edge has set, so the
+    stream is the same as without the skip.  Each level is built once, when
+    the stream first needs it.  Above half of binom(n, 2) edges, the classes
+    of the complementary level are complemented, which maps classes
+    one-to-one.  Within an edge count, classes come in increasing
+    canonical_key order of the built graph, before any complementing.
     """
     all_edges = list(itertools.combinations(range(n), 2))
     total = len(all_edges)
@@ -94,11 +158,14 @@ def graphs_up_to_iso(n: int) -> Iterator[Graph]:
         if steps == len(levels):
             reps: dict[tuple, Graph] = {}
             for g in levels[-1]:
-                present = set(g.edges)
+                cls, rank = _twin_ranks(g)
                 for e in all_edges:
-                    if e not in present:
-                        h = Graph(n, tuple(sorted((*g.edges, e))))
-                        reps.setdefault(canonical_key(h), h)
+                    u, v = e
+                    # rank[v] is 1 inside u's class, 0 across classes
+                    if rank[u] or rank[v] != (cls[u] == cls[v]) or e in g.edge_index:
+                        continue
+                    h = Graph(n, tuple(sorted((*g.edges, e))))
+                    reps.setdefault(canonical_key(h), h)
             levels.append([reps[key] for key in sorted(reps)])
         for g in levels[steps]:
             if steps == m:
@@ -111,8 +178,8 @@ def graphs_up_to_iso(n: int) -> Iterator[Graph]:
 def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
     """Exact ex_k(n, f): largest m whose best avoider admits a proper coloring
     with no k-unique copy of f.  Searches the classes of graphs_up_to_iso(n),
-    largest edge count first.  k = 0 accepts any copy, so ex_0(n, f) is the
-    classical ex(n, f).
+    largest edge count first, each with its rows of one CopyTable(f, n).
+    k = 0 accepts any copy, so ex_0(n, f) is the classical ex(n, f).
 
     The budget bounds each class's avoider search on its own; the exhaustion
     certificate's nodes_visited is the sum over the classes checked.  On
@@ -121,13 +188,14 @@ def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
     if n > N_CAP:
         raise ValueError(f"n={n} above the brute-force cap {N_CAP}")
     kk = _resolve_k(f, k)
+    table = CopyTable(f, n)
     inconclusive_top: Optional[int] = None
     graphs_checked = 0
     nodes_total = 0
     for g in graphs_up_to_iso(n):
         m = g.num_edges
         graphs_checked += 1
-        res = exists_avoiding_coloring(g, f, kk, budget=budget)
+        res = exists_avoiding_coloring(g, f, kk, budget=budget, rows=table.rows(g))
         nodes_total += res.nodes_visited
         if res.coloring is not None:
             lower = Certificate(

@@ -3,9 +3,10 @@
 These are deliberately naive: generate-and-filter over full product or
 permutation spaces, with no pruning and no shared code with the package
 internals beyond the Graph container, except that naive_graphs_up_to_iso
-takes canonical_key as its isomorphism test (naive_canonical_key checks that
-one) and naive_embedding_stream takes the search order of the pattern's
-vertices from graphs._search_order, which fixes the stream's order.
+and augmented_graphs_up_to_iso take canonical_key as their isomorphism test
+(naive_canonical_key checks that one) and naive_embedding_stream takes the
+search order of the pattern's vertices from graphs._search_order, which
+fixes the stream's order.
 """
 
 import itertools
@@ -131,6 +132,30 @@ def naive_graphs_up_to_iso(n: int):
             if key not in seen:
                 seen.add(key)
                 yield g
+
+
+def augmented_graphs_up_to_iso(n: int):
+    """The stream of search.graphs_up_to_iso without its twin-swap skip: every
+    absent edge of every class of level s - 1 is added, and the first graph to
+    reach each canonical_key is kept.  Levels above half of binom(n, 2) edges
+    are the complements of the levels below, as in the library."""
+    all_edges = list(itertools.combinations(range(n), 2))
+    total = len(all_edges)
+    levels = [[Graph(n, ())]]
+    for s in range(1, total // 2 + 1):
+        reps = {}
+        for g in levels[-1]:
+            for e in all_edges:
+                if e not in g.edge_index:
+                    h = Graph(n, tuple(sorted((*g.edges, e))))
+                    reps.setdefault(canonical_key(h), h)
+        levels.append([reps[key] for key in sorted(reps)])
+    for m in range(total, -1, -1):
+        for g in levels[min(m, total - m)]:
+            if m <= total - m:
+                yield g
+            else:
+                yield Graph(n, tuple(e for e in all_edges if e not in g.edge_index))
 
 
 def naive_classical_turan(n: int, f: Graph) -> int:

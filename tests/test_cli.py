@@ -181,6 +181,18 @@ def test_search_command(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_search_vertex_count_floor(capsys, tmp_path):
+    code, out, err = run(capsys, "search", "--n", "-1", "--pattern", "P3", "--rainbow")
+    assert code == EXIT_USAGE and out == "" and "--n" in err
+    assert len(err.strip().splitlines()) == 1
+    # no vertex, no edge: the empty graph is the avoider
+    code, out, _ = run(capsys, "--format", "json", "--cache-dir", str(tmp_path),
+                       "search", "--n", "0", "--pattern", "P3", "--rainbow")
+    assert code == EXIT_OK and json.loads(out)["value"] == 0
+    for k in (0, 2, search.RAINBOW):
+        assert search.brute_extremal(0, make_double_star(1, 2), k)["value"] == 0
+
+
 @pytest.mark.parametrize("n, value", [(5, 4), (6, 6), (7, 6)])
 def test_search_k0_is_classical_turan(capsys, tmp_path, n, value):
     # Faudree & Schelp: ex(n, P3) = floor(n/3) * 3 + C(n mod 3, 2)
@@ -538,16 +550,17 @@ def test_cli_fuzz_exits_with_a_contract_code(tmp_path_factory, data):
     assert "Traceback" not in err.getvalue(), argv
 
 
-# Runs in a fresh interpreter and prints, as JSON, each of the two modules
-# that got loaded and the rturan module whose import pulled it in.
+# Runs in a fresh interpreter and prints, as JSON, each module of argv that
+# got loaded and the rturan module whose import pulled it in.
 IMPORT_WATCH = """
 import json, sys
 
+watched = sys.argv[1:]
 blamed = {}
 
 class Watch:
     def find_spec(self, name, path=None, target=None):
-        if name in ("dataclasses", "inspect") and name not in blamed:
+        if name in watched and name not in blamed:
             frame = sys._getframe(1)
             while frame and not frame.f_globals.get("__name__", "").startswith("rturan"):
                 frame = frame.f_back
@@ -557,14 +570,16 @@ class Watch:
 sys.meta_path.insert(0, Watch())
 import rturan.cli
 print(json.dumps({name: blamed.get(name, "loaded before rturan")
-                  for name in ("dataclasses", "inspect") if name in sys.modules}))
+                  for name in watched if name in sys.modules}))
 """
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # the two took about 13 ms of every launch (2.1 GHz Xeon); pytest loads
-    # both itself, hence the subprocess
-    out = subprocess.run([sys.executable, "-c", IMPORT_WATCH],
+def test_cli_import_loads_no_heavy_modules():
+    # dataclasses and inspect took about 13 ms of every launch, and hashlib
+    # with OpenSSL's _hashlib 3-4 ms (2.1 GHz Xeon); pytest loads them
+    # itself, hence the subprocess
+    out = subprocess.run([sys.executable, "-c", IMPORT_WATCH, "dataclasses",
+                          "inspect", "hashlib", "_hashlib"],
                          capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout)
     assert loaded == {}, "imported by: " + ", ".join(

@@ -205,3 +205,24 @@ def test_sampler_backends_agree_past_64_colors():
         for skip_rainbow in (False, True):
             assert (native.sample_and_check(m, conf, emb, k, True, 2_000, 9, skip_rainbow)
                     == pure.sample_and_check(m, conf, emb, k, True, 2_000, 9, skip_rainbow))
+
+
+@needs_native
+def test_native_refuses_out_of_range_indices():
+    # the C code trusts every index and copy it is given; native.py checks
+    # them first
+    m, conf = 3, [[1], [0, 2], [1]]
+    for emb in ([[0, 3]], [[-1, 1]]):
+        with pytest.raises(ValueError, match="out of range"):
+            native.find_avoiding_coloring(m, conf, emb, 2, False, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            native.sample_and_check(m, conf, emb, 2, False, 10, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            native.unique_counts([0, 1, 0], emb)
+    for bad in ([[1], [0, 3], [1]], [[1], [0, 2]]):
+        with pytest.raises(ValueError):
+            native.find_avoiding_coloring(m, bad, [[0, 1]], 2, False, 3)
+    # a copy with no edge has no largest edge to be checked at
+    for backend in (native, pure):
+        with pytest.raises(ValueError):
+            backend.find_avoiding_coloring(m, conf, [[0, 1], []], 2, False, 3)

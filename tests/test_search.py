@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -11,17 +12,20 @@ from rturan.certs import (FAIL, PASS, Certificate, load_certificate,
                           save_certificate)
 from rturan.coloring import conflict_lists, is_proper, one_factorization
 from rturan.detect import find_k_unique
-from rturan.graphs import (Graph, canonical_key, graph_from_edges,
-                           make_caterpillar, make_complete, make_cycle,
-                           make_double_star, make_path)
-from rturan.search import (RAINBOW, brute_extremal, exists_avoiding_coloring,
-                           graphs_up_to_iso, recheck_certificate,
+from rturan.graphs import (Graph, canonical_key, enumerate_embeddings,
+                           graph_from_edges, make_caterpillar, make_complete,
+                           make_cycle, make_double_star, make_path)
+from rturan.search import (RAINBOW, CopyTable, brute_extremal,
+                           exists_avoiding_coloring, graphs_up_to_iso,
+                           recheck_certificate,
                            verify_k2s4_construction, verify_k6_rainbow_free,
                            verify_k6_universal_3unique, verify_reduction)
 from rturan.bounds import augment_caterpillar
 
-from oracles import (burnside_graph_count, naive_classical_turan,
-                     naive_embeddings, naive_graphs_up_to_iso)
+import oracles
+from oracles import (augmented_graphs_up_to_iso, burnside_graph_count,
+                     naive_classical_turan, naive_embeddings,
+                     naive_graphs_up_to_iso)
 
 
 def test_exists_avoiding_basic():
@@ -139,20 +143,96 @@ def test_graphs_up_to_iso_edge_cases():
         assert len(set(keys)) == len(keys), n
 
 
-def test_brute_extremal_one_pass_cost(monkeypatch):
-    # each level is built once: every class of levels 0..6 gets each of its
-    # absent edges added once on the way to ex*(6, P3) = 7
-    calls = 0
+def _count_canonical_keys(monkeypatch) -> list[int]:
+    calls = [0]
     canonical = search.canonical_key
 
     def counting(g):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return canonical(g)
 
     monkeypatch.setattr(search, "canonical_key", counting)
+    monkeypatch.setattr(oracles, "canonical_key", counting)
+    return calls
+
+
+def test_brute_extremal_one_pass_cost(monkeypatch):
+    # each level is built once: without the twin-swap skip, every class of
+    # levels 0..6 gets each of its absent edges added once on the way to
+    # ex*(6, P3) = 7; the skip leaves 302 of those 553
+    calls = _count_canonical_keys(monkeypatch)
     assert brute_extremal(6, make_path(3), RAINBOW)["value"] == 7
-    assert calls == sum(burnside_graph_count(6, s) * (15 - s) for s in range(7)) == 553
+    assert calls[0] == 302
+    calls[0] = 0
+    monkeypatch.setattr(search, "graphs_up_to_iso", augmented_graphs_up_to_iso)
+    assert brute_extremal(6, make_path(3), RAINBOW)["value"] == 7
+    assert calls[0] == sum(burnside_graph_count(6, s) * (15 - s) for s in range(7)) == 553
+
+
+@pytest.mark.parametrize("n, pruned, unpruned", [(6, 302, 553), (7, 3_354, 5_033)])
+def test_graphs_up_to_iso_canonical_key_calls(monkeypatch, n, pruned, unpruned):
+    calls = _count_canonical_keys(monkeypatch)
+    assert sum(1 for _ in graphs_up_to_iso(n)) == sum(
+        burnside_graph_count(n, m) for m in range(math.comb(n, 2) + 1))
+    assert calls[0] == pruned
+    calls[0] = 0
+    sum(1 for _ in augmented_graphs_up_to_iso(n))
+    assert calls[0] == unpruned
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_twin_pruned_levels_match_unpruned_reference(n):
+    # the skipped augmentations only reach keys already set, so the stream,
+    # representatives and order included, is the unpruned one
+    assert list(graphs_up_to_iso(n)) == list(augmented_graphs_up_to_iso(n))
+
+
+COPY_TABLE_PATTERNS = [make_path(2), make_path(3), make_double_star(1, 2),
+                       make_double_star(2, 2), make_caterpillar([2, 0, 1])]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_copy_table_rows_match_enumeration(n):
+    for f in COPY_TABLE_PATTERNS:
+        table = CopyTable(f, n)
+        for g in graphs_up_to_iso(n):
+            assert table.rows(g) == [list(e.edge_map) for e in
+                                     enumerate_embeddings(f, g)], (f.edges, g.edges)
+
+
+# sha256 of each certificate's file bytes (save_certificate's text), measured
+# before brute_extremal took its copies from a CopyTable
+FROZEN_CERTIFICATES = {
+    (6, "P3", RAINBOW, None): (7, {
+        "lower_witness": "f40d9fc28fb898432daf5eaf0882a6e1890be4622e526f00f6032b5da5ce09a5",
+        "upper_exhaustion": "9b25f8f3d66ec1e33116550efb86f86630c2ae8e65a149db1f13e560f8e95030"}),
+    (7, "DS22", RAINBOW, None): (15, {
+        "lower_witness": "8594eb1b82cb5a59ea9cc042ac2679868a2526d8e29112e489e87d459b8469ef",
+        "upper_exhaustion": "9b0e0dbc3593387387d6c9790c75c1297b7f7da9b63d4e08c7c13cc75a7dcff1"}),
+    (5, "DS12", 2, None): (6, {
+        "lower_witness": "15484a7fb2f0cdc5927caa5c548444685642297d750fc2b4fac18987b25156d2",
+        "upper_exhaustion": "d77f3a639b60719a9ba6b505b232a691b883420a77161b5bf6af9fe6ca7e1292"}),
+    # budget 3 leaves K6 undecided and the first avoider has 3 edges: bracket [3, 15]
+    (6, "P3", RAINBOW, 3): (None, {
+        "lower_witness": "0813336deb8a570871456e850b2f5a819c83be09c66b8f234167ffb287e2f085"}),
+}
+FROZEN_PATTERNS = {"P3": make_path(3), "DS12": make_double_star(1, 2),
+                   "DS22": make_double_star(2, 2)}
+
+
+@pytest.mark.parametrize("case", FROZEN_CERTIFICATES, ids=str)
+def test_brute_extremal_certificates_frozen(case):
+    n, name, k, budget = case
+    value, digests = FROZEN_CERTIFICATES[case]
+    out = brute_extremal(n, FROZEN_PATTERNS[name], k, budget=budget)
+    assert out["value"] == value
+    if value is None:
+        assert (out["lower"], out["upper"], out["upper_exhaustion"]) == (3, 15, None)
+    for key, digest in digests.items():
+        text = json.dumps(out[key].to_json(), sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+        ok, detail = recheck_certificate(out[key])
+        assert ok, detail
 
 
 def _rechecked_value(out):
