@@ -220,6 +220,8 @@ def cmd_verify(args) -> int:
     elif name == "reduction":
         aug = parse_augment(args.spec)
         cert = verify_reduction(aug.original, aug, aug.k, budget=args.budget)
+    elif name is None:
+        raise SpecError("verify needs a check name or --recheck FILE")
     else:
         raise SpecError(f"unknown check {name!r}")
     cert.seed = args.seed if cert.seed is None else cert.seed

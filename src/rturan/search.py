@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import _kernels
 from .bounds import AugmentedTree
@@ -131,92 +131,96 @@ def _twin_ranks(g: Graph) -> tuple[list[int], list[int]]:
     return cls, rank
 
 
-def graphs_up_to_iso(n: int) -> Iterator[Graph]:
-    """All n-vertex graphs up to isomorphism, one per class, by edge count
-    from binom(n, 2) down to 0.
+def graphs_up_to_iso(n: int, prune: Optional[Callable[[Graph], bool]] = None,
+                     ) -> Iterator[Graph]:
+    """n-vertex graphs up to isomorphism, one per class, by edge count from 0
+    upward, each edge count's in increasing canonical_key order.
 
-    Level s is built from level s - 1 by adding every absent edge to each
-    representative and keeping the first graph to reach each canonical_key
-    (McKay, *Isomorph-free exhaustive generation*, 1998).  Every s-edge class
-    arises so, as deleting any edge of a graph gives one of the level below.
+    Level s + 1 is built from the classes of level s that `prune` keeps: it
+    is consulted for each once the whole level has been yielded, and True
+    drops the class.  Every absent edge is added to each class kept, and the
+    first graph to reach each canonical_key is kept (McKay, *Isomorph-free
+    exhaustive generation*, 1998), so the level holds every class with a kept
+    subgraph one edge smaller.  The stream stops at the first empty level.
     Swapping two twins of g (_twin_ranks) is an automorphism s of g, so g + e
     and g + s(e) are isomorphic: of each orbit of absent edges under the twin
     swaps only the first in edge order is added.  Across twin classes A and B
     that is (min A, min B); inside one class, its two smallest vertices.  The
     edges skipped would reach a key their orbit's first edge has set, so the
-    stream is the same as without the skip.  Each level is built once, when
-    the stream first needs it.  Above half of binom(n, 2) edges, the classes
-    of the complementary level are complemented, which maps classes
-    one-to-one.  Within an edge count, classes come in increasing
-    canonical_key order of the built graph, before any complementing.
+    stream is the same as without the skip.
     """
     all_edges = list(itertools.combinations(range(n), 2))
-    total = len(all_edges)
-    levels = [[Graph(n, ())]]
-    for m in range(total, -1, -1):
-        steps = min(m, total - m)
-        if steps == len(levels):
-            reps: dict[tuple, Graph] = {}
-            for g in levels[-1]:
-                cls, rank = _twin_ranks(g)
-                for e in all_edges:
-                    u, v = e
-                    # rank[v] is 1 inside u's class, 0 across classes
-                    if rank[u] or rank[v] != (cls[u] == cls[v]) or e in g.edge_index:
-                        continue
-                    h = Graph(n, tuple(sorted((*g.edges, e))))
-                    reps.setdefault(canonical_key(h), h)
-            levels.append([reps[key] for key in sorted(reps)])
-        for g in levels[steps]:
-            if steps == m:
-                yield g
-            else:
-                present = set(g.edges)
-                yield Graph(n, tuple(e for e in all_edges if e not in present))
+    level = [Graph(n, ())]
+    while level:
+        yield from level
+        reps: dict[tuple, Graph] = {}
+        for g in level:
+            if prune is not None and prune(g):
+                continue
+            cls, rank = _twin_ranks(g)
+            for e in all_edges:
+                u, v = e
+                # rank[v] is 1 inside u's class, 0 across classes
+                if rank[u] or rank[v] != (cls[u] == cls[v]) or e in g.edge_index:
+                    continue
+                h = Graph(n, tuple(sorted((*g.edges, e))))
+                reps.setdefault(canonical_key(h), h)
+        level = [reps[key] for key in sorted(reps)]
 
 
 def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
-    """Exact ex_k(n, f): largest m whose best avoider admits a proper coloring
-    with no k-unique copy of f.  Searches the classes of graphs_up_to_iso(n),
-    largest edge count first, each with its rows of one CopyTable(f, n).
-    k = 0 accepts any copy, so ex_0(n, f) is the classical ex(n, f).
+    """Exact ex_k(n, f): the most edges of an n-vertex graph with a proper
+    coloring that has no k-unique copy of f (k = 0 accepts any copy, so
+    ex_0(n, f) is the classical ex(n, f)).
 
-    The budget bounds each class's avoider search on its own; the exhaustion
-    certificate's nodes_visited is the sum over the classes checked.  On
-    budget exhaustion returns a bracket {lower, upper} instead of a value.
+    Such graphs form a down-set: restrict the coloring to a subgraph.  So K_n
+    is tested first, and when it avoids, the value is binom(n, 2).  Otherwise
+    graphs_up_to_iso(n) walks upward, pruning each class whose search neither
+    finds an avoider nor trips the budget.  Its first empty level has only
+    bad graphs: the exhaustion certificate's claim.  The budget bounds each
+    class's search (rows of one CopyTable(f, n)) on its own, and nodes_visited
+    sums them.  When the top level kept has no avoider, returns a bracket
+    {lower, upper} instead of a value.
     """
-    if n > N_CAP:
-        raise ValueError(f"n={n} above the brute-force cap {N_CAP}")
+    if not 0 <= n <= N_CAP:
+        raise ValueError(f"n={n} outside the brute-force range 0..{N_CAP}")
     kk = _resolve_k(f, k)
     table = CopyTable(f, n)
-    inconclusive_top: Optional[int] = None
-    graphs_checked = 0
-    nodes_total = 0
-    for g in graphs_up_to_iso(n):
-        m = g.num_edges
-        graphs_checked += 1
-        res = exists_avoiding_coloring(g, f, kk, budget=budget, rows=table.rows(g))
-        nodes_total += res.nodes_visited
-        if res.coloring is not None:
-            lower = Certificate(
-                "avoider", PASS,
-                {"n": n, "m": m, "pattern": f.to_json(), "k": kk},
-                payload={"graph": g.to_json(),
-                         "coloring": res.coloring.to_json()},
-                nodes_visited=res.nodes_visited)
-            if inconclusive_top is not None:
-                return {"value": None, "lower": m, "upper": inconclusive_top,
-                        "lower_witness": lower, "upper_exhaustion": None}
-            upper = Certificate(
-                "exhaustion", PASS,
-                {"n": n, "pattern": f.to_json(), "k": kk, "above_edges": m},
-                payload={"graphs_checked": graphs_checked},
-                nodes_visited=nodes_total)
-            return {"value": m, "lower_witness": lower,
-                    "upper_exhaustion": upper}
-        if not res.exhaustive and inconclusive_top is None:
-            inconclusive_top = m
-    raise AssertionError("unreachable: the empty graph avoids everything")
+    searched: dict[Graph, AvoiderResult] = {}  # each class checked, once
+
+    def search(g: Graph) -> AvoiderResult:
+        if g not in searched:
+            searched[g] = exists_avoiding_coloring(g, f, kk, budget=budget,
+                                                   rows=table.rows(g))
+        return searched[g]
+
+    complete = Graph(n, tuple(itertools.combinations(range(n), 2)))
+    top = complete.num_edges  # edge count of the highest class kept
+    if search(complete).coloring is None:
+        bad: set[Graph] = set()
+        for g in graphs_up_to_iso(n, prune=bad.__contains__):
+            res = search(g)
+            if res.coloring is None and res.exhaustive:
+                bad.add(g)
+            else:
+                top = g.num_edges
+    # the first class found to avoid on the highest level that has one
+    g = max((g for g, res in searched.items() if res.coloring is not None),
+            key=lambda g: g.num_edges)
+    m, res = g.num_edges, searched[g]
+    lower = Certificate(
+        "avoider", PASS, {"n": n, "m": m, "pattern": f.to_json(), "k": kk},
+        payload={"graph": g.to_json(), "coloring": res.coloring.to_json()},
+        nodes_visited=res.nodes_visited)
+    if m < top:
+        return {"value": None, "lower": m, "upper": top,
+                "lower_witness": lower, "upper_exhaustion": None}
+    upper = Certificate(
+        "exhaustion", PASS,
+        {"n": n, "pattern": f.to_json(), "k": kk, "above_edges": m, "budget": budget},
+        payload={"graphs_checked": len(searched)},
+        nodes_visited=sum(res.nodes_visited for res in searched.values()))
+    return {"value": m, "lower_witness": lower, "upper_exhaustion": upper}
 
 
 def _k6_embedding_edges() -> tuple[Graph, Graph, list[list[int]]]:
@@ -387,12 +391,6 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
     # 3. run at most one search, then make one comparison.
     if cert.kind == "avoider":
         return revalidate_avoider(cert)
-    if cert.kind == "exhaustion":
-        # the exhaustion claim is the search itself; check internal consistency
-        graphs_checked = _int_param(cert, "graphs_checked", cert.payload)
-        ok = cert.verdict == PASS and graphs_checked > 0
-        return ok, "exhaustion certificate structurally consistent" if ok else \
-            "exhaustion certificate malformed"
     if cert.kind == "k6_universal" and cert.verdict == FAIL:
         colors = _int_list(cert, cert.payload["counterexample_coloring"],
                            "counterexample_coloring")
@@ -403,12 +401,20 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
         ok = all(c != 3 for c in counts) and len(set(colors)) < host.num_edges
         return ok, "counterexample re-validated" if ok else \
             "stored coloring does contain an exactly-3-unique copy"
-    # every other kind is re-run with the recorded node count as its budget,
-    # so the re-run repeats the recorded search, budget trip included
+    # every other kind is re-run with the recorded node count as its budget
+    # (an exhaustion with its recorded per-class budget), so the re-run
+    # repeats the recorded search, budget trip included
     budget = _int_param(cert, "nodes_visited", vars(cert))
-    skip = None
+    skip = set()
     reduced = ""
-    if cert.kind == "k6_rainbow_free":
+    if cert.kind == "exhaustion":
+        _int_param(cert, "graphs_checked", cert.payload)
+        per_class = None if cert.params["budget"] is None else _int_param(cert, "budget")
+        out = brute_extremal(_int_param(cert, "n"), Graph.from_json(cert.params["pattern"]),
+                             _int_param(cert, "k"), per_class)
+        # a re-run that ends in a bracket has no exhaustion to compare
+        fresh = out["upper_exhaustion"] or Certificate(cert.kind, BUDGET_EXHAUSTED, {})
+    elif cert.kind == "k6_rainbow_free":
         fresh = verify_k6_rainbow_free()
     elif cert.kind == "k2s4":
         fresh = verify_k2s4_construction(_int_param(cert, "s"))
@@ -423,14 +429,15 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
             raise ValueError(f"color_cap must be >= 1, got {color_cap}")
         if sample_count > SAMPLE_PREFIX:
             reduced = " (reduced sample prefix)"
+            skip.add("sample_count")
             if cert.verdict == PASS and "sampled_regime" in cert.payload:
                 # the re-run does not re-draw the sampled regime past the
                 # prefix; the stored one must still count every sample drawn
-                skip = "sampled_regime"
-                sampled = cert.payload[skip]
+                skip.add("sampled_regime")
+                sampled = cert.payload["sampled_regime"]
                 if not isinstance(sampled, dict):
-                    raise ValueError(f"{cert.kind} certificate field {skip!r} "
-                                     f"is not an object: {sampled!r}")
+                    raise ValueError(f"{cert.kind} certificate field "
+                                     f"'sampled_regime' is not an object: {sampled!r}")
                 counts = [_int_param(cert, name, sampled)
                           for name in ("samples_checked", "rainbow_skipped")]
                 if min(counts) < 0 or sum(counts) != sample_count:
@@ -441,9 +448,11 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
     else:
         return False, f"unknown certificate kind {cert.kind!r}"
     # it passes only when it reproduces these fields, compared as JSON text
-    # (so 1.0 and true are not 1), the sampled regime past the prefix aside
+    # (so 1.0 and true are not 1): the params the re-run records and the rest,
+    # the sample count and sampled regime past the prefix aside
     stored, rerun = (json.dumps([c.verdict, c.nodes_visited, c.exhaustive,
-                                 {k: v for k, v in c.payload.items() if k != skip}],
+                                 {k: c.params.get(k) for k in fresh.params if k not in skip},
+                                 {k: v for k, v in c.payload.items() if k not in skip}],
                                 sort_keys=True) for c in (cert, fresh))
     detail = f"re-run{reduced} verdict {fresh.verdict}"
     if stored != rerun:

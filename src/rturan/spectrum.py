@@ -106,29 +106,18 @@ def compute_spectrum(f: Graph, budget: Optional[int] = None) -> KSpectrum:
 
 
 def ds_spectrum_closed_form(r: int, s: int) -> KSpectrum:
-    """Spec(DS_{r,s}) = {j + 2l : 0 <= l <= r} with j = s - r + 1 (sides swapped
-    so r <= s).  Witness for j+2l pairs r-l of y's pendant colors with x-pendant
-    colors and gives everything else a fresh color."""
-    if r > s:
-        r, s = s, r
+    """Spec(DS_{r,s}) = {j + 2l : 0 <= l <= min(r, s)} with j = |s - r| + 1.
+    Witnesses color make_double_star(r, s)'s edges, in its order: (y,x), then
+    r y-pendant edges and s x-pendant edges.  The witness for j+2l gives yx
+    color 0 and y's pendants colors 1..r, and repeats colors 1..min(r, s) - l
+    on x's pendants, each of the rest of which gets a fresh color."""
     g = make_double_star(r, s)
-    j = s - r + 1
     witnesses: dict[int, EdgeColoring] = {}
-    for l in range(r + 1):
-        # edge order: (y,x), r y-pendant edges, s x-pendant edges
-        colors = [0]
-        paired = r - l
-        colors += [1 + i for i in range(paired)] + [0] * l
-        fresh = 1 + paired
-        for i in range(l):
-            colors[1 + paired + i] = fresh
-            fresh += 1
-        xcols = [1 + i for i in range(paired)]
-        for _ in range(s - paired):
-            xcols.append(fresh)
-            fresh += 1
-        colors += xcols
-        witnesses[j + 2 * l] = proper_coloring(g, colors)
+    for l in range(min(r, s) + 1):
+        paired = min(r, s) - l
+        colors = [0, *range(1, r + 1), *range(1, paired + 1),
+                  *range(r + 1, r + 1 + s - paired)]
+        witnesses[abs(s - r) + 1 + 2 * l] = proper_coloring(g, colors)
     return KSpectrum(g, tuple(sorted(witnesses)), witnesses)
 
 

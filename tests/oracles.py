@@ -4,16 +4,20 @@ These are deliberately naive: generate-and-filter over full product or
 permutation spaces, with no pruning and no shared code with the package
 internals beyond the Graph container, except that naive_graphs_up_to_iso
 and augmented_graphs_up_to_iso take canonical_key as their isomorphism test
-(naive_canonical_key checks that one) and naive_embedding_stream takes the
+(naive_canonical_key checks that one), naive_embedding_stream takes the
 search order of the pattern's vertices from graphs._search_order, which
-fixes the stream's order.
+fixes the stream's order, and top_down_extremal runs
+search.exists_avoiding_coloring on each class (the avoider search has its
+own oracles).
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
 
 from rturan.graphs import Graph, _search_order, canonical_key
+from rturan.search import exists_avoiding_coloring
 
 
 def naive_is_proper(g: Graph, colors) -> bool:
@@ -120,11 +124,11 @@ def naive_canonical_key(g: Graph) -> tuple:
 
 def naive_graphs_up_to_iso(n: int):
     """One graph per isomorphism class of n-vertex graphs, by edge count from
-    binom(n, 2) down to 0: within an edge count m, the lexicographically first
+    0 up to binom(n, 2): within an edge count m, the lexicographically first
     labeled m-subset of K_n's edges in each class, in that order, found by
     canonicalising every subset."""
     pairs = list(itertools.combinations(range(n), 2))
-    for m in range(len(pairs), -1, -1):
+    for m in range(len(pairs) + 1):
         seen = set()
         for subset in itertools.combinations(pairs, m):
             g = Graph(n, subset)  # combinations yields sorted, unique pairs
@@ -134,28 +138,37 @@ def naive_graphs_up_to_iso(n: int):
                 yield g
 
 
-def augmented_graphs_up_to_iso(n: int):
+def augmented_graphs_up_to_iso(n: int, prune=None):
     """The stream of search.graphs_up_to_iso without its twin-swap skip: every
-    absent edge of every class of level s - 1 is added, and the first graph to
-    reach each canonical_key is kept.  Levels above half of binom(n, 2) edges
-    are the complements of the levels below, as in the library."""
+    absent edge of every class of level s that prune keeps is added, and the
+    first graph to reach each canonical_key is kept, until a level is empty."""
     all_edges = list(itertools.combinations(range(n), 2))
-    total = len(all_edges)
-    levels = [[Graph(n, ())]]
-    for s in range(1, total // 2 + 1):
+    level = [Graph(n, ())]
+    while level:
+        yield from level
         reps = {}
-        for g in levels[-1]:
-            for e in all_edges:
-                if e not in g.edge_index:
-                    h = Graph(n, tuple(sorted((*g.edges, e))))
-                    reps.setdefault(canonical_key(h), h)
-        levels.append([reps[key] for key in sorted(reps)])
-    for m in range(total, -1, -1):
-        for g in levels[min(m, total - m)]:
-            if m <= total - m:
-                yield g
-            else:
-                yield Graph(n, tuple(e for e in all_edges if e not in g.edge_index))
+        for g in level:
+            if prune is None or not prune(g):
+                for e in all_edges:
+                    if e not in g.edge_index:
+                        h = Graph(n, tuple(sorted((*g.edges, e))))
+                        reps.setdefault(canonical_key(h), h)
+        level = [reps[key] for key in sorted(reps)]
+
+
+@functools.lru_cache(maxsize=None)
+def _largest_first(classes, n: int) -> tuple:
+    return tuple(sorted(classes(n), key=lambda g: -g.num_edges))
+
+
+def top_down_extremal(n: int, f: Graph, k, classes=augmented_graphs_up_to_iso) -> int:
+    """ex_k(n, f) searched from the top, with no pruning and no budget: the
+    edge count of the first class with an avoider among those classes(n)
+    yields, taken largest edge count first."""
+    for g in _largest_first(classes, n):
+        if exists_avoiding_coloring(g, f, k).coloring is not None:
+            return g.num_edges
+    raise AssertionError("unreachable: the empty graph avoids everything")
 
 
 def naive_classical_turan(n: int, f: Graph) -> int:

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rturan import search
+from rturan.coloring import is_proper
 from rturan.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, SpecError,
                         build_parser, main, parse_family)
-from rturan.graphs import canonical_key, make_caterpillar, make_double_star
+from rturan.graphs import Graph, canonical_key, make_caterpillar, make_double_star
 
 
 def run(capsys, *argv):
@@ -61,6 +62,24 @@ def test_spectrum_closed_form(capsys):
     assert json.loads(out)["values"] == [1, 3, 5]
     code, _, err = run(capsys, "spectrum", "P3", "--closed-form")
     assert code == EXIT_USAGE and "closed-form" in err
+
+
+@pytest.mark.parametrize("spec", ["DS 2 1", "DS 3 1"])
+def test_spectrum_closed_form_keeps_the_sides(capsys, spec):
+    # r > s: the witnesses color the named DS_{r,s}, in construct's edge order
+    code, out, _ = run(capsys, "--format", "json", "spectrum", *spec.split(),
+                       "--closed-form")
+    closed = json.loads(out)
+    assert code == EXIT_OK and closed["family"] == spec
+    _, out, _ = run(capsys, "--format", "json", "construct", *spec.split())
+    built = json.loads(out)
+    assert closed["graph"] == {key: built[key] for key in ("n", "edges", "labels")}
+    _, out, _ = run(capsys, "--format", "json", "spectrum", *spec.split())
+    assert closed["values"] == json.loads(out)["values"]
+    g = Graph.from_json(closed["graph"])
+    for value, colors in closed["witnesses"].items():
+        assert is_proper(g, colors)
+        assert sum(colors.count(c) == 1 for c in colors) == int(value)
 
 
 def test_spectrum_budget_exit_code(capsys):
@@ -169,6 +188,8 @@ def test_verify_usage_errors(capsys):
     assert code == EXIT_USAGE and "--s" in err
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == EXIT_USAGE
+    code, _, err = run(capsys, "verify")
+    assert code == EXIT_USAGE and "check name or --recheck FILE" in err
 
 
 def test_search_command(capsys, tmp_path):
@@ -299,6 +320,7 @@ MALFORMED_CERTIFICATES = {
     "search --n 4 --pattern P3 --rainbow --k 1",
     "search --n 4 --pattern P3",
     "search --n 4 --pattern P3 --k 4",  # above the pattern's 3 edges
+    "verify",  # neither a check nor --recheck
     "verify k2s4 --s 5",
     "verify --recheck missing.json",
     *(f"verify --recheck {name}" for name in MALFORMED_CERTIFICATES),
@@ -359,16 +381,24 @@ TYPED_SITES = {
     ("avoider", "params.m"), ("avoider", "params.k"), ("avoider", "payload.graph"),
     ("avoider", "payload.graph.n"), ("avoider", "payload.graph.edges"),
     ("avoider", "payload.coloring"), ("avoider", "payload.coloring.colors"),
-    ("exhaustion", "payload.graphs_checked"),
-    *((kind, "nodes_visited") for kind in ("k2s4", "k6_rainbow_free",
+    ("exhaustion", "payload.graphs_checked"), ("exhaustion", "params.n"),
+    ("exhaustion", "params.k"), ("exhaustion", "params.pattern"),
+    ("exhaustion", "params.pattern.n"), ("exhaustion", "params.pattern.edges"),
+    ("exhaustion", "params.budget"),
+    *((kind, "nodes_visited") for kind in ("exhaustion", "k2s4", "k6_rainbow_free",
                                            "k6_universal", "reduction")),
     *(("reduction", f"params.{g}{f}") for g in ("original", "augmented")
       for f in ("", ".n", ".edges", ".labels")),
 }
 LIST_FIELDS = {"assumptions", "edges", "colors", "labels"}
+# fields where null is a well-typed value: an exhaustion's budget is null when
+# the search had none
+NULLABLE_FIELDS = {"budget"}
 # well-typed values out of range at a typed site, which exit 2 with one line
-# as a wrong type does: the avoider's pattern is P2, so k lies in 0..2
-RANGE_SITES = {("avoider", "params.k"): (-1, 99)}
+# as a wrong type does: the pattern is P2, so k lies in 0..2, and a search's
+# n lies in 0..N_CAP
+RANGE_SITES = {("avoider", "params.k"): (-1, 99), ("exhaustion", "params.k"): (-1, 99),
+               ("exhaustion", "params.n"): (-1, search.N_CAP + 1)}
 # one edit per kind that alone fails its recheck (exit 1); a recheck reads and
 # type-checks every field before its first check, so a bad value at a typed
 # site still exits 2 beside it
@@ -422,7 +452,8 @@ def test_certificate_field_type_sweep(capsys, tmp_path):
                 target.write_text(json.dumps(_with(cert, path, bad)))
                 code, _, err = run(capsys, "verify", "--recheck", str(target))
                 assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE), (site, bad)
-                if site in TYPED_SITES and not (bad == [] and path[-1] in LIST_FIELDS):
+                if site in TYPED_SITES and not (bad == [] and path[-1] in LIST_FIELDS
+                                                or bad is None and path[-1] in NULLABLE_FIELDS):
                     assert code == EXIT_USAGE, (site, bad)
                     assert len(err.strip().splitlines()) == 1, (site, bad, err)
                     target.write_text(json.dumps(_with(spoiled, path, bad)))
@@ -467,6 +498,31 @@ def test_rerun_certificate_rechecks_only_when_reproduced(capsys, tmp_path, argv)
         target.write_text(json.dumps(bad))
         code, out, _ = run(capsys, "verify", "--recheck", str(target))
         assert code == EXIT_FAIL and "FAILED" in out, bad
+
+
+def test_edited_exhaustion_certificate_fails_recheck(capsys, tmp_path):
+    # the recheck re-runs the search, so the claim itself (above_edges), its
+    # counts and its budget must all be reproduced
+    code, out, _ = run(capsys, "--format", "json", "--cache-dir", str(tmp_path),
+                       "search", "--n", "6", "--pattern", "P3", "--rainbow")
+    assert code == EXIT_OK and json.loads(out)["value"] == 7
+    path = json.loads(out)["upper_exhaustion"]
+    code, out, _ = run(capsys, "verify", "--recheck", path)
+    assert code == EXIT_OK and "OK" in out
+    obj = json.loads(open(path).read())
+    assert obj["params"]["above_edges"] == 7 and obj["params"]["budget"] is None
+    checked, nodes = obj["payload"]["graphs_checked"], obj["nodes_visited"]
+    target = tmp_path / "tampered.json"
+    for path, value in ((("params", "above_edges"), 8),
+                        (("payload", "graphs_checked"), checked + 1),
+                        (("payload", "graphs_checked"), checked - 1),
+                        (("nodes_visited",), nodes + 1),
+                        (("nodes_visited",), nodes - 1),
+                        (("params", "budget"), 1),
+                        (("params", "budget"), 5)):
+        target.write_text(json.dumps(_with(obj, path, value)))
+        code, out, _ = run(capsys, "verify", "--recheck", str(target))
+        assert code == EXIT_FAIL and "FAILED" in out, (path, value)
 
 
 def _no_rerun(*args, **kwargs):

@@ -25,7 +25,7 @@ from rturan.bounds import augment_caterpillar
 import oracles
 from oracles import (augmented_graphs_up_to_iso, burnside_graph_count,
                      naive_classical_turan, naive_embeddings,
-                     naive_graphs_up_to_iso)
+                     naive_graphs_up_to_iso, top_down_extremal)
 
 
 def test_exists_avoiding_basic():
@@ -126,7 +126,7 @@ def test_graphs_up_to_iso_matches_labeled_scan(n):
     got = list(graphs_up_to_iso(n))
     naive = list(naive_graphs_up_to_iso(n))
     assert all(g.n == n for g in got)
-    # the same edge counts in the same order, largest first
+    # the same edge counts in the same order, smallest first
     assert [g.num_edges for g in got] == [g.num_edges for g in naive]
     keys = [canonical_key(g) for g in got]
     assert len(set(keys)) == len(keys)
@@ -138,7 +138,7 @@ def test_graphs_up_to_iso_edge_cases():
     for n in range(8):
         got = list(graphs_up_to_iso(n))
         edges = [g.num_edges for g in got]
-        assert edges == sorted(edges, reverse=True), n
+        assert edges == sorted(edges), n
         keys = [canonical_key(g) for g in got]
         assert len(set(keys)) == len(keys), n
 
@@ -157,27 +157,35 @@ def _count_canonical_keys(monkeypatch) -> list[int]:
 
 
 def test_brute_extremal_one_pass_cost(monkeypatch):
-    # each level is built once: without the twin-swap skip, every class of
-    # levels 0..6 gets each of its absent edges added once on the way to
-    # ex*(6, P3) = 7; the skip leaves 302 of those 553
+    # the walk augments only the classes it keeps: without the twin-swap skip,
+    # each class of levels 0..7 with a rainbow-P3-free coloring gets each of
+    # its absent edges added once on the way to ex*(6, P3) = 7; the skip
+    # leaves 119 of those 307
+    f = make_path(3)
+    good = [g for g in graphs_up_to_iso(6)
+            if exists_avoiding_coloring(g, f, RAINBOW).coloring is not None]
+    assert max(g.num_edges for g in good) == 7
     calls = _count_canonical_keys(monkeypatch)
-    assert brute_extremal(6, make_path(3), RAINBOW)["value"] == 7
-    assert calls[0] == 302
+    assert brute_extremal(6, f, RAINBOW)["value"] == 7
+    assert calls[0] == 119
     calls[0] = 0
     monkeypatch.setattr(search, "graphs_up_to_iso", augmented_graphs_up_to_iso)
-    assert brute_extremal(6, make_path(3), RAINBOW)["value"] == 7
-    assert calls[0] == sum(burnside_graph_count(6, s) * (15 - s) for s in range(7)) == 553
+    assert brute_extremal(6, f, RAINBOW)["value"] == 7
+    assert calls[0] == sum(15 - g.num_edges for g in good) == 307
 
 
-@pytest.mark.parametrize("n, pruned, unpruned", [(6, 302, 553), (7, 3_354, 5_033)])
+@pytest.mark.parametrize("n, pruned, unpruned", [(6, 726, 1_170), (7, 7_863, 10_962)])
 def test_graphs_up_to_iso_canonical_key_calls(monkeypatch, n, pruned, unpruned):
     calls = _count_canonical_keys(monkeypatch)
+    total = math.comb(n, 2)
     assert sum(1 for _ in graphs_up_to_iso(n)) == sum(
-        burnside_graph_count(n, m) for m in range(math.comb(n, 2) + 1))
+        burnside_graph_count(n, m) for m in range(total + 1))
     assert calls[0] == pruned
     calls[0] = 0
     sum(1 for _ in augmented_graphs_up_to_iso(n))
-    assert calls[0] == unpruned
+    # every absent edge of every class is added once
+    assert calls[0] == unpruned == sum(
+        burnside_graph_count(n, m) * (total - m) for m in range(total + 1))
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -185,6 +193,27 @@ def test_twin_pruned_levels_match_unpruned_reference(n):
     # the skipped augmentations only reach keys already set, so the stream,
     # representatives and order included, is the unpruned one
     assert list(graphs_up_to_iso(n)) == list(augmented_graphs_up_to_iso(n))
+
+
+def _has_triangle(g: Graph) -> bool:
+    return any(g.adjacency[u] & g.adjacency[v] for u, v in g.edges)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_graphs_up_to_iso_prune(n):
+    # pruning every class with a triangle leaves the triangle-free classes
+    # and those one edge above one, each once, and the same stream as the
+    # reference with the same prune
+    got = list(graphs_up_to_iso(n, prune=_has_triangle))
+    assert got == list(augmented_graphs_up_to_iso(n, prune=_has_triangle))
+    free = {canonical_key(g) for g in graphs_up_to_iso(n) if not _has_triangle(g)}
+    assert {canonical_key(g) for g in got if not _has_triangle(g)} == free
+    for g in got:
+        if _has_triangle(g):
+            assert any(canonical_key(Graph(n, g.edges[:i] + g.edges[i + 1:])) in free
+                       for i in range(g.num_edges))
+    # a prune of every class stops the stream after the empty graph
+    assert list(graphs_up_to_iso(n, prune=lambda g: True)) == [Graph(n, ())]
 
 
 COPY_TABLE_PATTERNS = [make_path(2), make_path(3), make_double_star(1, 2),
@@ -201,17 +230,19 @@ def test_copy_table_rows_match_enumeration(n):
 
 
 # sha256 of each certificate's file bytes (save_certificate's text), measured
-# before brute_extremal took its copies from a CopyTable
+# when brute_extremal first walked upward; the (6, P3) avoiders are those of
+# the earlier top-down search, whose representatives of the levels above
+# half of binom(n, 2) edges were complements
 FROZEN_CERTIFICATES = {
     (6, "P3", RAINBOW, None): (7, {
         "lower_witness": "f40d9fc28fb898432daf5eaf0882a6e1890be4622e526f00f6032b5da5ce09a5",
-        "upper_exhaustion": "9b25f8f3d66ec1e33116550efb86f86630c2ae8e65a149db1f13e560f8e95030"}),
+        "upper_exhaustion": "0747b3cb7a39364db3d33b16997a3d6e7b4b49dc61e50ab1e22f26972a37bfb6"}),
     (7, "DS22", RAINBOW, None): (15, {
-        "lower_witness": "8594eb1b82cb5a59ea9cc042ac2679868a2526d8e29112e489e87d459b8469ef",
-        "upper_exhaustion": "9b0e0dbc3593387387d6c9790c75c1297b7f7da9b63d4e08c7c13cc75a7dcff1"}),
+        "lower_witness": "e0d4bb2d3306b5d07fe23f1c7fe902a92f18d7a421483c2faaaf6d2c5e3ddbd4",
+        "upper_exhaustion": "b0a023972619408fcd6b49498c808e91890e5b07fc5a4659dfeb12ea01e549e1"}),
     (5, "DS12", 2, None): (6, {
-        "lower_witness": "15484a7fb2f0cdc5927caa5c548444685642297d750fc2b4fac18987b25156d2",
-        "upper_exhaustion": "d77f3a639b60719a9ba6b505b232a691b883420a77161b5bf6af9fe6ca7e1292"}),
+        "lower_witness": "f66ce3b7c05860c239cef5a5ae6478c17215bffd374eb589fc43015f13ab6825",
+        "upper_exhaustion": "a0278d62ee49de12c50ee372118a48a5e9845e74e6ca312247620df6a8309527"}),
     # budget 3 leaves K6 undecided and the first avoider has 3 edges: bracket [3, 15]
     (6, "P3", RAINBOW, 3): (None, {
         "lower_witness": "0813336deb8a570871456e850b2f5a819c83be09c66b8f234167ffb287e2f085"}),
@@ -252,8 +283,8 @@ def test_classical_turan():
 def test_classical_turan_paths_faudree_schelp():
     # Faudree & Schelp (JCTB 1975): ex(n, P) for the path with e edges is
     # q * C(e, 2) + C(r, 2) where n = q * e + r and 0 <= r < e
-    for e in range(1, 6):
-        for n in range(2, 7):
+    for e in range(1, 7):
+        for n in range(2, 8):
             q, r = divmod(n, e)
             assert _rechecked_value(brute_extremal(n, make_path(e), 0)) == \
                 q * math.comb(e, 2) + math.comb(r, 2), (n, e)
@@ -262,12 +293,34 @@ def test_classical_turan_paths_faudree_schelp():
 @pytest.mark.parametrize("f", [make_path(2), make_path(3), make_double_star(1, 1),
                                make_double_star(1, 2)],
                          ids=["P2", "P3", "DS11", "DS12"])
-def test_brute_extremal_matches_labeled_scan(f, monkeypatch):
+def test_brute_extremal_matches_labeled_scan(f):
     cases = [(n, k) for n in range(1, 6)
              for k in [*range(f.num_edges + 1), RAINBOW]]
-    levelled = [_rechecked_value(brute_extremal(n, f, k)) for n, k in cases]
-    monkeypatch.setattr(search, "graphs_up_to_iso", naive_graphs_up_to_iso)
-    assert levelled == [_rechecked_value(brute_extremal(n, f, k)) for n, k in cases]
+    assert [_rechecked_value(brute_extremal(n, f, k)) for n, k in cases] == \
+        [top_down_extremal(n, f, k, classes=naive_graphs_up_to_iso) for n, k in cases]
+
+
+DIFFERENTIAL_PATTERNS = {"P2": make_path(2), "P3": make_path(3), "P4": make_path(4),
+                         "DS12": make_double_star(1, 2), "DS22": make_double_star(2, 2),
+                         "CAT201": make_caterpillar([2, 0, 1])}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_PATTERNS)
+def test_brute_extremal_matches_top_down(name):
+    # the upward walk against the unpruned top-down search it replaced, at
+    # every k and rainbow: equal values with no budget, and with a budget of
+    # 3 nodes per class, a bracket (or value) that holds the value
+    f = DIFFERENTIAL_PATTERNS[name]
+    for n in range(7):
+        for k in [*range(f.num_edges + 1), RAINBOW]:
+            value = top_down_extremal(n, f, k)
+            assert brute_extremal(n, f, k)["value"] == value, (n, k)
+            out = brute_extremal(n, f, k, budget=3)
+            if out["value"] is None:
+                assert out["lower"] <= value <= out["upper"], (n, k, out)
+                assert out["lower"] < out["upper"] and out["upper_exhaustion"] is None
+            else:
+                assert out["value"] == value, (n, k)
 
 
 def test_brute_extremal_at_n_cap():
