@@ -9,9 +9,11 @@
  * idx[off[r]] .. idx[off[r + 1] - 1].
  *
  * The caller passes every output and work buffer too (the sampler's options
- * and marks included), so nothing here allocates.
+ * and marks included), so nothing here allocates; the canonical form's
+ * buffers, sized for its 64-vertex cap, are on the stack.
  */
 #include <stdint.h>
+#include <string.h>
 
 /* Number of edges of copy `row` whose color occurs once in the copy. */
 static int unique_count(const int *colors, const int *emb_off, const int *emb,
@@ -191,4 +193,161 @@ void rt_unique_counts(const int *colors, int n_emb, const int *emb_off,
 {
     for (int r = 0; r < n_emb; r++)
         out[r] = unique_count(colors, emb_off, emb, r);
+}
+
+/* pure.canonical_key over n <= 64 vertices, one adjacency bit mask each.
+ *
+ * A partition is lab, the vertices in cell order, cut at start: cell c is
+ * lab[start[c]] .. lab[start[c + 1] - 1], and start[cells] = n.  A leaf's
+ * code has bit a * n + b set for each edge between the vertices at positions
+ * a and b, in (n * n + 63) / 64 words, word 0 the least significant; the key
+ * is the largest code over the leaves, compared as one integer. */
+#define RT_MAXN 64
+
+static int popcount64(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return (int)((x * 0x0101010101010101ULL) >> 56);
+}
+
+/* pure._equitable: refines the partition in place from the one splitter
+ * given and returns the cell count.  A vertex's signature is its neighbor
+ * count in each splitter.  Each cell is stably sorted by signature, compared
+ * as byte strings (which orders counts 0..64 as pure orders its tuples), and
+ * cut where the signature changes; every piece of a cut cell but the last
+ * is a splitter of the next round. */
+static int equitable(const uint64_t *adj, int n, int *lab, int *start,
+                     int cells, uint64_t splitter)
+{
+    uint64_t split[RT_MAXN], fresh[RT_MAXN];
+    unsigned char sig[RT_MAXN][RT_MAXN];
+    int cut[RT_MAXN + 1];
+    int n_split = 1;
+    split[0] = splitter;
+    while (n_split) {
+        int out = 0, n_fresh = 0;
+        for (int c = 0; c < cells; c++) {
+            int s = start[c], e = start[c + 1];
+            cut[out++] = s;
+            if (e - s == 1)
+                continue;
+            for (int p = s; p < e; p++)
+                for (int j = 0; j < n_split; j++)
+                    sig[lab[p]][j] = (unsigned char)popcount64(adj[lab[p]] & split[j]);
+            for (int p = s + 1; p < e; p++) {  /* stable insertion sort */
+                int v = lab[p], q = p;
+                for (; q > s && memcmp(sig[lab[q - 1]], sig[v], n_split) > 0; q--)
+                    lab[q] = lab[q - 1];
+                lab[q] = v;
+            }
+            uint64_t piece = 1ULL << lab[s];
+            for (int p = s + 1; p < e; p++) {
+                if (memcmp(sig[lab[p - 1]], sig[lab[p]], n_split)) {
+                    cut[out++] = p;
+                    fresh[n_fresh++] = piece;
+                    piece = 0;
+                }
+                piece |= 1ULL << lab[p];
+            }
+        }
+        cut[out] = n;
+        memcpy(start, cut, (out + 1) * sizeof *cut);
+        cells = out;
+        memcpy(split, fresh, n_fresh * sizeof *fresh);
+        n_split = n_fresh;
+    }
+    return cells;
+}
+
+typedef struct {
+    int n, words;
+    const uint64_t *adj;
+    uint64_t *best, *code;
+} canon;
+
+/* pure.canonical_key's search: refine, then individualise in turn each
+ * vertex of the first cell with more than one, skipping a vertex that is a
+ * twin (N(u) - {v} == N(v) - {u}) of one already tried. */
+static void canon_search(canon *cs, const int *lab_in, const int *start_in,
+                         int cells, uint64_t splitter)
+{
+    int n = cs->n, lab[RT_MAXN], start[RT_MAXN + 1];
+    const uint64_t *adj = cs->adj;
+    memcpy(lab, lab_in, n * sizeof *lab);
+    memcpy(start, start_in, (cells + 1) * sizeof *start);
+    cells = equitable(adj, n, lab, start, cells, splitter);
+    int c = 0;
+    while (c < cells && start[c + 1] - start[c] == 1)
+        c++;
+    if (c == cells) {  /* discrete: a leaf */
+        int pos[RT_MAXN];
+        for (int p = 0; p < n; p++)
+            pos[lab[p]] = p;
+        memset(cs->code, 0, cs->words * sizeof *cs->code);
+        for (int v = 0; v < n; v++)
+            for (int w = 0; w < n; w++)
+                if (adj[v] >> w & 1) {
+                    int bit = pos[v] * n + pos[w];
+                    cs->code[bit >> 6] |= 1ULL << (bit & 63);
+                }
+        int w = cs->words - 1;
+        while (w >= 0 && cs->code[w] == cs->best[w])
+            w--;
+        if (w >= 0 && cs->code[w] > cs->best[w])
+            memcpy(cs->best, cs->code, cs->words * sizeof *cs->code);
+        return;
+    }
+    int s = start[c], e = start[c + 1], tried[RT_MAXN], n_tried = 0;
+    int child[RT_MAXN], child_start[RT_MAXN + 1];
+    memcpy(child, lab, n * sizeof *lab);
+    memcpy(child_start, start, (c + 1) * sizeof *start);
+    memcpy(child_start + c + 2, start + c + 1, (cells - c) * sizeof *start);
+    child_start[c + 1] = s + 1;
+    for (int p = s; p < e; p++) {
+        int v = lab[p], twin = 0;
+        for (int t = 0; t < n_tried && !twin; t++) {
+            int u = tried[t];
+            twin = (adj[v] & ~(1ULL << u)) == (adj[u] & ~(1ULL << v));
+        }
+        if (twin)
+            continue;
+        tried[n_tried++] = v;
+        /* v alone, then the rest of its cell in order */
+        child[s] = v;
+        for (int q = s, r = s + 1; q < e; q++)
+            if (lab[q] != v)
+                child[r++] = lab[q];
+        canon_search(cs, child, child_start, cells + 1, 1ULL << v);
+    }
+}
+
+/* pure.canonical_key(n, edges) for 0 <= n <= 64, the m edges given as 2m
+ * endpoints.  Writes the key to key as (n * n + 63) / 64 words of 8
+ * little-endian bytes, least significant word first.  Returns 0, or -1 (key
+ * untouched) when an endpoint is outside 0..n-1. */
+int rt_canonical_key(int n, int m, const int *edges, unsigned char *key)
+{
+    uint64_t adj[RT_MAXN], best[RT_MAXN], code[RT_MAXN];
+    for (int v = 0; v < n; v++)
+        adj[v] = 0;
+    for (int i = 0; i < 2 * m; i += 2) {
+        int u = edges[i], v = edges[i + 1];
+        if (u < 0 || u >= n || v < 0 || v >= n)
+            return -1;
+        adj[u] |= 1ULL << v;
+        adj[v] |= 1ULL << u;
+    }
+    /* best starts at 0, where pure starts at -1: every code is at least 0,
+     * so the largest is the same */
+    canon cs = {n, (n * n + 63) / 64, adj, best, code};
+    memset(best, 0, cs.words * sizeof *best);
+    int lab[RT_MAXN], start[2] = {0, n};
+    for (int v = 0; v < n; v++)
+        lab[v] = v;
+    canon_search(&cs, lab, start, n > 0, n < 64 ? (1ULL << n) - 1 : ~0ULL);
+    for (int b = 0; b < 8 * cs.words; b++)
+        key[b] = (unsigned char)(best[b >> 3] >> (8 * (b & 7)));
+    return 0;
 }

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..coloring import canonicalize
-from .pure import XorShift64Star
+from .pure import XorShift64Star, check_vertex_count
 
 BACKEND = "c"
 
@@ -38,6 +38,8 @@ _lib.rt_sample_and_check.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _int
 _lib.rt_sample_and_check.restype = _ll
 _lib.rt_unique_counts.argtypes = [_ints_p, _int, _ints_p, _ints_p, _ints_p]
 _lib.rt_unique_counts.restype = None
+_lib.rt_canonical_key.argtypes = [_int, _int, _ints_p, ctypes.POINTER(ctypes.c_ubyte)]
+_lib.rt_canonical_key.restype = _int
 
 
 def _sat(x: int, bits: int = 32) -> int:
@@ -118,3 +120,15 @@ def sample_and_check(num_edges: int,
     return {"checked": counts[0], "rainbow_skipped": counts[1],
             "counterexample": list(colors) if found else None,
             "sample_index": index if found else None}
+
+
+def canonical_key(n: int, edges: Sequence[tuple[int, int]]) -> int:
+    """See pure.canonical_key."""
+    check_vertex_count(n)
+    m = len(edges)
+    flat = (_int * (2 * m)).from_buffer_copy(
+        struct.pack(f"{2 * m}i", *chain.from_iterable(edges)))
+    key = (ctypes.c_ubyte * ((n * n + 63) // 64 * 8))()
+    if _lib.rt_canonical_key(n, m, flat, key):
+        raise ValueError(f"edge endpoint out of range 0..{n - 1} in kernel input")
+    return int.from_bytes(key, "little")

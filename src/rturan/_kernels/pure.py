@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..coloring import BudgetExhausted, canonical_dfs, unique_color_count
+from ..graphs import DEFAULT_VERTEX_CAP
 
 BACKEND = "python"
 
@@ -122,3 +123,93 @@ def sample_and_check(num_edges: int,
                     "counterexample": colors, "sample_index": s}
     return {"checked": checked, "rainbow_skipped": rainbow_skipped,
             "counterexample": None, "sample_index": None}
+
+
+def _equitable(adj: list[int], cells: list[list[int]],
+               splitters: list[int]) -> list[list[int]]:
+    """Refine the ordered partition `cells` until it is equitable: every
+    vertex of a cell has the same number of neighbors in each cell.
+
+    `adj[v]` is v's neighborhood as a bit mask.  Each round splits every
+    cell by its vertices' neighbor counts in the `splitters` (cell masks)
+    and orders the pieces by that count vector, so the result depends on
+    the graph and the input order of the cells, not on vertex labels.  On
+    entry, two vertices of one cell with the same counts in every splitter
+    must have the same counts in every cell.  Of each split cell, every
+    piece but the last becomes a splitter for the next round: counts in the
+    last piece are the counts in the whole cell minus those in the others.
+    """
+    while splitters:
+        out: list[list[int]] = []
+        fresh: list[int] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                a = adj[v]
+                groups.setdefault(tuple([(a & s).bit_count() for s in splitters]),
+                                  []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            pieces = [groups[sig] for sig in sorted(groups)]
+            out += pieces
+            for piece in pieces[:-1]:
+                mask = 0
+                for v in piece:
+                    mask |= 1 << v
+                fresh.append(mask)
+        cells, splitters = out, fresh
+    return cells
+
+
+def check_vertex_count(n: int):
+    """The one refusal of both canonical_key kernels: a key's bit a * n + b
+    indexes the vertex pairs, and the compiled kernel holds a vertex's
+    neighbors in one 64-bit mask."""
+    if not 0 <= n <= DEFAULT_VERTEX_CAP:
+        raise ValueError(f"canonical_key takes 0..{DEFAULT_VERTEX_CAP} "
+                         f"vertices, got {n}")
+
+
+def canonical_key(n: int, edges: Sequence[tuple[int, int]]) -> int:
+    """The code of graphs.canonical_key (see there) of the graph on vertices
+    0..n-1 with these edges: the largest leaf code of the
+    individualisation-refinement search.  Raises ValueError unless
+    0 <= n <= DEFAULT_VERTEX_CAP."""
+    check_vertex_count(n)
+    adj = [0] * n
+    for (u, v) in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    best = -1
+
+    def search(cells: list[list[int]], splitters: list[int]):
+        nonlocal best
+        cells = _equitable(adj, cells, splitters)
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:
+            pos = [0] * n
+            for p, (v,) in enumerate(cells):
+                pos[v] = p
+            code = 0
+            for (u, v) in edges:
+                a, b = pos[u], pos[v]
+                code |= (1 << (a * n + b)) | (1 << (b * n + a))
+            best = max(best, code)
+            return
+        tried: list[int] = []
+        for v in cell:
+            av = adj[v]
+            if any((av & ~(1 << u)) == (adj[u] & ~(1 << v)) for u in tried):
+                continue
+            tried.append(v)
+            rest = [w for w in cell if w != v]
+            search(cells[:i] + [[v], rest] + cells[i + 1:], [1 << v])
+
+    search([list(range(n))] if n else [], [(1 << n) - 1])
+    return best

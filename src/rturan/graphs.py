@@ -388,92 +388,30 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     yield from extend(0)
 
 
-def _equitable(adj: list[int], cells: list[list[int]],
-               splitters: list[int]) -> list[list[int]]:
-    """Refine the ordered partition `cells` until it is equitable: every
-    vertex of a cell has the same number of neighbors in each cell.
-
-    `adj[v]` is v's neighborhood as a bit mask.  Each round splits every
-    cell by its vertices' neighbor counts in the `splitters` (cell masks)
-    and orders the pieces by that count vector, so the result depends on
-    the graph and the input order of the cells, not on vertex labels.  On
-    entry, two vertices of one cell with the same counts in every splitter
-    must have the same counts in every cell.  Of each split cell, every
-    piece but the last becomes a splitter for the next round: counts in the
-    last piece are the counts in the whole cell minus those in the others.
-    """
-    while splitters:
-        out: list[list[int]] = []
-        fresh: list[int] = []
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                a = adj[v]
-                groups.setdefault(tuple([(a & s).bit_count() for s in splitters]),
-                                  []).append(v)
-            if len(groups) == 1:
-                out.append(cell)
-                continue
-            pieces = [groups[sig] for sig in sorted(groups)]
-            out += pieces
-            for piece in pieces[:-1]:
-                mask = 0
-                for v in piece:
-                    mask |= 1 << v
-                fresh.append(mask)
-        cells, splitters = out, fresh
-    return cells
-
-
-def canonical_key(g: Graph) -> tuple:
+def canonical_key(g) -> tuple:
     """Canonical form: ``canonical_key(g) == canonical_key(h)`` exactly when g
     and h are isomorphic (same vertex count, same edges up to relabeling).
-    Labels are ignored.  Only equality is meaningful; the order of keys is not.
+    Labels are ignored, and g may be any record with a vertex count ``n`` and
+    an edge list ``edges``, as a Graph has.  At most DEFAULT_VERTEX_CAP (64)
+    vertices; more raise ValueError.
+
+    The key is ``(n, code)``, where code is the integer the kernel
+    (_kernels.canonical_key) computes.  Its value, not only its equality, is
+    a contract, the same integer on both backends: graphs_up_to_iso orders
+    each level by key, which picks the representative graphs and the avoider
+    brute_extremal certifies.
 
     Individualisation-refinement (McKay & Piperno, *Practical graph
     isomorphism II*, 2014): refine the vertex partition until it is
     equitable, then individualise each vertex of the first non-singleton
     cell in turn and recurse.  Each leaf, a discrete partition, relabels g
-    by cell position; the key is the largest relabeled edge set over the
-    leaves.  A vertex whose swap with an already tried vertex is an
-    automorphism (a twin: ``N(u) - {v} == N(v) - {u}``) is not tried, so
-    complete, empty and near-complete graphs take one branch per level.
-    Other symmetric graphs still branch: r disjoint edges take r! leaves.
+    by cell position; code is the largest relabeled edge set over the
+    leaves, bit a * n + b standing for the edge between positions a and b.
+    A vertex whose swap with an already tried vertex is an automorphism (a
+    twin: ``N(u) - {v} == N(v) - {u}``) is not tried, so complete, empty and
+    near-complete graphs take one branch per level.  Other symmetric graphs
+    still branch: r disjoint edges take r! leaves.
     """
-    n = g.n
-    adj = [0] * n
-    for (u, v) in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    best = -1
-
-    def search(cells: list[list[int]], splitters: list[int]):
-        nonlocal best
-        cells = _equitable(adj, cells, splitters)
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                break
-        else:
-            pos = [0] * n
-            for p, (v,) in enumerate(cells):
-                pos[v] = p
-            code = 0
-            for (u, v) in g.edges:
-                a, b = pos[u], pos[v]
-                code |= (1 << (a * n + b)) | (1 << (b * n + a))
-            best = max(best, code)
-            return
-        tried: list[int] = []
-        for v in cell:
-            av = adj[v]
-            if any((av & ~(1 << u)) == (adj[u] & ~(1 << v)) for u in tried):
-                continue
-            tried.append(v)
-            rest = [w for w in cell if w != v]
-            search(cells[:i] + [[v], rest] + cells[i + 1:], [1 << v])
-
-    search([list(range(n))] if n else [], [(1 << n) - 1])
-    return (n, best)
+    # at call time: _kernels imports coloring, which imports this module
+    from ._kernels import canonical_key as kernel_key
+    return (g.n, kernel_key(g.n, g.edges))

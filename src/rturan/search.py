@@ -131,6 +131,12 @@ def _twin_ranks(g: Graph) -> tuple[list[int], list[int]]:
     return cls, rank
 
 
+class _Candidate(NamedTuple):
+    """An augmentation as canonical_key reads it, before any Graph is built."""
+    n: int
+    edges: tuple[tuple[int, int], ...]
+
+
 def graphs_up_to_iso(n: int, prune: Optional[Callable[[Graph], bool]] = None,
                      ) -> Iterator[Graph]:
     """n-vertex graphs up to isomorphism, one per class, by edge count from 0
@@ -141,7 +147,9 @@ def graphs_up_to_iso(n: int, prune: Optional[Callable[[Graph], bool]] = None,
     drops the class.  Every absent edge is added to each class kept, and the
     first graph to reach each canonical_key is kept (McKay, *Isomorph-free
     exhaustive generation*, 1998), so the level holds every class with a kept
-    subgraph one edge smaller.  The stream stops at the first empty level.
+    subgraph one edge smaller.  Each augmentation is keyed as a bare
+    (n, edges) record, and only the first one per key is built as a Graph.
+    The stream stops at the first empty level.
     Swapping two twins of g (_twin_ranks) is an automorphism s of g, so g + e
     and g + s(e) are isomorphic: of each orbit of absent edges under the twin
     swaps only the first in edge order is added.  Across twin classes A and B
@@ -163,8 +171,10 @@ def graphs_up_to_iso(n: int, prune: Optional[Callable[[Graph], bool]] = None,
                 # rank[v] is 1 inside u's class, 0 across classes
                 if rank[u] or rank[v] != (cls[u] == cls[v]) or e in g.edge_index:
                     continue
-                h = Graph(n, tuple(sorted((*g.edges, e))))
-                reps.setdefault(canonical_key(h), h)
+                edges = tuple(sorted((*g.edges, e)))
+                key = canonical_key(_Candidate(n, edges))
+                if key not in reps:
+                    reps[key] = Graph(n, edges)
         level = [reps[key] for key in sorted(reps)]
 
 

@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -8,8 +10,9 @@ import pytest
 from rturan import _kernels
 from rturan._kernels import pure
 from rturan.coloring import conflict_lists, is_proper
-from rturan.graphs import (enumerate_embeddings, make_complete, make_cycle,
-                           make_double_star, make_path)
+from rturan.graphs import (DEFAULT_VERTEX_CAP, enumerate_embeddings, make_complete,
+                           make_cycle, make_double_star, make_path)
+from rturan.search import graphs_up_to_iso
 
 try:
     from rturan._kernels import native
@@ -226,3 +229,74 @@ def test_native_refuses_out_of_range_indices():
     for backend in (native, pure):
         with pytest.raises(ValueError):
             backend.find_avoiding_coloring(m, conf, [[0, 1], []], 2, False, 3)
+
+
+def keys_agree(n, edges):
+    # equal integers, not only equal classes: each level's order, and so the
+    # representatives and certified avoiders, follow the key values
+    key = pure.canonical_key(n, edges)
+    assert native.canonical_key(n, edges) == key, (n, edges)
+    return key
+
+
+@needs_native
+@pytest.mark.parametrize("n", range(8))
+def test_canonical_key_backends_agree_on_every_class(n):
+    rng = random.Random(n)
+    for g in graphs_up_to_iso(n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges)
+        assert keys_agree(n, relabeled) == keys_agree(n, list(g.edges))
+
+
+@needs_native
+def test_canonical_key_backends_agree_on_random_graphs():
+    rng = random.Random(22)
+    for n in range(1, DEFAULT_VERTEX_CAP + 1):
+        for p in (0.05, 0.15, 0.5, 0.85, 0.95):
+            keys_agree(n, [e for e in itertools.combinations(range(n), 2)
+                           if rng.random() < p])
+
+
+@needs_native
+def test_canonical_key_backends_agree_on_near_regular_graphs():
+    # two random Hamiltonian cycles: refinement barely splits the vertices,
+    # so the key is the largest of many leaves with distinct codes, compared
+    # over all (n * n + 63) // 64 words of the key
+    rng = random.Random(7)
+    for n in range(5, 41):
+        edges = set()
+        for _ in range(2):
+            cycle = list(range(n))
+            rng.shuffle(cycle)
+            edges |= {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+        keys_agree(n, sorted(edges))
+
+
+@needs_native
+def test_canonical_key_backends_agree_on_edge_cases():
+    assert keys_agree(0, []) == keys_agree(1, []) == 0
+    # K_64: every leaf code sets every off-diagonal bit of the 64 x 64 square
+    n = DEFAULT_VERTEX_CAP
+    assert keys_agree(n, list(itertools.combinations(range(n), 2))) == sum(
+        1 << (a * n + b) for a in range(n) for b in range(n) if a != b)
+    # six disjoint edges: no refinement splits them, so 6! = 720 leaves
+    keys_agree(12, [(2 * i, 2 * i + 1) for i in range(6)])
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param(pure, id="pure"),
+    pytest.param(native, id="native", marks=needs_native),
+])
+def test_canonical_key_refuses_more_than_64_vertices(backend):
+    with pytest.raises(ValueError, match=r"0\.\.64 vertices, got 65"):
+        backend.canonical_key(DEFAULT_VERTEX_CAP + 1, [])
+
+
+@needs_native
+def test_native_canonical_key_refuses_out_of_range_endpoints():
+    # the C code indexes its adjacency masks by endpoint
+    for edges in ([(0, 3)], [(-1, 1)]):
+        with pytest.raises(ValueError, match="out of range"):
+            native.canonical_key(3, edges)
