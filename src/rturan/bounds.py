@@ -16,17 +16,17 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, Sequence
 
-from .graphs import (DEFAULT_VERTEX_CAP, Embedding, Graph, GraphError,
-                     diameter, graph_from_edges, make_caterpillar,
+from .graphs import (DEFAULT_VERTEX_CAP, MAX_VERTICES, Embedding, Graph,
+                     GraphError, diameter, graph_from_edges, make_caterpillar,
                      make_double_star, make_perfect_kary)
 
 ERDOS_SOS = "erdos_sos_conjecture"
 MCLENNAN = "mclennan_diam4"
 EMPTY_SUM_NOTE = "literal empty products over i=4..j-2 evaluated as 1"
 # vertex caps of the augmented trees; an augmenter refuses a level that
-# would grow its tree past the cap before building it
+# would grow its tree past the cap before building it.  A k-ary tree's cap is
+# graphs.MAX_VERTICES, the most vertices of any graph rturan builds
 CATERPILLAR_CAP = 4 * DEFAULT_VERTEX_CAP
-KARY_CAP = 100_000
 
 
 class BoundReport:
@@ -288,7 +288,7 @@ def augment_kary(k: int, d: int) -> AugmentedTree:
     depth j-1 gets k^j + (k^j-1)/(k-1) - 2 children, cascading to depth d."""
     if k < 2 or d < 2:
         raise ValueError("need arity >= 2 and depth >= 2")
-    original = make_perfect_kary(k, d, cap=KARY_CAP)
+    original = make_perfect_kary(k, d, cap=MAX_VERTICES)
     edges: list[tuple[int, int]] = []
     children: dict[int, range] = {0: _hang(edges, 0, k, 1)}
     nxt = 1 + k
@@ -296,7 +296,7 @@ def augment_kary(k: int, d: int) -> AugmentedTree:
     log: list[tuple[str, int]] = [(f"root: {k} branch edges", k)]
     for j in range(2, d + 1):
         bj = _kary_leaf_factor(k, j)
-        _check_growth(nxt + len(level) * bj, KARY_CAP)
+        _check_growth(nxt + len(level) * bj, MAX_VERTICES)
         new_level = []
         start = nxt
         for p in level:

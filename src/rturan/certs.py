@@ -78,8 +78,10 @@ class Certificate:
             verdict=obj["verdict"],
             params=obj.get("params", {}),
             payload=obj.get("payload", {}),
-            nodes_visited=obj.get("nodes_visited", 0),
-            exhaustive=obj.get("exhaustive", True),
+            # absent fields stay absent (None): a recheck that reads one
+            # refuses it, and one that compares it finds it not reproduced
+            nodes_visited=obj.get("nodes_visited"),
+            exhaustive=obj.get("exhaustive"),
             assumptions=tuple(obj.get("assumptions", [])),
             seed=obj.get("seed"),
         )

@@ -199,6 +199,9 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.recheck:
+        if args.check is not None:
+            raise SpecError("--recheck FILE takes no check name or spec: "
+                            f"{' '.join([args.check, *args.spec])}")
         cert = load_certificate(args.recheck)
         ok, detail = recheck_certificate(cert)
         emit(args, {"recheck": ok, "detail": detail, "kind": cert.kind},

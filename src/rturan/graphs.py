@@ -13,6 +13,9 @@ from bisect import bisect_right
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 DEFAULT_VERTEX_CAP = 64
+# the most vertices of any graph rturan builds (an augmented k-ary tree); a
+# serialized graph with more is refused, as each vertex costs memory first
+MAX_VERTICES = 100_000
 
 
 class GraphError(ValueError):
@@ -106,6 +109,9 @@ class Graph:
         n, edges, labels = obj.get("n"), obj.get("edges"), obj.get("labels")
         if not is_int(n):
             raise GraphError(f"graph field 'n' is not an integer: {n!r}")
+        if n > MAX_VERTICES:
+            raise GraphError(f"graph field 'n' is {n}, above the "
+                             f"{MAX_VERTICES}-vertex cap")
         if not (isinstance(edges, list) and all(
                 isinstance(e, (list, tuple)) and len(e) == 2
                 and all(map(is_int, e)) for e in edges)):

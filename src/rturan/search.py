@@ -24,8 +24,6 @@ MAX_COPIES = 100_000
 N_CAP = 7
 # largest s verify_k2s4_construction checks (K_12, DS_{1,9})
 S_CAP = 4
-# samples of the K_6 stream a k6_universal recheck re-draws
-SAMPLE_PREFIX = 50_000
 
 
 class AvoiderResult(NamedTuple):
@@ -415,8 +413,6 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
     # (an exhaustion with its recorded per-class budget), so the re-run
     # repeats the recorded search, budget trip included
     budget = _int_param(cert, "nodes_visited", vars(cert))
-    skip = set()
-    reduced = ""
     if cert.kind == "exhaustion":
         _int_param(cert, "graphs_checked", cert.payload)
         per_class = None if cert.params["budget"] is None else _int_param(cert, "budget")
@@ -433,38 +429,19 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
         host = Graph.from_json(cert.params["augmented"])
         fresh = verify_reduction(original, host, _int_param(cert, "k"), budget)
     elif cert.kind == "k6_universal":
+        # every sample the certificate records is drawn again
         color_cap, sample_count, seed = (
             _int_param(cert, name) for name in ("color_cap", "sample_count", "seed"))
-        if color_cap < 1:  # as the producer does, but before the counts' check
-            raise ValueError(f"color_cap must be >= 1, got {color_cap}")
-        if sample_count > SAMPLE_PREFIX:
-            reduced = " (reduced sample prefix)"
-            skip.add("sample_count")
-            if cert.verdict == PASS and "sampled_regime" in cert.payload:
-                # the re-run does not re-draw the sampled regime past the
-                # prefix; the stored one must still count every sample drawn
-                skip.add("sampled_regime")
-                sampled = cert.payload["sampled_regime"]
-                if not isinstance(sampled, dict):
-                    raise ValueError(f"{cert.kind} certificate field "
-                                     f"'sampled_regime' is not an object: {sampled!r}")
-                counts = [_int_param(cert, name, sampled)
-                          for name in ("samples_checked", "rainbow_skipped")]
-                if min(counts) < 0 or sum(counts) != sample_count:
-                    return False, "sampled counts do not add up to sample_count"
-        fresh = verify_k6_universal_3unique(
-            budget=budget, color_cap=color_cap,
-            sample_count=min(sample_count, SAMPLE_PREFIX), seed=seed)
+        fresh = verify_k6_universal_3unique(budget=budget, color_cap=color_cap,
+                                            sample_count=sample_count, seed=seed)
     else:
         return False, f"unknown certificate kind {cert.kind!r}"
     # it passes only when it reproduces these fields, compared as JSON text
-    # (so 1.0 and true are not 1): the params the re-run records and the rest,
-    # the sample count and sampled regime past the prefix aside
+    # (so 1.0 and true are not 1): the params the re-run records and the rest
     stored, rerun = (json.dumps([c.verdict, c.nodes_visited, c.exhaustive,
-                                 {k: c.params.get(k) for k in fresh.params if k not in skip},
-                                 {k: v for k, v in c.payload.items() if k not in skip}],
+                                 {k: c.params.get(k) for k in fresh.params}, c.payload],
                                 sort_keys=True) for c in (cert, fresh))
-    detail = f"re-run{reduced} verdict {fresh.verdict}"
+    detail = f"re-run verdict {fresh.verdict}"
     if stored != rerun:
         return False, f"{detail}, certificate not reproduced"
     return True, detail

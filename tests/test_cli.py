@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -183,13 +184,23 @@ def test_verify_reduction_rainbow_specs_pass_and_recheck(capsys, tmp_path, spec)
     assert code == EXIT_OK and "OK" in out
 
 
-def test_verify_usage_errors(capsys):
+def test_verify_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "k2s4")
     assert code == EXIT_USAGE and "--s" in err
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == EXIT_USAGE
     code, _, err = run(capsys, "verify")
     assert code == EXIT_USAGE and "check name or --recheck FILE" in err
+    # a check named beside --recheck is refused, not dropped, even when the
+    # file rechecks OK on its own
+    assert run(capsys, "--cache-dir", str(tmp_path), "verify", "k2s4", "--s", "0")[0] == EXIT_OK
+    (path,) = tmp_path.glob("*.json")
+    assert run(capsys, "verify", "--recheck", str(path))[0] == EXIT_OK
+    for argv in (["k2s4", "--s", "3"], ["reduction", "DS", "2", "2", "1"],
+                 ["k6-rainbow-free"]):
+        code, out, err = run(capsys, "verify", *argv, "--recheck", str(path))
+        assert code == EXIT_USAGE and out == "", argv
+        assert len(err.strip().splitlines()) == 1 and "--recheck" in err, argv
 
 
 def test_search_command(capsys, tmp_path):
@@ -244,7 +255,7 @@ def test_budget_exhausted_certificate_rechecks(capsys, tmp_path, argv):
     target.write_text(json.dumps({**obj, "verdict": "PASS"}))
     code, out, _ = run(capsys, "verify", "--recheck", str(target))
     assert code == EXIT_FAIL and "FAILED" in out
-    # the sampled regime is left out of the comparison only for a PASS
+    # a payload field the re-run does not record is not reproduced either
     target.write_text(json.dumps(_with(obj, ("payload", "sampled_regime"), "garbage")))
     code, out, _ = run(capsys, "verify", "--recheck", str(target))
     assert code == EXIT_FAIL and "FAILED" in out
@@ -274,27 +285,40 @@ MALFORMED_CERTIFICATES = {
     "no-kind.json": '{"schema": 1}',
     "no-graph.json": '{"schema": 1, "kind": "avoider", "verdict": "PASS", "params": {}}',
     "not-an-object.json": "[1]",
-    "k2s4-s-string.json": '{"schema": 1, "kind": "k2s4", "verdict": "PASS", "params": {"s": "x"}}',
-    "k2s4-s-bool.json": '{"schema": 1, "kind": "k2s4", "verdict": "PASS", "params": {"s": true}}',
-    "reduction-k-negative.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", "params": '
+    # the re-run kinds below carry nodes_visited, which a recheck reads first,
+    # so each exits 2 for the field its name gives
+    "k2s4-s-string.json": '{"schema": 1, "kind": "k2s4", "verdict": "PASS", "nodes_visited": 0, '
+                          '"params": {"s": "x"}}',
+    "k2s4-s-bool.json": '{"schema": 1, "kind": "k2s4", "verdict": "PASS", "nodes_visited": 0, '
+                        '"params": {"s": true}}',
+    "reduction-k-negative.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", '
+                                 '"nodes_visited": 0, "params": '
                                  '{"original": {"n": 2, "edges": [[0, 1]]}, '
                                  '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": -1}}',
-    "reduction-k-above.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", "params": '
+    "reduction-k-above.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", '
+                              '"nodes_visited": 0, "params": '
                               '{"original": {"n": 2, "edges": [[0, 1]]}, '
                               '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": 2}}',
-    "reduction-k-null.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", "params": '
+    "reduction-k-null.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", '
+                             '"nodes_visited": 0, "params": '
                              '{"original": {"n": 2, "edges": [[0, 1]]}, '
                              '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": null}}',
     "k6-samples-negative.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+                                '"nodes_visited": 0, '
                                 '"params": {"color_cap": 7, "sample_count": -1, "seed": 1}}',
-    "k6-seed-float.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", "params": '
+    "k6-seed-float.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+                          '"nodes_visited": 0, "params": '
                           '{"color_cap": 7, "sample_count": 10, "seed": 1.5, "chunk_size": 5}}',
     "k6-color-cap-zero.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+                              '"nodes_visited": 0, '
                               '"params": {"color_cap": 0, "sample_count": 10, "seed": 1}}',
     "k6-color-cap-negative.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+                                  '"nodes_visited": 0, '
                                   '"params": {"color_cap": -1, "sample_count": 10, "seed": 1}}',
-    # a bad value exits 2 also beside sampled counts that do not add up
+    # the producer refuses color_cap 0 before it draws a sample, whatever the
+    # sample count and the stored sampled regime say
     "k6-color-cap-zero-prefix.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+                                     '"nodes_visited": 0, '
                                      '"params": {"color_cap": 0, "sample_count": 60000, "seed": 1}, '
                                      '"payload": {"sampled_regime": {"samples_checked": 0, '
                                      '"rainbow_skipped": 0}}}',
@@ -346,6 +370,24 @@ def test_user_errors_exit_usage_with_one_line(capsys, tmp_path, monkeypatch, arg
     code, out, err = run(capsys, *argv.split())
     assert code == EXIT_USAGE
     assert out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_huge_vertex_count_is_refused_at_once(capsys, tmp_path):
+    # a graph of 10^12 vertices would ask for about 480 GB before any check
+    assert main(["--cache-dir", str(tmp_path), "search", "--n", "4", "--pattern", "P2",
+                 "--rainbow"]) == EXIT_OK
+    capsys.readouterr()
+    (avoider,) = [obj for obj in (json.loads(p.read_text()) for p in tmp_path.glob("*.json"))
+                  if obj["kind"] == "avoider"]
+    cert, graph = tmp_path / "huge-avoider.cert", tmp_path / "huge.graph"
+    cert.write_text(json.dumps(_with(avoider, ("payload", "graph", "n"), 10**12)))
+    graph.write_text(json.dumps({"n": 10**12, "edges": []}))
+    for argv in (["verify", "--recheck", str(cert)], ["spectrum", "--graph-file", str(graph)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == EXIT_USAGE and out == "", argv
+        assert len(err.strip().splitlines()) == 1 and "vertex cap" in err, argv
 
 
 def test_negative_budget_is_rejected(capsys):
@@ -484,11 +526,9 @@ def test_rerun_certificate_rechecks_only_when_reproduced(capsys, tmp_path, argv)
     code, _, _ = run(capsys, "--cache-dir", str(tmp_path), *argv)
     assert code == EXIT_OK
     (path,) = tmp_path.glob("*.json")
-    code, out, _ = run(capsys, "verify", "--recheck", str(path))
-    assert code == EXIT_OK and "OK" in out
-    # every sample the certificate records is re-drawn
-    assert "reduced sample prefix" not in out
     obj = json.loads(path.read_text())
+    code, out, _ = run(capsys, "verify", "--recheck", str(path))
+    assert code == EXIT_OK and out == f"recheck {obj['kind']}: OK (re-run verdict PASS)\n"
     tampered = [{**obj, "nodes_visited": obj["nodes_visited"] + 1000},
                 {**obj, "exhaustive": not obj["exhaustive"]},
                 *(_edited(obj, ("payload", *field))
@@ -525,51 +565,57 @@ def test_edited_exhaustion_certificate_fails_recheck(capsys, tmp_path):
         assert code == EXIT_FAIL and "FAILED" in out, (path, value)
 
 
-def _no_rerun(*args, **kwargs):
-    raise AssertionError("the recheck re-ran the search")
+@pytest.mark.parametrize("argv", SWEEP_RUNS, ids=["exhaustion", *PAYLOAD_EDITS])
+def test_rerun_certificate_needs_its_node_count_and_exhaustive_flag(capsys, tmp_path, argv):
+    # the re-run takes nodes_visited as its budget and is compared on
+    # exhaustive, so neither field is filled in when the certificate lacks it
+    assert main(["--cache-dir", str(tmp_path), *argv]) == EXIT_OK
+    capsys.readouterr()
+    (obj,) = [obj for obj in (json.loads(p.read_text()) for p in tmp_path.glob("*.json"))
+              if obj["kind"] != "avoider"]
+    target = tmp_path / "edited.cert"
+    target.write_text(json.dumps({k: v for k, v in obj.items() if k != "nodes_visited"}))
+    code, out, err = run(capsys, "verify", "--recheck", str(target))
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.strip().splitlines()) == 1 and "'nodes_visited'" in err
+    target.write_text(json.dumps({k: v for k, v in obj.items() if k != "exhaustive"}))
+    code, out, _ = run(capsys, "verify", "--recheck", str(target))
+    assert code == EXIT_FAIL and "certificate not reproduced" in out
 
 
-def test_k6_universal_recheck_above_the_sample_prefix(capsys, tmp_path, monkeypatch):
-    # the recheck re-draws only the first 50,000 samples, so it compares
-    # everything but the sampled regime
+def test_k6_universal_recheck_redraws_every_sample(capsys, tmp_path):
+    # the recheck draws every sample the certificate records again and
+    # compares the sampled regime like any other payload field; 50,001
+    # samples, so a recheck that re-drew only the first 50,000 would miss the
+    # forged split below
     code, _, _ = run(capsys, "--cache-dir", str(tmp_path),
-                     "verify", "k6-universal-3unique", "--samples", "60000")
+                     "verify", "k6-universal-3unique", "--samples", "50001")
     assert code == EXIT_OK
     (path,) = tmp_path.glob("*.json")
     code, out, _ = run(capsys, "verify", "--recheck", str(path))
-    assert code == EXIT_OK and "OK (re-run (reduced sample prefix) verdict PASS)" in out
-    target = tmp_path / "tampered.json"
+    assert code == EXIT_OK and out == "recheck k6_universal: OK (re-run verdict PASS)\n"
+    # no sample of this stream is rainbow, so a split that still adds up to
+    # the sample count is forged
     obj = json.loads(path.read_text())
-    target.write_text(json.dumps(_edited(obj, ("payload", "exhaustive_regime",
-                                               "nodes_visited"))))
+    assert obj["payload"]["sampled_regime"] == {"samples_checked": 50001, "rainbow_skipped": 0}
+    target = tmp_path / "tampered.cert"
+    target.write_text(json.dumps(_with(obj, ("payload", "sampled_regime"),
+                                       {"samples_checked": 50000, "rainbow_skipped": 1})))
     code, out, _ = run(capsys, "verify", "--recheck", str(target))
-    assert code == EXIT_FAIL and "FAILED" in out
-    # the sampled counts are not re-drawn, but they must be non-negative
-    # integers that add up to the samples drawn; they are read and checked
-    # before the re-run, and no case below gets that far
-    monkeypatch.setattr(search, "verify_k6_universal_3unique", _no_rerun)
-    sampled = obj["payload"]["sampled_regime"]
-    total = 60000
-    assert sampled["samples_checked"] + sampled["rainbow_skipped"] == total
-    for checked, skipped in ((sampled["samples_checked"] + 1, sampled["rainbow_skipped"]),
-                             (sampled["samples_checked"], sampled["rainbow_skipped"] - 1),
-                             (total + 1, -1), (-1, total + 1)):
-        bad = json.loads(json.dumps(obj))
-        bad["payload"]["sampled_regime"].update(samples_checked=checked,
-                                                rainbow_skipped=skipped)
-        target.write_text(json.dumps(bad))
-        code, out, _ = run(capsys, "verify", "--recheck", str(target))
-        assert code == EXIT_FAIL and "FAILED" in out, (checked, skipped)
-    # a bad type exits 2 also beside an edit the re-run would catch
-    spoiled = _edited(obj, ("payload", "exhaustive_regime", "nodes_visited"))
-    for path in (("sampled_regime",), ("sampled_regime", "samples_checked"),
-                 ("sampled_regime", "rainbow_skipped")):
+    assert code == EXIT_FAIL and "certificate not reproduced" in out
+    # a wrong type in the sampled regime is a payload the re-run does not
+    # reproduce (exit 1), shown on a 10-sample certificate to keep it cheap
+    small = tmp_path / "small"
+    assert run(capsys, "--cache-dir", str(small), "verify", "k6-universal-3unique",
+               "--samples", "10")[0] == EXIT_OK
+    (path,) = small.glob("*.json")
+    obj = json.loads(path.read_text())
+    for field in (("sampled_regime",), ("sampled_regime", "samples_checked"),
+                  ("sampled_regime", "rainbow_skipped")):
         for value in BAD_VALUES:
-            for base in (obj, spoiled):
-                target.write_text(json.dumps(_with(base, ("payload", *path), value)))
-                code, out, err = run(capsys, "verify", "--recheck", str(target))
-                assert code == EXIT_USAGE and out == "", (path, value)
-                assert len(err.strip().splitlines()) == 1, (path, value, err)
+            target.write_text(json.dumps(_with(obj, ("payload", *field), value)))
+            code, out, _ = run(capsys, "verify", "--recheck", str(target))
+            assert code == EXIT_FAIL and "certificate not reproduced" in out, (field, value)
 
 
 def _subcommand_flags() -> dict[str, list[str]]:

@@ -6,8 +6,8 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rturan.graphs import (DEFAULT_VERTEX_CAP, Embedding, Graph, GraphError,
-                           canonical_key, diameter,
+from rturan.graphs import (DEFAULT_VERTEX_CAP, MAX_VERTICES, Embedding, Graph,
+                           GraphError, canonical_key, diameter,
                            enumerate_embeddings, graph_from_edges,
                            make_broom, make_caterpillar, make_complete,
                            make_cycle, make_double_star, make_path,
@@ -41,6 +41,10 @@ def test_graph_json_roundtrip():
                 {"n": 2, "edges": [[0, 1]], "labels": None}):
         with pytest.raises(GraphError):
             Graph.from_json(bad)
+    # n is refused above the cap before a vertex is allocated
+    for n in (MAX_VERTICES + 1, 10**12):
+        with pytest.raises(GraphError, match="vertex cap"):
+            Graph.from_json({"n": n, "edges": []})
 
 
 def test_path_cycle_complete_shapes():
