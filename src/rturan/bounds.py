@@ -17,8 +17,8 @@ from math import prod
 from typing import Optional, Sequence
 
 from .graphs import (DEFAULT_VERTEX_CAP, MAX_VERTICES, Embedding, Graph,
-                     GraphError, diameter, graph_from_edges, make_caterpillar,
-                     make_double_star, make_perfect_kary)
+                     GraphError, Record, diameter, graph_from_edges,
+                     make_caterpillar, make_double_star, make_perfect_kary)
 
 ERDOS_SOS = "erdos_sos_conjecture"
 MCLENNAN = "mclennan_diam4"
@@ -29,7 +29,10 @@ EMPTY_SUM_NOTE = "literal empty products over i=4..j-2 evaluated as 1"
 CATERPILLAR_CAP = 4 * DEFAULT_VERTEX_CAP
 
 
-class BoundReport:
+class BoundReport(Record):
+    _fields = ("family", "params", "coefficient", "assumptions", "notes",
+               "construction_log")
+
     def __init__(self, family: str, params: dict, coefficient: Fraction,
                  assumptions: tuple[str, ...] = (), notes: tuple[str, ...] = (),
                  construction_log: Optional[tuple] = None):
@@ -41,17 +44,6 @@ class BoundReport:
         self.assumptions = assumptions
         self.notes = notes
         self.construction_log = construction_log
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return (f"BoundReport(family={self.family!r}, params={self.params!r}, "
-                f"coefficient={self.coefficient!r}, "
-                f"assumptions={self.assumptions!r}, notes={self.notes!r}, "
-                f"construction_log={self.construction_log!r})")
 
     def to_json(self) -> dict:
         out = {
@@ -68,7 +60,9 @@ class BoundReport:
         return out
 
 
-class AugmentedTree:
+class AugmentedTree(Record):
+    _fields = ("original", "augmented", "construction_log", "embedding", "k")
+
     def __init__(self, original: Graph, augmented: Graph,
                  construction_log: tuple[tuple[str, int], ...],
                  embedding: Embedding, k: int):
@@ -77,16 +71,6 @@ class AugmentedTree:
         self.construction_log = construction_log  # (step description, edges added)
         self.embedding = embedding
         self.k = k  # the lemma's claim: every proper coloring holds a k-unique original
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return (f"AugmentedTree(original={self.original!r}, "
-                f"augmented={self.augmented!r}, "
-                f"construction_log={self.construction_log!r}, k={self.k!r})")
 
     @property
     def edge_count(self) -> int:

@@ -8,6 +8,8 @@ import os
 from pathlib import Path
 from typing import Optional
 
+from .graphs import Record
+
 ENGINE_VERSION = "0.1.0"
 ENUMERATION_SCHEME = 1
 SCHEMA = 1
@@ -17,7 +19,10 @@ FAIL = "FAIL"
 BUDGET_EXHAUSTED = "BUDGET-EXHAUSTED"
 
 
-class Certificate:
+class Certificate(Record):
+    _fields = ("kind", "verdict", "params", "payload", "nodes_visited",
+               "exhaustive", "assumptions", "seed")
+
     def __init__(self, kind: str, verdict: str, params: dict,
                  payload: Optional[dict] = None, nodes_visited: int = 0,
                  exhaustive: bool = True, assumptions: tuple[str, ...] = (),
@@ -30,18 +35,6 @@ class Certificate:
         self.exhaustive = exhaustive
         self.assumptions = assumptions
         self.seed = seed
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return (f"Certificate(kind={self.kind!r}, verdict={self.verdict!r}, "
-                f"params={self.params!r}, payload={self.payload!r}, "
-                f"nodes_visited={self.nodes_visited!r}, "
-                f"exhaustive={self.exhaustive!r}, "
-                f"assumptions={self.assumptions!r}, seed={self.seed!r})")
 
     def to_json(self) -> dict:
         return {

@@ -77,6 +77,9 @@ def parse_family(tokens: list[str], graph_file: str | None = None) -> tuple[str,
     """Family grammar: P<k>, C<k>, K<n>, DS <r> <s>, B <k> <r>,
     CAT <c1,...,ck>, T <k> <d>; or a JSON graph file."""
     if graph_file:
+        if tokens:
+            raise SpecError(f"a family spec and --graph-file exclude each "
+                            f"other: {' '.join(tokens)!r}")
         obj = json.loads(Path(graph_file).read_text())
         return f"file:{graph_file}", Graph.from_json(obj)
     head, vals = parse_spec(tokens)
@@ -182,6 +185,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_construct(args) -> int:
     if args.augment:
+        if args.graph_file:
+            raise SpecError("--augment builds from a spec, not --graph-file")
         aug = parse_augment(args.family)
         obj = {"original": aug.original.to_json(),
                "augmented": aug.augmented.to_json(),
@@ -200,42 +205,29 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     if args.recheck:
         if args.check is not None:
-            raise SpecError("--recheck FILE takes no check name or spec: "
-                            f"{' '.join([args.check, *args.spec])}")
+            raise SpecError(f"--recheck FILE takes no check: {args.check}")
         cert = load_certificate(args.recheck)
         ok, detail = recheck_certificate(cert)
         emit(args, {"recheck": ok, "detail": detail, "kind": cert.kind},
              [f"recheck {cert.kind}: {'OK' if ok else 'FAILED'} ({detail})"])
         return EXIT_OK if ok else EXIT_FAIL
-    name = args.check
-    if args.spec and name != "reduction":
-        raise SpecError(f"unexpected arguments after {name}: {' '.join(args.spec)}")
-    if name == "k6-rainbow-free":
-        cert = verify_k6_rainbow_free()
-    elif name == "k6-universal-3unique":
-        cert = verify_k6_universal_3unique(
-            budget=args.budget, color_cap=args.color_cap,
-            sample_count=args.samples, seed=args.seed)
-    elif name == "k2s4":
-        if args.s is None:
-            raise SpecError("k2s4 needs --s")
-        cert = verify_k2s4_construction(args.s)
-    elif name == "reduction":
-        aug = parse_augment(args.spec)
-        cert = verify_reduction(aug.original, aug, aug.k, budget=args.budget)
-    elif name is None:
+    if args.check is None:
         raise SpecError("verify needs a check name or --recheck FILE")
-    else:
-        raise SpecError(f"unknown check {name!r}")
+    cert = args.run(args)
     cert.seed = args.seed if cert.seed is None else cert.seed
     path = save_certificate(cert, args.cache_dir)
     emit(args, cert.to_json(),
-         [f"{name}: {cert.verdict}  (certificate: {path})"])
+         [f"{args.check}: {cert.verdict}  (certificate: {path})"])
     if cert.verdict == FAIL:
         return EXIT_FAIL
     if cert.verdict == BUDGET_EXHAUSTED:
         return EXIT_BUDGET
     return EXIT_OK
+
+
+def _verify_reduction(args):
+    aug = parse_augment(args.spec)
+    return verify_reduction(aug.original, aug, aug.k, budget=args.budget)
 
 
 def cmd_search(args) -> int:
@@ -315,14 +307,31 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=cmd_construct)
 
     vp = sub.add_parser("verify", help="run a certified check")
-    vp.add_argument("check", nargs="?")
-    vp.add_argument("spec", nargs="*",
-                    help="reduction only: DS <r> <s> <l>, CAT <c1,...,ck> or T <k> <d>")
     vp.add_argument("--recheck", metavar="FILE")
-    vp.add_argument("--s", type=int, default=None)
-    vp.add_argument("--color-cap", type=_at_least(1), default=7)
-    vp.add_argument("--samples", type=_at_least(0), default=1_000_000)
     vp.set_defaults(func=cmd_verify)
+    # each check owns its flags, so a flag of another check is refused
+    checks = vp.add_subparsers(dest="check", metavar="CHECK")
+    checks.add_parser(
+        "k6-rainbow-free", help="the 1-factorized K_6 has no rainbow DS_{2,2}",
+    ).set_defaults(run=lambda args: verify_k6_rainbow_free())
+    k6p = checks.add_parser(
+        "k6-universal-3unique",
+        help="every non-rainbow proper coloring of K_6 holds an exactly-3-unique DS_{2,2}")
+    k6p.add_argument("--color-cap", type=_at_least(1), default=7)
+    k6p.add_argument("--samples", type=_at_least(0), default=1_000_000)
+    k6p.set_defaults(run=lambda args: verify_k6_universal_3unique(
+        budget=args.budget, color_cap=args.color_cap,
+        sample_count=args.samples, seed=args.seed))
+    k2p = checks.add_parser(
+        "k2s4", help="the 1-factorized K_{2s+4} has no rainbow DS_{1,2s+1}")
+    k2p.add_argument("--s", type=int, required=True)
+    k2p.set_defaults(run=lambda args: verify_k2s4_construction(args.s))
+    rp = checks.add_parser(
+        "reduction", help="every proper coloring of an augmented tree holds "
+                          "a k-unique copy of the original")
+    rp.add_argument("spec", nargs="+",
+                    help="DS <r> <s> <l>, CAT <c1,...,ck> or T <k> <d>")
+    rp.set_defaults(run=_verify_reduction)
 
     spp = sub.add_parser("search", help="brute-force ex_k at desk scale")
     spp.add_argument("--n", type=_at_least(0), required=True)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import Graph, make_complete, read_only
+from .graphs import Graph, Record, make_complete, read_only
 
 
 class ColoringError(ValueError):
@@ -29,13 +29,14 @@ def graph_hash(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-class EdgeColoring:
+class EdgeColoring(Record):
     """Total color assignment edge-index -> color id on a fixed graph.
 
     Immutable; equal and hashed by value over graph and colors."""
 
-    __slots__ = ("graph", "colors")
+    __slots__ = _fields = ("graph", "colors")
     __setattr__ = __delattr__ = read_only
+    __hash__ = Record._hash_fields
 
     def __init__(self, graph: Graph, colors: tuple[int, ...]):
         if len(colors) != graph.num_edges:
@@ -44,20 +45,6 @@ class EdgeColoring:
             raise ColoringError("color ids must be nonnegative")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "colors", colors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.colors) == (other.graph, other.colors)
-
-    def __hash__(self):
-        return hash((self.graph, self.colors))
-
-    def __repr__(self):
-        return f"EdgeColoring(graph={self.graph!r}, colors={self.colors!r})"
-
-    def __reduce__(self):
-        return EdgeColoring, (self.graph, self.colors)
 
     @property
     def num_colors(self) -> int:

@@ -22,22 +22,57 @@ class GraphError(ValueError):
     pass
 
 
+class Record:
+    """Base of rturan's value records.
+
+    A subclass lists its __init__ arguments, in order, as ``_fields``, and
+    keeps each one under the same attribute name.  Records of one class are
+    equal when their ``_fields`` values are, repr lists every field, and copy
+    and pickle rebuild through __init__ from those values.  A record is
+    unhashable, as it may hold a dict; the immutable Graph and EdgeColoring
+    set ``__hash__ = Record._hash_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _hash_fields(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def read_only(self, name, value=None):
     """__setattr__ and __delattr__ of the immutable Graph and EdgeColoring.
 
-    Their __init__ sets each slot once through object.__setattr__, and their
-    __reduce__ rebuilds through __init__, so copy and pickle never set a slot."""
+    Their __init__ sets each slot once through object.__setattr__, and
+    Record.__reduce__ rebuilds through __init__, so copy and pickle never set
+    a slot."""
     raise AttributeError(f"{type(self).__name__} is immutable: cannot set "
                          f"or delete {name!r}")
 
 
-class Graph:
+class Graph(Record):
     """Simple undirected graph with canonical (lexicographic) edge indexing.
 
     Immutable; equal and hashed by value over n, edges and labels."""
 
     __slots__ = ("n", "edges", "labels", "adjacency", "edge_index")
+    _fields = ("n", "edges", "labels")
     __setattr__ = __delattr__ = read_only
+    __hash__ = Record._hash_fields
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
                  labels: Optional[tuple[str, ...]] = None):
@@ -67,20 +102,6 @@ class Graph:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adjacency", tuple(frozenset(a) for a in adj))
         object.__setattr__(self, "edge_index", {e: i for i, e in enumerate(edges)})
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.edges, self.labels) == (other.n, other.edges, other.labels)
-
-    def __hash__(self):
-        return hash((self.n, self.edges, self.labels))
-
-    def __repr__(self):
-        return f"Graph(n={self.n!r}, edges={self.edges!r}, labels={self.labels!r})"
-
-    def __reduce__(self):
-        return Graph, (self.n, self.edges, self.labels)
 
     @property
     def num_edges(self) -> int:

@@ -24,6 +24,9 @@ MAX_COPIES = 100_000
 N_CAP = 7
 # largest s verify_k2s4_construction checks (K_12, DS_{1,9})
 S_CAP = 4
+# most samples verify_k6_universal_3unique draws, and so a recheck of its
+# certificate: 100 times the default, about a minute on the compiled kernel
+MAX_SAMPLES = 100_000_000
 
 
 class AvoiderResult(NamedTuple):
@@ -269,8 +272,9 @@ def verify_k6_universal_3unique(budget: Optional[int] = None,
     A verification, not a re-proof."""
     if color_cap < 1:
         raise ValueError(f"color_cap must be >= 1, got {color_cap}")
-    if sample_count < 0:
-        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
+    if not 0 <= sample_count <= MAX_SAMPLES:
+        raise ValueError(f"sample_count must be within 0..{MAX_SAMPLES}, "
+                         f"got {sample_count}")
     host, pattern, emb = _k6_embedding_edges()
     conflicts = conflict_lists(host)
     params = {"color_cap": color_cap, "sample_count": sample_count, "seed": seed}

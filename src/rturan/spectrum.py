@@ -18,13 +18,15 @@ from .coloring import (BudgetExhausted, ColorClassProfile, ColoringError,
                        EdgeColoring, color_classes, color_class_profile,
                        enumerate_proper_colorings, proper_coloring,
                        unique_color_count)
-from .graphs import Graph, GraphError, make_double_star
+from .graphs import Graph, GraphError, Record, make_double_star
 
 # largest edge count compute_spectrum enumerates
 EDGE_CAP = 12
 
 
-class KSpectrum:
+class KSpectrum(Record):
+    _fields = ("graph", "values", "witnesses", "exhaustive", "nodes_visited")
+
     def __init__(self, graph: Graph, values: tuple[int, ...],
                  witnesses: dict[int, EdgeColoring], exhaustive: bool = True,
                  nodes_visited: int = 0):
@@ -33,16 +35,6 @@ class KSpectrum:
         self.witnesses = witnesses
         self.exhaustive = exhaustive
         self.nodes_visited = nodes_visited
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return (f"KSpectrum(graph={self.graph!r}, values={self.values!r}, "
-                f"exhaustive={self.exhaustive!r}, "
-                f"nodes_visited={self.nodes_visited!r})")
 
     def to_json(self) -> dict:
         return {

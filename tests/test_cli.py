@@ -322,6 +322,15 @@ MALFORMED_CERTIFICATES = {
                                      '"params": {"color_cap": 0, "sample_count": 60000, "seed": 1}, '
                                      '"payload": {"sampled_regime": {"samples_checked": 0, '
                                      '"rainbow_skipped": 0}}}',
+    # a 10-sample certificate asking its re-run for 10^12 samples, about six
+    # days of drawing: the producer refuses it before the first draw
+    "k6-samples-huge.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+                            '"nodes_visited": 57, "exhaustive": false, "seed": 20240901, '
+                            '"params": {"color_cap": 7, "sample_count": 1000000000000, '
+                            '"seed": 20240901}, '
+                            '"payload": {"exhaustive_regime": {"color_cap": 7, '
+                            '"nodes_visited": 57}, "sampled_regime": '
+                            '{"samples_checked": 10, "rainbow_skipped": 0}}}',
     # FAIL verdicts: K6 has 15 edges, so each wrong-typed list has the right length
     "k6-fail-null.json": _k6_fail(None),
     "k6-fail-nested.json": _k6_fail([[i] for i in range(15)]),
@@ -358,6 +367,14 @@ MALFORMED_CERTIFICATES = {
     "verify k6-universal-3unique --color-cap 0",
     "verify k6-universal-3unique --samples -5",
     "verify k6-universal-3unique --sam 5",  # no abbreviated flags
+    "verify k6-universal-3unique --samples 100000001",  # above search.MAX_SAMPLES
+    # a check takes only its own flags
+    "verify reduction DS 1 1 1 --color-cap 1 --s 4 --samples 0",
+    "verify k2s4 --s 0 --samples 5 --color-cap 3",
+    "verify k6-rainbow-free --s 9 --samples 3",
+    # a family spec beside --graph-file is refused, not dropped
+    "spectrum K5 --graph-file g.json",
+    "construct --augment DS 2 2 1 --graph-file g.json",
     "--form json spectrum C5",
     "--budget -1 spectrum C5",
     "bounds DS 2 2 --rainbow",
@@ -367,6 +384,7 @@ def test_user_errors_exit_usage_with_one_line(capsys, tmp_path, monkeypatch, arg
     monkeypatch.chdir(tmp_path)
     for name, text in MALFORMED_CERTIFICATES.items():
         (tmp_path / name).write_text(text)
+    (tmp_path / "g.json").write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
     code, out, err = run(capsys, *argv.split())
     assert code == EXIT_USAGE
     assert out == "" and len(err.strip().splitlines()) == 1
@@ -388,6 +406,19 @@ def test_huge_vertex_count_is_refused_at_once(capsys, tmp_path):
         assert time.perf_counter() - start < 1.0, argv
         assert code == EXIT_USAGE and out == "", argv
         assert len(err.strip().splitlines()) == 1 and "vertex cap" in err, argv
+
+
+def test_huge_sample_count_is_refused_at_once(capsys, tmp_path):
+    # one cap bounds the run and the recheck: a re-run is the producer's run
+    cert = tmp_path / "huge-samples.cert"
+    cert.write_text(MALFORMED_CERTIFICATES["k6-samples-huge.json"])
+    for argv in (["verify", "--recheck", str(cert)],
+                 ["verify", "k6-universal-3unique", "--samples", str(search.MAX_SAMPLES + 1)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == EXIT_USAGE and out == "", argv
+        assert len(err.strip().splitlines()) == 1 and str(search.MAX_SAMPLES) in err, argv
 
 
 def test_negative_budget_is_rejected(capsys):
@@ -618,15 +649,19 @@ def test_k6_universal_recheck_redraws_every_sample(capsys, tmp_path):
             assert code == EXIT_FAIL and "certificate not reproduced" in out, (field, value)
 
 
-def _subcommand_flags() -> dict[str, list[str]]:
-    parser = build_parser()
+def _subcommands(parser) -> dict:
     (sub,) = [a for a in parser._actions
               if isinstance(a, argparse._SubParsersAction)]
-    return {name: sorted(opt for a in sp._actions for opt in a.option_strings)
-            for name, sp in sub.choices.items()}
+    return sub.choices
 
 
-SUBCOMMAND_FLAGS = _subcommand_flags()
+def _flags(parser) -> list[str]:
+    return sorted(opt for a in parser._actions for opt in a.option_strings)
+
+
+SUBCOMMAND_FLAGS = {name: _flags(sp) for name, sp in _subcommands(build_parser()).items()}
+CHECK_FLAGS = {name: _flags(sp)
+               for name, sp in _subcommands(_subcommands(build_parser())["verify"]).items()}
 FUZZ_WORDS = ["P3", "C4", "K4", "P20", "DS", "B", "CAT", "T", "1,0,2", "2,,1",
               "k6-rainbow-free", "k6-universal-3unique", "k2s4", "reduction",
               "junk", "", "-", "--", "x1", "1.5"]
@@ -636,15 +671,19 @@ FUZZ_WORDS = ["P3", "C4", "K4", "P20", "DS", "B", "CAT", "T", "1,0,2", "2,,1",
 @given(data=st.data())
 def test_cli_fuzz_exits_with_a_contract_code(tmp_path_factory, data):
     command = data.draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
-    word = st.sampled_from(SUBCOMMAND_FLAGS[command] + FUZZ_WORDS) | \
-        st.integers(-2, 5).map(str)
-    tokens = data.draw(st.lists(word, max_size=7))
+    flags = SUBCOMMAND_FLAGS[command]
+    head = [command]
     if command == "verify":
-        # the sampled K6 regime has no node budget; keep it tiny
-        tokens = ["--samples", "3", *tokens]
+        # a check's flags follow its name, from that check's parser; the
+        # sampled K6 regime has no node budget, so keep it tiny
+        check = data.draw(st.sampled_from(sorted(CHECK_FLAGS)))
+        flags = CHECK_FLAGS[check]
+        head += [check, "--samples", "3"] if check == "k6-universal-3unique" else [check]
+    word = st.sampled_from(flags + FUZZ_WORDS) | st.integers(-2, 5).map(str)
+    tokens = data.draw(st.lists(word, max_size=7))
     argv = ["--budget", data.draw(st.sampled_from(["0", "1", "10"])),
             "--cache-dir", str(tmp_path_factory.getbasetemp() / "fuzz"),
-            command, *tokens]
+            *head, *tokens]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)

@@ -6,13 +6,17 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rturan.bounds import augment_double_star, caterpillar_bounds
+from rturan.coloring import proper_coloring
 from rturan.graphs import (DEFAULT_VERTEX_CAP, MAX_VERTICES, Embedding, Graph,
-                           GraphError, canonical_key, diameter,
+                           GraphError, Record, canonical_key, diameter,
                            enumerate_embeddings, graph_from_edges,
                            make_broom, make_caterpillar, make_complete,
                            make_cycle, make_double_star, make_path,
                            make_perfect_kary, _search_order, twin_classes,
                            twin_orbit_size)
+from rturan.search import verify_k2s4_construction
+from rturan.spectrum import compute_spectrum
 
 from oracles import naive_canonical_key, naive_embedding_stream, naive_embeddings
 
@@ -131,6 +135,38 @@ def test_graph_and_embedding_are_immutable_values():
     assert e == same_e and hash(e) == hash(same_e) and len({e, same_e}) == 1
     with pytest.raises(AttributeError):
         e.vertex_map = (0, 1, 2)
+
+
+
+# one small real value of each record class, built by the code that makes it
+RECORDS = {
+    "Graph": lambda: make_double_star(1, 2),
+    "EdgeColoring": lambda: proper_coloring(make_path(3), (0, 1, 0)),
+    "KSpectrum": lambda: compute_spectrum(make_path(3)),
+    "BoundReport": lambda: caterpillar_bounds([1, 1, 1])["constructive"],
+    "AugmentedTree": lambda: augment_double_star(1, 1, 1),
+    "Certificate": lambda: verify_k2s4_construction(0),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_share_one_value_rule(name):
+    record = RECORDS[name]()
+    cls = type(record)
+    assert cls.__name__ == name and isinstance(record, Record)
+    code = cls.__init__.__code__
+    assert cls._fields == code.co_varnames[1:code.co_argcount]
+    assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+    assert record != RECORDS["Graph" if name != "Graph" else "EdgeColoring"]()
+    assert repr(record).startswith(f"{name}(")
+    assert all(f"{field}={getattr(record, field)!r}" in repr(record)
+               for field in cls._fields)
+    if name in ("Graph", "EdgeColoring"):
+        assert hash(copy.deepcopy(record)) == hash(record)
+    else:
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 def test_embedding_constructor_validates():
