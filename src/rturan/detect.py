@@ -34,10 +34,8 @@ def report_for(c: EdgeColoring, e: Embedding) -> UniquenessReport:
 def find_k_unique(c: EdgeColoring, pattern: Graph,
                   k: int) -> Optional[UniquenessReport]:
     """First embedding of pattern in c.graph whose unique count is >= k, in
-    the deterministic order of enumerate_embeddings.
-
-    Prunes the embedding search with a running bound on the reachable unique
-    count; at a full embedding nothing remains, so the bound is the test.
+    the deterministic order of enumerate_embeddings: a plain filter over
+    that stream.
 
     enumerate_embeddings yields only one embedding per orbit of twin-leaf
     swaps, yet the report is the same as a filter over every labeled
@@ -47,19 +45,12 @@ def find_k_unique(c: EdgeColoring, pattern: Graph,
     - the labeled stream is lexicographic in the images (candidates are
       tried in ascending order), so had the first accepted embedding a twin
       pair in decreasing order, swapping the pair would give an accepted
-      embedding that comes earlier;
-    - the bound only cuts subtrees that hold no accepted embedding.
+      embedding that comes earlier.
     So the first labeled hit already has increasing images on every twin
     class, and it is the first hit of the quotient search.
     """
     colors = c.colors
-    p = pattern.num_edges
-
-    def out_of_reach(mapped: list[int]) -> bool:
-        # each further edge can raise the unique count by at most one
-        return unique_color_count([colors[e] for e in mapped]) + p - len(mapped) < k
-
-    emb = next(enumerate_embeddings(pattern, c.graph, out_of_reach), None)
-    if emb is None:
-        return None
-    return report_for(c, emb)
+    for e in enumerate_embeddings(pattern, c.graph):
+        if unique_color_count([colors[i] for i in e.edge_map]) >= k:
+            return report_for(c, e)
+    return None

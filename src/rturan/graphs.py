@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 DEFAULT_VERTEX_CAP = 64
 # the most vertices of any graph rturan builds (an augmented k-ary tree); a
@@ -330,9 +330,7 @@ def twin_orbit_size(pattern: Graph) -> int:
     return math.prod(math.factorial(len(leaves)) for leaves in twin_classes(pattern))
 
 
-def enumerate_embeddings(pattern: Graph, host: Graph,
-                         prune: Optional[Callable[[list[int]], bool]] = None,
-                         ) -> Iterator[Embedding]:
+def enumerate_embeddings(pattern: Graph, host: Graph) -> Iterator[Embedding]:
     """Yield one embedding (injective homomorphism) of pattern into host per
     orbit of twin-leaf swaps.
 
@@ -344,9 +342,6 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     its largest edge) loses nothing.  Other pattern automorphisms are not
     quotiented.  The order is deterministic: lexicographic in the host
     images taken in search order.  Empty stream when no copy exists.
-    `prune(mapped)` is consulted after each pattern vertex is placed, with
-    the host edge indices of the pattern edges mapped so far; returning True
-    cuts the subtree.
 
     Twin look-ahead: the twins of a class are placed after their common
     parent and draw from one sorted list, the host neighbors of the parent's
@@ -354,8 +349,8 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     places before the end of the list when r twins of its class come after
     it, since each of those needs a larger image from the same list.  What
     is skipped holds no complete embedding, and candidates are still tried
-    in ascending order, so the stream is the same as without the look-ahead;
-    `prune` is only called less often.
+    in ascending order, so the stream is the same as without the look-ahead,
+    reached with fewer host edge lookups.
     """
     if pattern.n > host.n or pattern.n == 0:
         return
@@ -384,7 +379,6 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     last = len(order) - 1
     vmap = [-1] * pattern.n
     emap = [-1] * pattern.num_edges
-    mapped: list[int] = []
     used = [False] * host.n
 
     def extend(i: int) -> Iterator[Embedding]:
@@ -402,15 +396,12 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
             for w, ei in nbrs:
                 hw = vmap[w]
                 emap[ei] = edge_index[(c, hw) if c < hw else (hw, c)]
-                mapped.append(emap[ei])
-            if prune is None or not prune(mapped):
-                if i == last:
-                    yield Embedding(tuple(vmap), tuple(emap))
-                else:
-                    used[c] = True
-                    yield from extend(i + 1)
-                    used[c] = False
-            del mapped[len(mapped) - len(nbrs):]
+            if i == last:
+                yield Embedding(tuple(vmap), tuple(emap))
+            else:
+                used[c] = True
+                yield from extend(i + 1)
+                used[c] = False
 
     yield from extend(0)
 

@@ -269,7 +269,9 @@ def verify_k6_universal_3unique(budget: Optional[int] = None,
     DS_{2,2}: exhaustive over canonical colorings with <= color_cap colors,
     then sample_count draws from the one xorshift64* stream seeded by seed.
     A sampled counterexample's sample_index is its position in that stream.
-    A verification, not a re-proof."""
+    At a color_cap of 14 or more the exhaustive regime covers every coloring
+    the claim does, and a PASS is a proof (exhaustive); below that it is a
+    verification."""
     if color_cap < 1:
         raise ValueError(f"color_cap must be >= 1, got {color_cap}")
     if not 0 <= sample_count <= MAX_SAMPLES:
@@ -278,8 +280,11 @@ def verify_k6_universal_3unique(budget: Optional[int] = None,
     host, pattern, emb = _k6_embedding_edges()
     conflicts = conflict_lists(host)
     params = {"color_cap": color_cap, "sample_count": sample_count, "seed": seed}
+    # the claim excludes the rainbow coloring, the only canonical one with 15
+    # colors, so a cap of 14 walks every coloring the claim covers (105 nodes)
+    full_cap = host.num_edges - 1
     colors, nodes, exhausted = _kernels.find_avoiding_coloring(
-        host.num_edges, conflicts, emb, 3, True, color_cap, budget)
+        host.num_edges, conflicts, emb, 3, True, min(color_cap, full_cap), budget)
     if colors is not None:
         return Certificate("k6_universal", FAIL, params,
                            payload={"counterexample_coloring": colors,
@@ -303,8 +308,7 @@ def verify_k6_universal_3unique(budget: Optional[int] = None,
                                        "nodes_visited": nodes},
                  "sampled_regime": {"samples_checked": res["checked"],
                                     "rainbow_skipped": res["rainbow_skipped"]}},
-        nodes_visited=nodes, seed=seed,
-        exhaustive=False)  # the full quantifier over all colorings is out of reach
+        nodes_visited=nodes, seed=seed, exhaustive=color_cap >= full_cap)
 
 
 def verify_k2s4_construction(s: int) -> Certificate:
@@ -409,8 +413,9 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
         host, pattern, emb = _k6_embedding_edges()
         if not is_proper(host, colors):
             return False, "counterexample is not proper"
-        counts = _kernels.unique_counts(colors, emb)
-        ok = all(c != 3 for c in counts) and len(set(colors)) < host.num_edges
+        if len(set(colors)) == host.num_edges:
+            return False, "counterexample is rainbow, which the claim excludes"
+        ok = all(c != 3 for c in _kernels.unique_counts(colors, emb))
         return ok, "counterexample re-validated" if ok else \
             "stored coloring does contain an exactly-3-unique copy"
     # every other kind is re-run with the recorded node count as its budget

@@ -68,7 +68,9 @@ def compute_spectrum(f: Graph, budget: Optional[int] = None) -> KSpectrum:
         raise GraphError(f"graph has {m} edges, above the spectrum cap {EDGE_CAP}")
     witnesses: dict[int, EdgeColoring] = {}
     # prefix_unique[i]: unique count of edges 0..i-1 on the current DFS path;
-    # the DFS calls settled(colors, i) on a prefix only after settled(colors, i - 1)
+    # the DFS calls settled(colors, i) on a prefix only after settled(colors, i - 1),
+    # and yields a leaf right after settled(colors, m - 1), so prefix_unique[m]
+    # is the leaf's value
     prefix_unique = [0] * (m + 1)
     nodes = 0
 
@@ -87,9 +89,7 @@ def compute_spectrum(f: Graph, budget: Optional[int] = None) -> KSpectrum:
                                      prune=settled)
     try:
         for c in gen:
-            v = unique_color_count(c.colors)
-            if v not in witnesses:
-                witnesses[v] = c
+            witnesses.setdefault(prefix_unique[m], c)
     except BudgetExhausted as exc:
         nodes = exc.nodes_visited
         exhaustive = False

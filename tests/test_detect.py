@@ -7,7 +7,7 @@ from rturan._kernels import pure
 from rturan.coloring import (EdgeColoring, conflict_lists, one_factorization,
                              proper_coloring, unique_color_count)
 from rturan.detect import find_k_unique, report_for
-from rturan.graphs import (Embedding, enumerate_embeddings, graph_from_edges,
+from rturan.graphs import (Embedding, Graph, enumerate_embeddings, graph_from_edges,
                            make_caterpillar, make_complete, make_cycle,
                            make_double_star, make_path)
 
@@ -146,20 +146,25 @@ def test_orbit_search_matches_labeled_filter(n, data):
             assert (rep.embedding if rep else None) == want, (f.edges, k)
 
 
-def test_twin_look_ahead_prune_calls_k10():
-    # the search behind `verify k2s4 --s 3`: a rainbow prune like
-    # find_k_unique's, DS_{1,7} in the 1-factorized K10.  A twin that has r
-    # twins of its class after it stops r places before the end of its
-    # candidate list; without that the search makes 59,252 prune calls
+class CountingIndex(dict):
+    """A host edge index that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_twin_look_ahead_edge_lookups_k10():
+    # the search behind `verify k2s4 --s 3`: find_k_unique streams every
+    # orbit of DS_{1,7} in the 1-factorized K10, none rainbow.  A twin that
+    # has r twins of its class after it stops r places before the end of its
+    # candidate list; without that the stream makes 92,250 host edge lookups
     c = one_factorization(5)
+    host = Graph(c.graph.n, c.graph.edges)  # a private copy to instrument
+    index = CountingIndex(host.edge_index)
+    object.__setattr__(host, "edge_index", index)
     pattern = make_double_star(1, 7)
-    p = pattern.num_edges
-    calls = 0
-
-    def not_rainbow(mapped):
-        nonlocal calls
-        calls += 1
-        return unique_color_count([c.colors[e] for e in mapped]) + p - len(mapped) < p
-
-    assert next(enumerate_embeddings(pattern, c.graph, not_rainbow), None) is None
-    assert calls <= 10_196
+    assert find_k_unique(EdgeColoring(host, c.colors), pattern, pattern.num_edges) is None
+    assert 0 < index.lookups <= 15_930

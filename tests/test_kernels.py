@@ -9,10 +9,12 @@ import pytest
 
 from rturan import _kernels
 from rturan._kernels import pure
+from rturan.certs import FAIL, PASS, Certificate
 from rturan.coloring import conflict_lists, is_proper
 from rturan.graphs import (DEFAULT_VERTEX_CAP, enumerate_embeddings, make_complete,
                            make_cycle, make_double_star, make_path)
-from rturan.search import graphs_up_to_iso
+from rturan.search import (graphs_up_to_iso, recheck_certificate,
+                           verify_k6_universal_3unique)
 
 try:
     from rturan._kernels import native
@@ -199,6 +201,30 @@ def test_sampler_deep_counterexample_frozen(backend):
 
 
 @needs_native
+@pytest.mark.parametrize("backend", [
+    pytest.param(pure, id="pure"),
+    pytest.param(native, id="native", marks=needs_native),
+])
+def test_k6_exhaustive_regime_leaves_out_the_rainbow_coloring(monkeypatch, backend):
+    # the claim excludes the rainbow coloring of K_6, the only canonical one
+    # with 15 colors, so from cap 14 on the exhaustive regime walks the same
+    # 105 nodes and its PASS covers every coloring the claim does
+    for name in ("find_avoiding_coloring", "sample_and_check", "unique_counts"):
+        monkeypatch.setattr(_kernels, name, getattr(backend, name))
+    assert not verify_k6_universal_3unique(color_cap=13, sample_count=0).exhaustive
+    for cap in (14, 15, 100):
+        cert = verify_k6_universal_3unique(color_cap=cap, sample_count=0)
+        assert (cert.verdict, cert.nodes_visited, cert.exhaustive) == (PASS, 105, True)
+        assert cert.params["color_cap"] == cap
+        assert recheck_certificate(cert) == (True, "re-run verdict PASS")
+    # a stored rainbow counterexample is refused for what it is
+    obj = cert.to_json()
+    obj["verdict"] = FAIL
+    obj["payload"] = {"counterexample_coloring": list(range(15)), "regime": "exhaustive"}
+    assert recheck_certificate(Certificate.from_json(obj)) == (
+        False, "counterexample is rainbow, which the claim excludes")
+
+
 def test_sampler_backends_agree_past_64_colors():
     # a 70-edge star: every edge conflicts with all earlier ones, so each
     # sample is the rainbow coloring 0..69 and colors 64..69 are drawn
