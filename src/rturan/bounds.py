@@ -332,7 +332,8 @@ def binary_coefficients(d: int) -> dict:
         "proof_form": BoundReport("binary_upper_proof_form", {"d": d}, proof_form,
                                   assumptions=(ERDOS_SOS,)),
         "constructive": BoundReport("binary_upper_constructive", {"d": d},
-                                    constructive, assumptions=(ERDOS_SOS,),
+                                    constructive,
+                                    assumptions=(tree_assumption(aug.augmented),),
                                     construction_log=aug.construction_log),
     }
     reports["discrepancy"] = len({literal, proof_form, constructive}) > 1
@@ -356,7 +357,8 @@ def kary_coefficients(k: int, d: int) -> dict:
         "literal": BoundReport("kary_upper_literal", {"k": k, "d": d}, literal,
                                assumptions=(ERDOS_SOS,)),
         "constructive": BoundReport("kary_upper_constructive", {"k": k, "d": d},
-                                    constructive, assumptions=(ERDOS_SOS,),
+                                    constructive,
+                                    assumptions=(tree_assumption(aug.augmented),),
                                     construction_log=aug.construction_log),
         "augmented_edges": aug.edge_count,
         "discrepancy": literal != constructive,

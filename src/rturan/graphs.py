@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 DEFAULT_VERTEX_CAP = 64
@@ -248,26 +247,34 @@ def make_perfect_kary(k: int, d: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     return graph_from_edges(n, edges, labels)
 
 
+def _distances(g: Graph, src: int) -> dict[int, int]:
+    """Breadth-first distances from src to every vertex it reaches."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in g.adjacency[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def diameter(g: Graph) -> Optional[int]:
-    """Longest shortest path; None if disconnected or empty."""
+    """Longest shortest path; None if disconnected or empty.
+
+    A tree takes two sweeps: in a tree, a vertex farthest from any vertex
+    ends a longest path.  Other graphs take a sweep from every vertex."""
     if g.n == 0:
         return None
-    best = 0
-    for src in range(g.n):
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in g.adjacency[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        if len(dist) < g.n:
-            return None
-        best = max(best, max(dist.values()))
-    return best
+    dist = _distances(g, 0)
+    if len(dist) < g.n:
+        return None
+    if g.num_edges == g.n - 1:
+        return max(_distances(g, max(dist, key=dist.get)).values())
+    return max(max(_distances(g, src).values()) for src in range(g.n))
 
 
 class Embedding(NamedTuple):
@@ -296,7 +303,13 @@ class Embedding(NamedTuple):
 
 
 def _search_order(pattern: Graph) -> list[int]:
-    """Degree-descending DFS order over pattern vertices (early pruning)."""
+    """Degree-descending DFS order over pattern vertices (early pruning).
+
+    The leaves of each twin class take consecutive steps after their
+    parent, which `enumerate_embeddings` relies on.  A root has the largest
+    degree left, and a class's parent has degree >= 2, so no leaf of a class
+    is a root; each is pushed only when its parent is placed, below the
+    parent's other new neighbors (it sorts first), and it pushes nothing."""
     remaining = set(range(pattern.n))
     order: list[int] = []
     while remaining:
@@ -343,14 +356,16 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> Iterator[Embedding]:
     quotiented.  The order is deterministic: lexicographic in the host
     images taken in search order.  Empty stream when no copy exists.
 
-    Twin look-ahead: the twins of a class are placed after their common
-    parent and draw from one sorted list, the host neighbors of the parent's
-    image.  A twin starts just above the previous twin's image, and stops r
-    places before the end of the list when r twins of its class come after
-    it, since each of those needs a larger image from the same list.  What
-    is skipped holds no complete embedding, and candidates are still tried
-    in ascending order, so the stream is the same as without the look-ahead,
-    reached with fewer host edge lookups.
+    One step per twin class: `_search_order` gives the r leaves of a class r
+    consecutive steps after their parent, so the class is placed at its
+    first step, all at once.  Its images are one r-combination of the free
+    list, the host neighbors of the parent's image not yet used, in sorted
+    order.  The increasing r-tuples that `itertools.combinations` draws
+    from that list, in its lexicographic order, are exactly the increasing
+    maps of the class in the order a step per leaf would try them, and no
+    leaf adds a test (its one neighbor is the parent).  So the stream, its
+    order and its edge maps are those of a step per leaf, reached with
+    fewer generator frames and no dead end inside a class.
     """
     if pattern.n > host.n or pattern.n == 0:
         return
@@ -362,17 +377,13 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> Iterator[Embedding]:
     steps = [[(w, pattern.edge_index[(min(v, w), max(v, w))])
               for w in pattern.adjacency[v] if pos[w] < pos[v]] for v in order]
     checks = [[w for w, _ in nbrs[1:]] for nbrs in steps]
-    # for each step, the twin placed just before it (its image is a floor
-    # for this step's image), or -1 when there is none, and the number of
-    # its twins placed after it
-    floor_of = [-1] * len(order)
-    after = [0] * len(order)
+    # for the first step of each twin class, its leaves with their edges to
+    # the parent, in search order; the class's later steps are never entered
+    classes: list[Optional[list[tuple[int, int]]]] = [None] * len(order)
     for leaves in twin_classes(pattern):
-        ranked = sorted(map(pos.__getitem__, leaves))
-        for j, i in enumerate(ranked):
-            after[i] = len(ranked) - 1 - j
-            if j:
-                floor_of[i] = order[ranked[j - 1]]
+        first = min(map(pos.__getitem__, leaves))
+        classes[first] = [(order[i], steps[i][0][1])
+                          for i in range(first, first + len(leaves))]
     adjacency = host.adjacency
     edge_index = host.edge_index
     neighbors = [sorted(a) for a in adjacency]
@@ -382,12 +393,29 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> Iterator[Embedding]:
     used = [False] * host.n
 
     def extend(i: int) -> Iterator[Embedding]:
+        leaves = classes[i]
+        if leaves is not None:
+            p = vmap[steps[i][0][0]]
+            free = [(c, edge_index[(c, p) if c < p else (p, c)])
+                    for c in neighbors[p] if not used[c]]
+            nxt = i + len(leaves)
+            for images in itertools.combinations(free, len(leaves)):
+                for (v, ei), (c, hi) in zip(leaves, images):
+                    vmap[v] = c
+                    emap[ei] = hi
+                if nxt > last:
+                    yield Embedding(tuple(vmap), tuple(emap))
+                else:
+                    for c, _ in images:
+                        used[c] = True
+                    yield from extend(nxt)
+                    for c, _ in images:
+                        used[c] = False
+            return
         v = order[i]
         nbrs = steps[i]
         rest = checks[i]
-        candidates = neighbors[vmap[nbrs[0][0]]] if nbrs else range(host.n)
-        start = 0 if floor_of[i] < 0 else bisect_right(candidates, vmap[floor_of[i]])
-        for c in candidates[start:max(len(candidates) - after[i], 0)]:
+        for c in neighbors[vmap[nbrs[0][0]]] if nbrs else range(host.n):
             if used[c]:
                 continue
             if rest and any(c not in adjacency[vmap[w]] for w in rest):
@@ -404,6 +432,11 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> Iterator[Embedding]:
                 used[c] = False
 
     yield from extend(0)
+
+
+# the canonical-form kernel, bound on the first call of canonical_key rather
+# than at import: _kernels imports coloring, which imports this module
+_kernel_key = None
 
 
 def canonical_key(g) -> tuple:
@@ -430,6 +463,7 @@ def canonical_key(g) -> tuple:
     near-complete graphs take one branch per level.  Other symmetric graphs
     still branch: r disjoint edges take r! leaves.
     """
-    # at call time: _kernels imports coloring, which imports this module
-    from ._kernels import canonical_key as kernel_key
-    return (g.n, kernel_key(g.n, g.edges))
+    global _kernel_key
+    if _kernel_key is None:
+        from ._kernels import canonical_key as _kernel_key
+    return (g.n, _kernel_key(g.n, g.edges))

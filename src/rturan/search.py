@@ -22,8 +22,8 @@ RAINBOW = "rainbow"
 MAX_COPIES = 100_000
 # largest host order brute_extremal searches
 N_CAP = 7
-# largest s verify_k2s4_construction checks (K_12, DS_{1,9})
-S_CAP = 4
+# largest s verify_k2s4_construction checks (K_28, DS_{1,25})
+S_CAP = 12
 # most samples verify_k6_universal_3unique draws, and so a recheck of its
 # certificate: 100 times the default, about a minute on the compiled kernel
 MAX_SAMPLES = 100_000_000

@@ -154,6 +154,19 @@ def test_kary_coefficients():
     assert aug.edge_count == 142
 
 
+def test_constructive_tree_bounds_flag_the_augmented_diameter():
+    # T'(k, d) keeps the depth d of T(k, d), so its diameter is 2d: proven
+    # (McLennan) at d = 2, the Erdos-Sos conjecture at d = 3
+    for d, flag in ((2, MCLENNAN), (3, ERDOS_SOS)):
+        assert binary_coefficients(d)["constructive"].assumptions == (flag,)
+        for k in (2, 3):
+            assert kary_coefficients(k, d)["constructive"].assumptions == (flag,)
+            assert tree_assumption(augment_kary(k, d).augmented) == flag
+    # the literal and proof-form readings keep the general flag
+    assert binary_coefficients(2)["literal"].assumptions == (ERDOS_SOS,)
+    assert kary_coefficients(2, 2)["literal"].assumptions == (ERDOS_SOS,)
+
+
 def test_augmenters_record_the_lemma_k():
     assert augment_double_star(2, 3, 1).k == 3 - 2 + 1 + 2
     for aug in (augment_caterpillar([1, 0, 2]), augment_kary(3, 2)):

@@ -354,7 +354,7 @@ MALFORMED_CERTIFICATES = {
     "search --n 4 --pattern P3",
     "search --n 4 --pattern P3 --k 4",  # above the pattern's 3 edges
     "verify",  # neither a check nor --recheck
-    "verify k2s4 --s 5",
+    "verify k2s4 --s 13",
     "verify --recheck missing.json",
     *(f"verify --recheck {name}" for name in MALFORMED_CERTIFICATES),
     "verify reduction T 2 3",  # over the copy cap

@@ -168,3 +168,17 @@ def test_twin_look_ahead_edge_lookups_k10():
     pattern = make_double_star(1, 7)
     assert find_k_unique(EdgeColoring(host, c.colors), pattern, pattern.num_edges) is None
     assert 0 < index.lookups <= 15_930
+
+
+def test_twin_class_edge_lookups_k10():
+    # the same search, placing each twin class in one step: x, y and y_1 are
+    # placed one at a time (90 lookups for the 90 images of xy, 720 for
+    # y y_1), then the class of 7 leaves at x at once, from a free list that
+    # takes one lookup per free neighbor of x's image (720 x 7)
+    c = one_factorization(5)
+    host = Graph(c.graph.n, c.graph.edges)
+    index = CountingIndex(host.edge_index)
+    object.__setattr__(host, "edge_index", index)
+    pattern = make_double_star(1, 7)
+    assert find_k_unique(EdgeColoring(host, c.colors), pattern, pattern.num_edges) is None
+    assert 0 < index.lookups <= 5_850

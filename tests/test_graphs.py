@@ -13,7 +13,7 @@ from rturan.graphs import (DEFAULT_VERTEX_CAP, MAX_VERTICES, Embedding, Graph,
                            enumerate_embeddings, graph_from_edges,
                            make_broom, make_caterpillar, make_complete,
                            make_cycle, make_double_star, make_path,
-                           make_perfect_kary, twin_classes,
+                           make_perfect_kary, _search_order, twin_classes,
                            twin_orbit_size)
 from rturan.search import verify_k2s4_construction
 from rturan.spectrum import compute_spectrum
@@ -218,7 +218,13 @@ def circulant(n: int, offsets) -> Graph:
     (make_path(2), make_complete(4), 2, 24),
     (make_caterpillar([2, 0, 3]), make_complete(8), 2 * 6, math.perm(8, 8)),
     (make_caterpillar([2, 0, 2]), circulant(9, (1, 2)), 2 * 2, None),
-], ids=["DS22-K6", "DS17-K10", "P2-K4", "CAT203-K8", "CAT202-circulant9"])
+    # K_{1,4}: its center has 4 free neighbors at every vertex of K5, and at
+    # only the hub of the wheel W5, whose rim vertices have 3
+    (make_double_star(0, 3), make_complete(5), 24, 5 * 24),
+    (make_double_star(0, 3), graph_from_edges(5, [(0, i) for i in range(1, 5)]
+                                              + [(1, 2), (2, 3), (3, 4), (1, 4)]), 24, 24),
+], ids=["DS22-K6", "DS17-K10", "P2-K4", "CAT203-K8", "CAT202-circulant9",
+        "K14-K5", "K14-W5"])
 def test_twin_orbit_counts(pattern, host, factor, labeled):
     # one embedding per orbit of twin swaps: orbit count x prod(|class|!) is
     # the labeled count (DS17-K10 is only counted: 3.6M labeled embeddings)
@@ -273,6 +279,81 @@ def test_embedding_stream_order_matches_oracle(name, data):
     # whole embeddings, so each edge map is checked against the host's too
     got = list(enumerate_embeddings(pattern, host))
     assert got == [Embedding.from_vertex_map(pattern, host, vm) for vm in expected]
+
+
+CLASS_PATTERNS = {
+    # two classes, of 2 and 3, at either end of a spine
+    "CAT203": make_caterpillar([2, 0, 3]),
+    # two classes of 2, and a middle spine vertex with one leaf
+    "CAT212": make_caterpillar([2, 1, 2]),
+    # a class of 4, and one of 5 where y is a leaf of x like x_1..x_4
+    "DS14": make_double_star(1, 4),
+    "DS04": make_double_star(0, 4),
+    # twins in two components
+    "forest": graph_from_edges(7, [(0, 1), (0, 2), (3, 4), (3, 5), (3, 6)]),
+    # a class whose parent lies on a cycle
+    "triangle+2": graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CLASS_PATTERNS)), st.data())
+def test_twin_class_stream_matches_oracle(name, data):
+    # each twin class is placed in one step, as a combination of the free
+    # neighbors of its parent's image; on sparse hosts that list is often
+    # shorter than the class.  The stream must still be the labeled stream
+    # filtered to twin-increasing maps, in order, with its edge maps
+    pattern = CLASS_PATTERNS[name]
+    n = data.draw(st.integers(pattern.n, 8), label="n")
+    pairs = list(itertools.combinations(range(n), 2))
+    kept = data.draw(st.sets(st.sampled_from(pairs)), label="kept")
+    host = graph_from_edges(n, sorted(kept))
+    expected = naive_embedding_stream(pattern, host, twins=True)
+    got = list(enumerate_embeddings(pattern, host))
+    assert got == [Embedding.from_vertex_map(pattern, host, vm) for vm in expected]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_search_order_places_twin_classes_consecutively(n, data):
+    # enumerate_embeddings places a twin class at its first step, which is
+    # right only when the class takes consecutive steps after its parent:
+    # a leaf pushes nothing onto the search stack, and a class's parent has
+    # degree >= 2, so no leaf of a class is ever a root
+    pairs = list(itertools.combinations(range(n), 2))
+    g = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                               max_size=len(pairs))))
+    patterns = [g, *(make_double_star(r, s) for r, s in ((0, 4), (2, 5), (3, 3))),
+                make_caterpillar([2, 0, 3, 1, 4]), make_perfect_kary(3, 2)]
+    for pattern in patterns:
+        order = _search_order(pattern)
+        assert sorted(order) == list(range(pattern.n))
+        pos = {v: i for i, v in enumerate(order)}
+        for leaves in twin_classes(pattern):
+            steps = sorted(pos[v] for v in leaves)
+            assert steps == list(range(steps[0], steps[0] + len(leaves)))
+            parent = next(iter(pattern.adjacency[leaves[0]]))
+            assert pos[parent] < steps[0]
+
+
+def test_diameter_of_trees_by_two_sweeps():
+    # a tree takes two breadth-first sweeps, other graphs one per vertex;
+    # both must give the largest distance Floyd-Warshall finds
+    def all_pairs_diameter(g):
+        d = [[0 if u == v else 1 if v in g.adjacency[u] else math.inf
+              for v in range(g.n)] for u in range(g.n)]
+        for w, u, v in itertools.product(range(g.n), repeat=3):
+            d[u][v] = min(d[u][v], d[u][w] + d[w][v])
+        return max(map(max, d))
+
+    graphs = [make_path(6), make_double_star(3, 5), make_caterpillar([2, 0, 3, 1]),
+              make_perfect_kary(2, 3), make_perfect_kary(3, 2), make_broom(4, 3),
+              make_path(1), make_complete(1), make_cycle(7), make_complete(5),
+              circulant(9, (1, 2)),
+              # K4 minus an edge, where two sweeps from vertex 0 would give 1
+              graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])]
+    for g in graphs:
+        assert diameter(g) == all_pairs_diameter(g)
 
 
 def test_embeddings_empty_cases():

@@ -442,9 +442,9 @@ def test_k2s4_construction():
 
 
 def test_k2s4_construction_at_cap():
-    # K12 with DS_{1,9}: S_CAP = 4
-    cert = verify_k2s4_construction(4)
-    assert cert.verdict == PASS and cert.params["host"] == "K12"
+    # K28 with DS_{1,25}: S_CAP = 12
+    cert = verify_k2s4_construction(12)
+    assert cert.verdict == PASS and cert.params["host"] == "K28"
 
 
 def test_certificate_write_is_atomic(tmp_path, monkeypatch):
