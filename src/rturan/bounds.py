@@ -94,29 +94,35 @@ def erdos_sos_coefficient(t: int) -> Fraction:
     return Fraction(t - 1, 2)
 
 
+def reduction_bound(family: str, params: dict, tree: Graph,
+                    **report_fields) -> BoundReport:
+    """The reduction-method upper bound: if every proper coloring of tree T'
+    holds a k-unique copy of T, ex_k(n, T) <= ex(n, T') <= (||T'|| - 1)n/2,
+    the last step by Erdos-Sos, flagged by tree_assumption(T')."""
+    return BoundReport(family, params, erdos_sos_coefficient(tree.num_edges),
+                       assumptions=(tree_assumption(tree),), **report_fields)
+
+
 def ds_k_unique_bounds(r: int, s: int, l: int) -> dict:
     """Bounds on the (j+2l)-unique Turan number of DS_{r,s}, j = s-r+1."""
     aug = augment_double_star(r, s, l)
+    params = {"r": r, "s": s, "l": l}
     return {
         "k": aug.k,
-        "lower": BoundReport("ds_k_unique_lower", {"r": r, "s": s, "l": l},
-                             Fraction(s + l - 1, 2) if s + l >= 1 else Fraction(0)),
-        "upper": BoundReport("ds_k_unique_upper", {"r": r, "s": s, "l": l},
-                             Fraction(r + s + l, 2),
-                             assumptions=(tree_assumption(aug.augmented),)),
+        "lower": BoundReport("ds_k_unique_lower", params,
+                             Fraction(max(s + l - 1, 0), 2)),
+        "upper": reduction_bound("ds_k_unique_upper", params, aug.augmented),
     }
 
 
 def ds_rainbow_bounds(r: int, s: int) -> tuple[BoundReport, BoundReport]:
-    """(s+r-1)/2 <= ex*(n, DS_{r,s})/n <= (s+2r)/2."""
+    """(s+r-1)/2 <= ex*(n, DS_{r,s})/n <= (s+2r)/2, via T' = DS_{r,s+r}."""
     if r > s:
         r, s = s, r
     aug = make_double_star(r, s + r)
     lower = BoundReport("ds_rainbow_lower", {"r": r, "s": s},
-                        Fraction(s + r - 1, 2) if s + r >= 1 else Fraction(0))
-    upper = BoundReport("ds_rainbow_upper", {"r": r, "s": s}, Fraction(s + 2 * r, 2),
-                        assumptions=(tree_assumption(aug),))
-    return lower, upper
+                        Fraction(max(s + r - 1, 0), 2))
+    return lower, reduction_bound("ds_rainbow_upper", {"r": r, "s": s}, aug)
 
 
 def ds22_bounds() -> tuple[BoundReport, BoundReport]:
@@ -128,13 +134,11 @@ def ds22_bounds() -> tuple[BoundReport, BoundReport]:
 
 
 def ds_1_odd_exact(s: int) -> BoundReport:
-    """ex*(n, DS_{1,2s+1}) = (2s+3)n/2 + o(1)."""
+    """ex*(n, DS_{1,2s+1}) = (2s+3)n/2 + o(1), read off T' = DS_{1,2s+2}."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    aug = make_double_star(1, 2 * s + 2)
-    return BoundReport("ds12s1_exact", {"s": s}, Fraction(2 * s + 3, 2),
-                       assumptions=(tree_assumption(aug),),
-                       notes=("matching upper and lower bounds; o(1) term symbolic",))
+    return reduction_bound("ds12s1_exact", {"s": s}, make_double_star(1, 2 * s + 2),
+                           notes=("matching upper and lower bounds; o(1) term symbolic",))
 
 
 def augment_double_star(r: int, s: int, l: int) -> AugmentedTree:
@@ -250,10 +254,8 @@ def caterpillar_coefficient_literal(c: Sequence[int]) -> BoundReport:
 def caterpillar_bounds(c: Sequence[int]) -> dict:
     """Literal and constructive caterpillar upper bounds, side by side."""
     aug = augment_caterpillar(c)
-    constructive = BoundReport("caterpillar_upper_constructive", {"c": list(c)},
-                               erdos_sos_coefficient(aug.edge_count),
-                               assumptions=(tree_assumption(aug.augmented),),
-                               construction_log=aug.construction_log)
+    constructive = reduction_bound("caterpillar_upper_constructive", {"c": list(c)},
+                                   aug.augmented, construction_log=aug.construction_log)
     literal = caterpillar_coefficient_literal(c)
     return {
         "literal": literal,
@@ -325,18 +327,16 @@ def binary_coefficients(d: int) -> dict:
         2)
     proof_form = Fraction(2 * (2 ** (d + 1) - 3), 2)
     aug = augment_binary(d)
-    constructive = erdos_sos_coefficient(aug.edge_count)
+    constructive = reduction_bound("binary_upper_constructive", {"d": d},
+                                   aug.augmented, construction_log=aug.construction_log)
     reports = {
         "literal": BoundReport("binary_upper_literal", {"d": d}, literal,
                                assumptions=(ERDOS_SOS,)),
         "proof_form": BoundReport("binary_upper_proof_form", {"d": d}, proof_form,
                                   assumptions=(ERDOS_SOS,)),
-        "constructive": BoundReport("binary_upper_constructive", {"d": d},
-                                    constructive,
-                                    assumptions=(tree_assumption(aug.augmented),),
-                                    construction_log=aug.construction_log),
+        "constructive": constructive,
     }
-    reports["discrepancy"] = len({literal, proof_form, constructive}) > 1
+    reports["discrepancy"] = len({literal, proof_form, constructive.coefficient}) > 1
     reports["augmented_edges"] = aug.edge_count
     return reports
 
@@ -352,14 +352,12 @@ def kary_coefficients(k: int, d: int) -> dict:
                     for j in range(2, d + 1)),
         2)
     aug = augment_kary(k, d)
-    constructive = erdos_sos_coefficient(aug.edge_count)
+    constructive = reduction_bound("kary_upper_constructive", {"k": k, "d": d},
+                                   aug.augmented, construction_log=aug.construction_log)
     return {
         "literal": BoundReport("kary_upper_literal", {"k": k, "d": d}, literal,
                                assumptions=(ERDOS_SOS,)),
-        "constructive": BoundReport("kary_upper_constructive", {"k": k, "d": d},
-                                    constructive,
-                                    assumptions=(tree_assumption(aug.augmented),),
-                                    construction_log=aug.construction_log),
+        "constructive": constructive,
         "augmented_edges": aug.edge_count,
-        "discrepancy": literal != constructive,
+        "discrepancy": literal != constructive.coefficient,
     }

@@ -112,9 +112,6 @@ class Graph(Record):
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
     def to_json(self) -> dict:
         out = {"n": self.n, "edges": [list(e) for e in self.edges]}
         if self.labels is not None:
@@ -366,6 +363,15 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> Iterator[Embedding]:
     leaf adds a test (its one neighbor is the parent).  So the stream, its
     order and its edge maps are those of a step per leaf, reached with
     fewer generator frames and no dead end inside a class.
+
+    Degree cut: a single-vertex step skips a host vertex with fewer
+    neighbors than its pattern vertex.  No embedding maps a vertex there
+    (the map is injective, so the image of a vertex of degree d has at
+    least d neighbors), so the cut only prunes subtrees that yield nothing,
+    and the stream and its order are unchanged.  It matters on hosts whose
+    degrees differ: a center of a double star placed at a host vertex of
+    too small a degree would otherwise meet its dead end only after every
+    placement of the other center's leaf class.
     """
     if pattern.n > host.n or pattern.n == 0:
         return
@@ -384,9 +390,13 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> Iterator[Embedding]:
         first = min(map(pos.__getitem__, leaves))
         classes[first] = [(order[i], steps[i][0][1])
                           for i in range(first, first + len(leaves))]
+    # the degree each step's image needs; twin leaves need 1, which every
+    # neighbor of their parent's image has, so class steps skip the test
+    need = [pattern.degree(v) for v in order]
     adjacency = host.adjacency
     edge_index = host.edge_index
     neighbors = [sorted(a) for a in adjacency]
+    host_degree = [len(a) for a in adjacency]
     last = len(order) - 1
     vmap = [-1] * pattern.n
     emap = [-1] * pattern.num_edges
@@ -415,8 +425,9 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> Iterator[Embedding]:
         v = order[i]
         nbrs = steps[i]
         rest = checks[i]
+        degree = need[i]
         for c in neighbors[vmap[nbrs[0][0]]] if nbrs else range(host.n):
-            if used[c]:
+            if used[c] or host_degree[c] < degree:
                 continue
             if rest and any(c not in adjacency[vmap[w]] for w in rest):
                 continue

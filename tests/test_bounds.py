@@ -10,7 +10,7 @@ from rturan.bounds import (ERDOS_SOS, MCLENNAN, BoundReport, augment_binary,
                            caterpillar_bounds, caterpillar_coefficient_literal,
                            ds22_bounds, ds_1_odd_exact, ds_k_unique_bounds,
                            ds_rainbow_bounds, erdos_sos_coefficient,
-                           kary_coefficients, tree_assumption)
+                           kary_coefficients, reduction_bound, tree_assumption)
 from rturan.certs import BUDGET_EXHAUSTED, FAIL, PASS
 from rturan.coloring import EdgeColoring, is_proper
 from rturan.detect import find_k_unique
@@ -81,6 +81,33 @@ def test_ds_1_odd_exact():
         assert rep.assumptions == (MCLENNAN,)
     with pytest.raises(ValueError):
         ds_1_odd_exact(-1)
+
+
+def test_reduction_bound_reads_its_tree():
+    # (||T'|| - 1)/2 with the diameter flag of the tree it is given
+    for tree, coeff, flag in ((make_double_star(2, 4), 3, MCLENNAN),
+                              (make_path(5), 2, ERDOS_SOS)):
+        rep = reduction_bound("fam", {"p": 1}, tree, notes=("n",))
+        assert rep == BoundReport("fam", {"p": 1}, coeff, (flag,), ("n",))
+
+
+def test_double_star_bounds_keep_the_closed_forms():
+    # each upper bound is read off its augmented tree, and it must still be
+    # the paper's closed form: DS_{r,s+l} has r+s+l+1 edges, DS_{r,s+r} has
+    # s+2r+1 and DS_{1,2s+2} has 2s+4
+    for s in range(13):
+        for r in range(s + 1):
+            lo, hi = ds_rainbow_bounds(r, s)
+            assert (lo.coefficient, hi.coefficient) == (
+                Fraction(max(s + r - 1, 0), 2), Fraction(s + 2 * r, 2)), (r, s)
+            for l in range(r + 1):
+                out = ds_k_unique_bounds(r, s, l)
+                assert (out["lower"].coefficient, out["upper"].coefficient) == (
+                    Fraction(max(s + l - 1, 0), 2), Fraction(r + s + l, 2)), (r, s, l)
+    for s in range(30):
+        assert ds_1_odd_exact(s).coefficient == Fraction(2 * s + 3, 2)
+    with pytest.raises(GraphError, match="cap 64"):
+        ds_1_odd_exact(30)  # DS_{1,62} has 65 vertices
 
 
 def test_augment_double_star():

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rturan import search
-from rturan.coloring import is_proper
+from rturan.coloring import EdgeColoring, is_proper, one_factorization
 from rturan.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, SpecError,
                         build_parser, main, parse_family)
-from rturan.graphs import Graph, canonical_key, make_caterpillar, make_double_star
+from rturan.graphs import (Graph, canonical_key, enumerate_embeddings, make_caterpillar,
+                           make_complete, make_double_star)
 
 
 def run(capsys, *argv):
@@ -133,6 +134,17 @@ def test_bounds_caterpillar_and_binary(capsys):
     assert code == EXIT_USAGE
 
 
+def test_bounds_kary(capsys):
+    # k = 3 takes the k-ary branch, whose two readings agree at d = 2
+    code, out, _ = run(capsys, "--format", "json", "bounds", "T", "3", "2")
+    obj = json.loads(out)
+    assert code == EXIT_OK and obj["augmented_edges"] == 36
+    assert obj["discrepancy"] is False
+    assert [(b["family"], b["coefficient"], b["assumptions"]) for b in obj["bounds"]] == [
+        ("kary_upper_literal", {"num": 35, "den": 2}, ["erdos_sos_conjecture"]),
+        ("kary_upper_constructive", {"num": 35, "den": 2}, ["mclennan_diam4"])]
+
+
 def test_construct_and_augment(capsys):
     code, out, _ = run(capsys, "--format", "json", "construct", "P3")
     obj = json.loads(out)
@@ -159,6 +171,88 @@ def test_verify_k6_rainbow_free(capsys, tmp_path):
     code, out, _ = run(capsys, "--cache-dir", str(tmp_path),
                        "verify", "k6-rainbow-free")
     assert code == EXIT_OK and "PASS" in out
+
+
+def _rainbow_coloring(m: int) -> EdgeColoring:
+    """K_{2m} with every edge its own color: proper, every copy rainbow."""
+    host = make_complete(2 * m)
+    return EdgeColoring(host, tuple(range(host.num_edges)))
+
+
+@pytest.mark.parametrize("check, m", [(["k6-rainbow-free"], 3), (["k2s4", "--s", "0"], 2)],
+                         ids=["k6_rainbow_free", "k2s4"])
+def test_verify_fail_exits_1_and_recheck_reruns_to_pass(capsys, tmp_path, monkeypatch,
+                                                        check, m):
+    # a rainbow coloring in place of the 1-factorization holds a rainbow copy,
+    # so the check FAILs, exits 1 and names the copy
+    monkeypatch.setattr(search, "one_factorization", _rainbow_coloring)
+    code, out, _ = run(capsys, "--format", "json", "--cache-dir", str(tmp_path),
+                       "verify", *check)
+    obj = json.loads(out)
+    assert code == EXIT_FAIL and obj["verdict"] == "FAIL"
+    payload = obj["payload"]
+    if check[0] == "k2s4":
+        # K4 and DS_{1,1}: the first copy is already rainbow
+        first = next(enumerate_embeddings(make_double_star(1, 1), make_complete(4)))
+        assert payload["rainbow_witness"] == {"vertex_map": list(first.vertex_map),
+                                              "edge_colors": list(first.edge_map),
+                                              "unique_count": 3}
+    else:
+        assert payload["rainbow_embedding_rows"] == list(range(180))  # every orbit
+    assert payload["coloring"]["colors"] == list(_rainbow_coloring(m).colors)
+    # the real coloring re-runs to PASS, so the FAIL is not reproduced
+    monkeypatch.undo()
+    (path,) = tmp_path.glob("*.json")
+    code, out, _ = run(capsys, "verify", "--recheck", str(path))
+    assert code == EXIT_FAIL and "FAILED (re-run verdict PASS" in out
+
+
+@pytest.mark.parametrize("kernel, regime", [("find_avoiding_coloring", "exhaustive"),
+                                            ("sample_and_check", "sampled")])
+def test_verify_k6_universal_fail_exits_1(capsys, tmp_path, monkeypatch, kernel, regime):
+    # a kernel that reports the 1-factorization as a counterexample makes
+    # the check FAIL in that regime; the recheck finds the exactly-3-unique
+    # copies the coloring does hold
+    planted = list(one_factorization(3).colors)
+    fake = {"find_avoiding_coloring": lambda *args: (planted, 7, True),
+            "sample_and_check": lambda *args: {"counterexample": planted,
+                                               "sample_index": 4}}[kernel]
+    monkeypatch.setattr(search._kernels, kernel, fake)
+    code, out, _ = run(capsys, "--format", "json", "--cache-dir", str(tmp_path),
+                       "verify", "k6-universal-3unique", "--color-cap", "3",
+                       "--samples", "10")
+    obj = json.loads(out)
+    assert code == EXIT_FAIL and obj["verdict"] == "FAIL"
+    assert obj["payload"]["regime"] == regime
+    assert obj["payload"]["counterexample_coloring"] == planted
+    monkeypatch.undo()
+    (path,) = tmp_path.glob("*.json")
+    code, out, _ = run(capsys, "verify", "--recheck", str(path))
+    assert code == EXIT_FAIL and "does contain an exactly-3-unique copy" in out
+
+
+def test_improper_k6_counterexample_fails_recheck(capsys, tmp_path):
+    # 15 integer colors, so the certificate is well typed, but not proper
+    path = tmp_path / "k6.json"
+    path.write_text(_k6_fail([0] * 15))
+    code, out, _ = run(capsys, "verify", "--recheck", str(path))
+    assert code == EXIT_FAIL and "counterexample is not proper" in out
+
+
+def test_avoider_with_a_k_unique_copy_fails_recheck(capsys, tmp_path):
+    # ex(4, P3) at k = 2 is 6: the avoider is K4.  Six colors on K4 are
+    # proper and make every copy rainbow; the graph hash is kept
+    code, out, _ = run(capsys, "--format", "json", "--cache-dir", str(tmp_path),
+                       "search", "--n", "4", "--pattern", "P3", "--k", "2")
+    assert code == EXIT_OK and json.loads(out)["value"] == 6
+    with open(json.loads(out)["lower_witness"]) as fh:
+        cert = json.load(fh)
+    assert len(cert["payload"]["graph"]["edges"]) == 6
+    cert["payload"]["coloring"]["colors"] = list(range(6))
+    target = tmp_path / "edited.json"
+    target.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "verify", "--recheck", str(target))
+    assert code == EXIT_FAIL and "stored coloring contains a k-unique copy" in out
 
 
 def test_verify_reduction_ds(capsys, tmp_path):
@@ -198,9 +292,10 @@ def test_verify_usage_errors(capsys, tmp_path):
     assert run(capsys, "verify", "--recheck", str(path))[0] == EXIT_OK
     for argv in (["k2s4", "--s", "3"], ["reduction", "DS", "2", "2", "1"],
                  ["k6-rainbow-free"]):
-        code, out, err = run(capsys, "verify", *argv, "--recheck", str(path))
-        assert code == EXIT_USAGE and out == "", argv
-        assert len(err.strip().splitlines()) == 1 and "--recheck" in err, argv
+        for order in ([*argv, "--recheck", str(path)], ["--recheck", str(path), *argv]):
+            code, out, err = run(capsys, "verify", *order)
+            assert code == EXIT_USAGE and out == "", order
+            assert len(err.strip().splitlines()) == 1 and "--recheck" in err, order
 
 
 def test_search_command(capsys, tmp_path):
@@ -211,6 +306,18 @@ def test_search_command(capsys, tmp_path):
     assert (tmp_path / obj["lower_witness"].split("/")[-1]).exists()
     code, _, err = run(capsys, "search", "--n", "4", "--pattern", "P2")
     assert code == EXIT_USAGE
+
+
+def test_search_budget_bracket(capsys, tmp_path):
+    # one node per class: the value is only bracketed, exit 3, and no
+    # exhaustion certificate is written
+    code, out, _ = run(capsys, "--format", "json", "--budget", "1", "--cache-dir",
+                       str(tmp_path), "search", "--n", "5", "--pattern", "P3", "--rainbow")
+    obj = json.loads(out)
+    assert code == EXIT_BUDGET and obj["bracket"] == {"lower": 1, "upper": 10}
+    assert "value" not in obj and "upper_exhaustion" not in obj
+    code, out, _ = run(capsys, "verify", "--recheck", obj["lower_witness"])
+    assert code == EXIT_OK and "OK" in out
 
 
 def test_search_vertex_count_floor(capsys, tmp_path):
@@ -356,6 +463,7 @@ MALFORMED_CERTIFICATES = {
     "verify",  # neither a check nor --recheck
     "verify k2s4 --s 13",
     "verify --recheck missing.json",
+    "verify --recheck missing.json k2s4 --s 0",  # a check after --recheck FILE
     *(f"verify --recheck {name}" for name in MALFORMED_CERTIFICATES),
     "verify reduction T 2 3",  # over the copy cap
     "verify reduction DS 0 9 0",

@@ -156,29 +156,37 @@ class CountingIndex(dict):
         return super().__getitem__(key)
 
 
-def test_twin_look_ahead_edge_lookups_k10():
-    # the search behind `verify k2s4 --s 3`: find_k_unique streams every
-    # orbit of DS_{1,7} in the 1-factorized K10, none rainbow.  A twin that
-    # has r twins of its class after it stops r places before the end of its
-    # candidate list; without that the stream makes 92,250 host edge lookups
-    c = one_factorization(5)
-    host = Graph(c.graph.n, c.graph.edges)  # a private copy to instrument
+def _instrumented(g: Graph) -> tuple[Graph, CountingIndex]:
+    """A private copy of g whose edge index counts its lookups."""
+    host = Graph(g.n, g.edges)
     index = CountingIndex(host.edge_index)
     object.__setattr__(host, "edge_index", index)
-    pattern = make_double_star(1, 7)
-    assert find_k_unique(EdgeColoring(host, c.colors), pattern, pattern.num_edges) is None
-    assert 0 < index.lookups <= 15_930
+    return host, index
 
 
 def test_twin_class_edge_lookups_k10():
-    # the same search, placing each twin class in one step: x, y and y_1 are
-    # placed one at a time (90 lookups for the 90 images of xy, 720 for
-    # y y_1), then the class of 7 leaves at x at once, from a free list that
-    # takes one lookup per free neighbor of x's image (720 x 7)
+    # the search behind `verify k2s4 --s 3`: find_k_unique streams every
+    # orbit of DS_{1,7} in the 1-factorized K10, none rainbow.  Each twin
+    # class is placed in one step: x, y and y_1 are placed one at a time (90
+    # lookups for the 90 images of xy, 720 for y y_1), then the class of 7
+    # leaves at x at once, from a free list that takes one lookup per free
+    # neighbor of x's image (720 x 7).  K10 is regular, so the degree cut
+    # never skips a candidate here
     c = one_factorization(5)
-    host = Graph(c.graph.n, c.graph.edges)
-    index = CountingIndex(host.edge_index)
-    object.__setattr__(host, "edge_index", index)
+    host, index = _instrumented(c.graph)
     pattern = make_double_star(1, 7)
     assert find_k_unique(EdgeColoring(host, c.colors), pattern, pattern.num_edges) is None
     assert 0 < index.lookups <= 5_850
+
+
+def test_degree_cut_edge_lookups_double_star():
+    # the first embedding of DS_{10,12} in DS_{10,16}: x (degree 13) can only
+    # go to the host's x (degree 17), as the host's y has 11 neighbors; then y
+    # takes 1 lookup and the two leaf classes 16 and 10.  Were x placed at
+    # the host's y, y's class of 10 would take each of the C(16, 10) = 8,008
+    # places among the host x's leaves, every one a dead end (80,134 lookups)
+    host, index = _instrumented(make_double_star(10, 16))
+    pattern = make_double_star(10, 12)
+    first = next(enumerate_embeddings(pattern, host))
+    assert first.vertex_map == tuple(range(pattern.n))
+    assert 0 < index.lookups <= 27
