@@ -53,7 +53,7 @@ typedef struct {
 } search;
 
 /* Canonical DFS from edge i with colors 0..used-1 taken so far, as in
- * coloring.canonical_dfs.  Returns 1 when colors holds an avoiding coloring,
+ * pure.canonical_dfs.  Returns 1 when colors holds an avoiding coloring,
  * 0 when the subtree has none, -1 when the node budget tripped. */
 static int avoid(search *s, int i, int used)
 {
@@ -202,7 +202,7 @@ void rt_unique_counts(const int *colors, int n_emb, const int *emb_off,
  * code has bit a * n + b set for each edge between the vertices at positions
  * a and b, in (n * n + 63) / 64 words, word 0 the least significant; the key
  * is the largest code over the leaves, compared as one integer. */
-#define RT_MAXN 64
+#define RT_MAXN 64  /* pure.MAX_KEY_VERTICES */
 
 static int popcount64(uint64_t x)
 {

@@ -15,8 +15,7 @@ from itertools import accumulate, chain
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..coloring import canonicalize
-from .pure import XorShift64Star, check_vertex_count
+from .pure import XorShift64Star, canonicalize, check_vertex_count
 
 BACKEND = "c"
 

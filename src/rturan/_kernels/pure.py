@@ -2,19 +2,83 @@
 
 The reference implementation: the compiled kernels (native.c, loaded by
 native.py) return bit-identical results, the sampling RNG included, so either
-backend can stand behind certificates.
+backend can stand behind certificates.  Every rule the C mirrors lives here,
+and nothing here imports the rest of rturan.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..coloring import BudgetExhausted, canonical_dfs, unique_color_count
-from ..graphs import DEFAULT_VERTEX_CAP
+from typing import Callable, Iterator, Optional, Sequence
 
 BACKEND = "python"
 
 _MASK = (1 << 64) - 1
+MAX_KEY_VERTICES = 64  # the most vertices canonical_key takes; RT_MAXN in native.c
+
+
+class BudgetExhausted(Exception):
+    """Raised when a node-count budget trips; a distinguished non-error outcome."""
+
+    def __init__(self, nodes_visited: int):
+        super().__init__(f"search budget exhausted after {nodes_visited} nodes")
+        self.nodes_visited = nodes_visited
+
+
+def canonicalize(colors: Sequence[int]) -> tuple[int, ...]:
+    relabel: dict[int, int] = {}
+    out = []
+    for c in colors:
+        if c not in relabel:
+            relabel[c] = len(relabel)
+        out.append(relabel[c])
+    return tuple(out)
+
+
+PrunePredicate = Callable[[list[int], int], bool]
+
+
+def unique_color_count(colors: Sequence[int]) -> int:
+    """Number of entries whose color occurs exactly once in the sequence."""
+    return list(map(colors.count, colors)).count(1)
+
+
+def canonical_dfs(conflicts: Sequence[Sequence[int]], max_colors: int,
+                  budget: Optional[int] = None,
+                  prune: Optional[PrunePredicate] = None) -> Iterator[list[int]]:
+    """Depth-first canonical enumeration of proper colorings over raw arrays.
+
+    Edge i may not share a color with the edges in conflicts[i] and takes a
+    color at most one above the largest color before it, below max_colors.
+    `prune(colors, i)` is consulted after edge i is assigned (edges after i
+    read -1); returning True cuts the subtree.  Each assignment is a node;
+    when a node beyond the budget is due, BudgetExhausted is raised with the
+    budget as the nodes visited.  None or a negative budget means no limit.
+    Yields the same list at every leaf, so callers copy what they keep.
+    """
+    m = len(conflicts)
+    colors = [-1] * m
+    nodes = 0
+    if budget is not None and budget < 0:
+        budget = None
+
+    def walk(i: int, used: int) -> Iterator[list[int]]:
+        nonlocal nodes
+        if i == m:
+            yield colors
+            return
+        forbidden = {colors[j] for j in conflicts[i]}
+        for c in range(min(used + 1, max_colors)):
+            if c in forbidden:
+                continue
+            if budget is not None and nodes >= budget:
+                raise BudgetExhausted(nodes)
+            nodes += 1
+            colors[i] = c
+            if prune is None or not prune(colors, i):
+                yield from walk(i + 1, max(used, c + 1))
+        colors[i] = -1
+
+    return walk(0, 0)
 
 
 class XorShift64Star:
@@ -169,8 +233,8 @@ def check_vertex_count(n: int):
     """The one refusal of both canonical_key kernels: a key's bit a * n + b
     indexes the vertex pairs, and the compiled kernel holds a vertex's
     neighbors in one 64-bit mask."""
-    if not 0 <= n <= DEFAULT_VERTEX_CAP:
-        raise ValueError(f"canonical_key takes 0..{DEFAULT_VERTEX_CAP} "
+    if not 0 <= n <= MAX_KEY_VERTICES:
+        raise ValueError(f"canonical_key takes 0..{MAX_KEY_VERTICES} "
                          f"vertices, got {n}")
 
 
@@ -178,7 +242,7 @@ def canonical_key(n: int, edges: Sequence[tuple[int, int]]) -> int:
     """The code of graphs.canonical_key (see there) of the graph on vertices
     0..n-1 with these edges: the largest leaf code of the
     individualisation-refinement search.  Raises ValueError unless
-    0 <= n <= DEFAULT_VERTEX_CAP."""
+    0 <= n <= MAX_KEY_VERTICES."""
     check_vertex_count(n)
     adj = [0] * n
     for (u, v) in edges:

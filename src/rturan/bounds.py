@@ -24,8 +24,8 @@ ERDOS_SOS = "erdos_sos_conjecture"
 MCLENNAN = "mclennan_diam4"
 EMPTY_SUM_NOTE = "literal empty products over i=4..j-2 evaluated as 1"
 # vertex caps of the augmented trees; an augmenter refuses a level that
-# would grow its tree past the cap before building it.  A k-ary tree's cap is
-# graphs.MAX_VERTICES, the most vertices of any graph rturan builds
+# would grow its tree past the cap before building it.  A k-ary tree's and a
+# double star's cap is graphs.MAX_VERTICES, the most vertices rturan builds
 CATERPILLAR_CAP = 4 * DEFAULT_VERTEX_CAP
 
 
@@ -119,7 +119,7 @@ def ds_rainbow_bounds(r: int, s: int) -> tuple[BoundReport, BoundReport]:
     """(s+r-1)/2 <= ex*(n, DS_{r,s})/n <= (s+2r)/2, via T' = DS_{r,s+r}."""
     if r > s:
         r, s = s, r
-    aug = make_double_star(r, s + r)
+    aug = make_double_star(r, s + r, cap=MAX_VERTICES)
     lower = BoundReport("ds_rainbow_lower", {"r": r, "s": s},
                         Fraction(max(s + r - 1, 0), 2))
     return lower, reduction_bound("ds_rainbow_upper", {"r": r, "s": s}, aug)
@@ -137,7 +137,8 @@ def ds_1_odd_exact(s: int) -> BoundReport:
     """ex*(n, DS_{1,2s+1}) = (2s+3)n/2 + o(1), read off T' = DS_{1,2s+2}."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    return reduction_bound("ds12s1_exact", {"s": s}, make_double_star(1, 2 * s + 2),
+    return reduction_bound("ds12s1_exact", {"s": s},
+                           make_double_star(1, 2 * s + 2, cap=MAX_VERTICES),
                            notes=("matching upper and lower bounds; o(1) term symbolic",))
 
 
@@ -145,8 +146,8 @@ def augment_double_star(r: int, s: int, l: int) -> AugmentedTree:
     """DS_{r,s} -> DS_{r,s+l}: l extra pendants at x."""
     if not (0 <= l <= r <= s):
         raise ValueError("need 0 <= l <= r <= s")
-    original = make_double_star(r, s)
-    augmented = make_double_star(r, s + l)
+    original = make_double_star(r, s, cap=MAX_VERTICES)
+    augmented = make_double_star(r, s + l, cap=MAX_VERTICES)
     # original vertices: y, x, y-pendants, then x-pendants; same prefix order
     emb = Embedding.from_vertex_map(original, augmented, range(original.n))
     log = ((f"append {l} pendants at x", l),)

@@ -4,21 +4,15 @@ and the circle-method 1-factorization of K_{2m}."""
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
+from ._kernels.pure import (BudgetExhausted, PrunePredicate, canonical_dfs,
+                            canonicalize, unique_color_count)
 from .graphs import Graph, Record, make_complete, read_only
 
 
 class ColoringError(ValueError):
     pass
-
-
-class BudgetExhausted(Exception):
-    """Raised when a node-count budget trips; a distinguished non-error outcome."""
-
-    def __init__(self, nodes_visited: int):
-        super().__init__(f"search budget exhausted after {nodes_visited} nodes")
-        self.nodes_visited = nodes_visited
 
 
 def graph_hash(g: Graph) -> str:
@@ -75,69 +69,12 @@ def proper_coloring(g: Graph, colors: Sequence[int]) -> EdgeColoring:
     return c
 
 
-def canonicalize(colors: Sequence[int]) -> tuple[int, ...]:
-    relabel: dict[int, int] = {}
-    out = []
-    for c in colors:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        out.append(relabel[c])
-    return tuple(out)
-
-
 def conflict_lists(g: Graph) -> list[list[int]]:
     """For each edge index, the earlier edge indices sharing a vertex."""
     out: list[list[int]] = []
     for i, (u, v) in enumerate(g.edges):
         out.append([j for j in range(i) if set(g.edges[j]) & {u, v}])
     return out
-
-
-PrunePredicate = Callable[[list[int], int], bool]
-
-
-def unique_color_count(colors: Sequence[int]) -> int:
-    """Number of entries whose color occurs exactly once in the sequence."""
-    return list(map(colors.count, colors)).count(1)
-
-
-def canonical_dfs(conflicts: Sequence[Sequence[int]], max_colors: int,
-                  budget: Optional[int] = None,
-                  prune: Optional[PrunePredicate] = None) -> Iterator[list[int]]:
-    """Depth-first canonical enumeration of proper colorings over raw arrays.
-
-    Edge i may not share a color with the edges in conflicts[i] and takes a
-    color at most one above the largest color before it, below max_colors.
-    `prune(colors, i)` is consulted after edge i is assigned (edges after i
-    read -1); returning True cuts the subtree.  Each assignment is a node;
-    when a node beyond the budget is due, BudgetExhausted is raised with the
-    budget as the nodes visited.  None or a negative budget means no limit.
-    Yields the same list at every leaf, so callers copy what they keep.
-    """
-    m = len(conflicts)
-    colors = [-1] * m
-    nodes = 0
-    if budget is not None and budget < 0:
-        budget = None
-
-    def walk(i: int, used: int) -> Iterator[list[int]]:
-        nonlocal nodes
-        if i == m:
-            yield colors
-            return
-        forbidden = {colors[j] for j in conflicts[i]}
-        for c in range(min(used + 1, max_colors)):
-            if c in forbidden:
-                continue
-            if budget is not None and nodes >= budget:
-                raise BudgetExhausted(nodes)
-            nodes += 1
-            colors[i] = c
-            if prune is None or not prune(colors, i):
-                yield from walk(i + 1, max(used, c + 1))
-        colors[i] = -1
-
-    return walk(0, 0)
 
 
 def enumerate_proper_colorings(g: Graph, max_colors: int,

@@ -11,7 +11,9 @@ import itertools
 import math
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-DEFAULT_VERTEX_CAP = 64
+from . import _kernels
+
+DEFAULT_VERTEX_CAP = _kernels.pure.MAX_KEY_VERTICES
 # the most vertices of any graph rturan builds (an augmented k-ary tree); a
 # serialized graph with more is refused, as each vertex costs memory first
 MAX_VERTICES = 100_000
@@ -445,11 +447,6 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> Iterator[Embedding]:
     yield from extend(0)
 
 
-# the canonical-form kernel, bound on the first call of canonical_key rather
-# than at import: _kernels imports coloring, which imports this module
-_kernel_key = None
-
-
 def canonical_key(g) -> tuple:
     """Canonical form: ``canonical_key(g) == canonical_key(h)`` exactly when g
     and h are isomorphic (same vertex count, same edges up to relabeling).
@@ -474,7 +471,4 @@ def canonical_key(g) -> tuple:
     near-complete graphs take one branch per level.  Other symmetric graphs
     still branch: r disjoint edges take r! leaves.
     """
-    global _kernel_key
-    if _kernel_key is None:
-        from ._kernels import canonical_key as _kernel_key
-    return (g.n, _kernel_key(g.n, g.edges))
+    return (g.n, _kernels.canonical_key(g.n, g.edges))

@@ -361,6 +361,10 @@ def revalidate_avoider(cert: Certificate) -> tuple[bool, str]:
                          f"object: {coloring!r}")
     colors = _int_list(cert, coloring.get("colors"), "colors")
     n, m, k = (_int_param(cert, name) for name in ("n", "m", "k"))
+    # brute_extremal writes n <= N_CAP, which bounds the copy stream at N_CAP!
+    if not 0 <= n <= N_CAP:
+        raise ValueError(f"avoider certificate field 'n' is {n}, outside the "
+                         f"brute-force range 0..{N_CAP}")
     k = _resolve_k(f, k)
     if not is_proper(g, colors):  # first, as it raises on a wrong length
         return False, "stored coloring is not proper"

@@ -14,7 +14,7 @@ from rturan.bounds import (ERDOS_SOS, MCLENNAN, BoundReport, augment_binary,
 from rturan.certs import BUDGET_EXHAUSTED, FAIL, PASS
 from rturan.coloring import EdgeColoring, is_proper
 from rturan.detect import find_k_unique
-from rturan.graphs import (GraphError, canonical_key, diameter,
+from rturan.graphs import (MAX_VERTICES, GraphError, canonical_key, diameter,
                            make_double_star, make_path, make_perfect_kary)
 from rturan.search import verify_reduction
 
@@ -104,10 +104,15 @@ def test_double_star_bounds_keep_the_closed_forms():
                 out = ds_k_unique_bounds(r, s, l)
                 assert (out["lower"].coefficient, out["upper"].coefficient) == (
                     Fraction(max(s + l - 1, 0), 2), Fraction(r + s + l, 2)), (r, s, l)
-    for s in range(30):
+    for s in range(61):
         assert ds_1_odd_exact(s).coefficient == Fraction(2 * s + 3, 2)
-    with pytest.raises(GraphError, match="cap 64"):
-        ds_1_odd_exact(30)  # DS_{1,62} has 65 vertices
+    # T' above the 64-vertex default cap of a family spec
+    for r, s, l in ((20, 29, 0), (30, 31, 5), (40, 50, 10)):
+        assert ds_rainbow_bounds(r, s)[1].coefficient == Fraction(s + 2 * r, 2)
+        assert ds_k_unique_bounds(r, s, l)["upper"].coefficient == Fraction(r + s + l, 2)
+    # DS_{1,99998} has MAX_VERTICES + 1 vertices, refused before it is built
+    with pytest.raises(GraphError, match=f"cap {MAX_VERTICES}"):
+        ds_1_odd_exact(49_998)
 
 
 def test_augment_double_star():
@@ -141,6 +146,22 @@ def test_caterpillar_literal_vs_constructive():
     assert lit.coefficient == 3  # 3 + (l3 + 1) over 2 with l3 = 2
     with pytest.raises(ValueError):
         caterpillar_coefficient_literal([1, 2])
+    with pytest.raises(ValueError, match="nonnegative"):
+        augment_caterpillar([1, -1, 1])
+
+
+def test_caterpillar_literal_branching_factor():
+    # twice the coefficient is 3c_1 + 2c_2 + c_3 + 3 plus P_j (L_j + 1) for
+    # j = 3..k, with L_j = (j-1) + c_1 + ... + c_j; from j = 4, P_j is P_{j-1}
+    # times sum(c_i + 1, i = 4..j-2), an empty sum read as 1
+    for c, coeff in (([1, 1, 1, 1], Fraction(23, 2)),  # 9 + 6 + 8
+                     ([0] * 5, Fraction(15, 2)),  # 3 + 3 + 4 + 5
+                     # the first factor above 1: 9 + 6 + 8 + 10 + 2 * 12
+                     ([1] * 6, Fraction(57, 2))):
+        assert caterpillar_coefficient_literal(c).coefficient == coeff, c
+    out = caterpillar_bounds([1, 1, 1, 1])
+    assert out["constructive"].coefficient == 21
+    assert out["augmented_edges"] == 43 and out["discrepancy"]
 
 
 def test_caterpillar_level_four():
@@ -179,6 +200,9 @@ def test_kary_coefficients():
     aug = augment_kary(2, 3)
     aug.validate()
     assert aug.edge_count == 142
+    for refused in (augment_kary, kary_coefficients):
+        with pytest.raises(ValueError, match="depth >= 2"):
+            refused(2, 1)
 
 
 def test_constructive_tree_bounds_flag_the_augmented_diameter():

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rturan import search
-from rturan.coloring import EdgeColoring, is_proper, one_factorization
+from rturan.certs import PASS, Certificate
+from rturan.coloring import EdgeColoring, is_proper, one_factorization, proper_coloring
 from rturan.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, SpecError,
                         build_parser, main, parse_family)
-from rturan.graphs import (Graph, canonical_key, enumerate_embeddings, make_caterpillar,
-                           make_complete, make_double_star)
+from rturan.graphs import (Graph, canonical_key, enumerate_embeddings, graph_from_edges,
+                           make_caterpillar, make_complete, make_double_star)
 
 
 def run(capsys, *argv):
@@ -388,6 +389,22 @@ def _k6_fail(counterexample) -> str:
                        "payload": {"counterexample_coloring": counterexample}})
 
 
+def _k4_forest_avoider() -> str:
+    """A self-consistent avoider certificate of n = 64, above search.N_CAP:
+    16 disjoint K4s, each 1-factorized with colors 0..2, hold no 30-unique
+    copy of 10 disjoint P3s, but the copy stream a recheck would walk to
+    show it is astronomically long."""
+    k4 = one_factorization(2)
+    host = graph_from_edges(64, [(u + 4 * i, v + 4 * i) for i in range(16)
+                                 for u, v in k4.graph.edges])
+    pattern = graph_from_edges(40, [(4 * i + j, 4 * i + j + 1) for i in range(10)
+                                    for j in range(3)])
+    coloring = proper_coloring(host, k4.colors * 16)
+    params = {"n": 64, "m": 96, "pattern": pattern.to_json(), "k": 30}
+    return json.dumps(Certificate("avoider", PASS, params, payload={
+        "graph": host.to_json(), "coloring": coloring.to_json()}).to_json())
+
+
 MALFORMED_CERTIFICATES = {
     "no-kind.json": '{"schema": 1}',
     "no-graph.json": '{"schema": 1, "kind": "avoider", "verdict": "PASS", "params": {}}',
@@ -443,6 +460,9 @@ MALFORMED_CERTIFICATES = {
     "k6-fail-nested.json": _k6_fail([[i] for i in range(15)]),
     "k6-fail-objects.json": _k6_fail([{} for _ in range(15)]),
     "k6-fail-strings.json": _k6_fail([str(i) for i in range(15)]),
+    # every field agrees, but n is above the largest host brute_extremal
+    # searches, so the recheck refuses it before walking the copies
+    "avoider-n-above-cap.json": _k4_forest_avoider(),
 }
 
 

@@ -146,3 +146,5 @@ def test_empty_graph_coloring():
     g = graph_from_edges(3, [])
     out = list(enumerate_proper_colorings(g, 1))
     assert len(out) == 1 and out[0].colors == ()
+    with pytest.raises(ColoringError):
+        next(enumerate_proper_colorings(g, 0))

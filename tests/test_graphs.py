@@ -33,6 +33,10 @@ def test_graph_normalization_and_validation():
         Graph(3, ((0, 2), (0, 1)))  # not sorted
     with pytest.raises(GraphError):
         Graph(2, ((0, 1),), labels=("a",) * 3)
+    with pytest.raises(GraphError, match="negative"):
+        Graph(-1, ())
+    with pytest.raises(GraphError, match="duplicate"):
+        Graph(2, ((0, 1), (0, 1)))
 
 
 def test_graph_json_roundtrip():
@@ -65,6 +69,8 @@ def test_path_cycle_complete_shapes():
     with pytest.raises(GraphError):
         make_cycle(2)
     with pytest.raises(GraphError):
+        make_complete(0)
+    with pytest.raises(GraphError):
         make_path(DEFAULT_VERTEX_CAP + 1)
 
 
@@ -77,6 +83,8 @@ def test_double_star_layout():
     star = make_double_star(0, 4)
     assert sorted(star.degrees(), reverse=True) == [5, 1, 1, 1, 1, 1]
     assert diameter(star) == 2
+    with pytest.raises(GraphError, match="nonnegative"):
+        make_double_star(-1, 2)
 
 
 def test_caterpillar_and_broom():
@@ -87,6 +95,10 @@ def test_caterpillar_and_broom():
     assert make_broom(1, 4).num_edges == 4  # pure star
     with pytest.raises(GraphError):
         make_caterpillar([])
+    with pytest.raises(GraphError, match="nonnegative"):
+        make_caterpillar([1, -1])
+    with pytest.raises(GraphError):
+        make_broom(0, 2)
 
 
 def test_perfect_kary_shapes():
@@ -364,6 +376,7 @@ def test_embeddings_empty_cases():
 def test_diameter_edge_cases():
     assert diameter(graph_from_edges(2, [])) is None  # disconnected
     assert diameter(make_complete(1)) == 0
+    assert diameter(Graph(0, ())) is None  # empty
     assert diameter(make_cycle(7)) == 3
 
 

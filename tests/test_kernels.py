@@ -1,9 +1,11 @@
+import ast
 import itertools
 import os
 import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +149,25 @@ def test_backend_selection_env_override():
          "from rturan import _kernels; print(_kernels.BACKEND)"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "python"
+
+
+def test_kernels_import_nothing_of_the_rest_of_the_package():
+    # the kernel layer sits at the bottom: graphs imports it at module level,
+    # so an import of the rest of rturan from here would close a cycle
+    for path in sorted(Path(_kernels.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # a relative import of level 1 starts at rturan._kernels
+                package = ["rturan", "_kernels"][:3 - node.level] if node.level else []
+                modules = [".".join(package + [node.module] if node.module else package)]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[:2]
+                assert top[0] != "rturan" or top == ["rturan", "_kernels"], \
+                    f"{path.name} imports {module}"
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
