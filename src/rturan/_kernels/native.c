@@ -109,14 +109,67 @@ static void group_by_last(int m, int copies, const int *emb_off, const int *emb,
     last_off[0] = 0;
 }
 
+/* pure.restrict: the m-edge host's rows restricted to the n_keep edges in
+ * keep (ascending).  Edge keep[j] becomes edge j, each conflict list keeps
+ * its kept edges, renumbered, and the copies whose edges are all kept stay,
+ * renumbered, in row order.  The restricted rows go to r_conf_off (n_keep
+ * + 1 ints), r_conf, r_emb_off (copies + 1) and r_emb, each at most as long
+ * as the host's; to holds m ints.  Returns the number of copies kept. */
+static int restrict_rows(int m, const int *conf_off, const int *conf,
+                         int copies, const int *emb_off, const int *emb,
+                         int n_keep, const int *keep, int *to,
+                         int *r_conf_off, int *r_conf, int *r_emb_off, int *r_emb)
+{
+    for (int i = 0; i < m; i++)
+        to[i] = -1;
+    for (int j = 0; j < n_keep; j++)
+        to[keep[j]] = j;
+    r_conf_off[0] = 0;
+    for (int j = 0; j < n_keep; j++) {
+        int out = r_conf_off[j];
+        for (int t = conf_off[keep[j]]; t < conf_off[keep[j] + 1]; t++)
+            if (to[conf[t]] >= 0)
+                r_conf[out++] = to[conf[t]];
+        r_conf_off[j + 1] = out;
+    }
+    int kept = 0;
+    r_emb_off[0] = 0;
+    for (int r = 0; r < copies; r++) {
+        int out = r_emb_off[kept], t = emb_off[r];
+        while (t < emb_off[r + 1] && to[emb[t]] >= 0)
+            r_emb[out++] = to[emb[t++]];
+        if (t == emb_off[r + 1])  /* every edge kept */
+            r_emb_off[++kept] = out;
+    }
+    return kept;
+}
+
 /* pure.find_avoiding_coloring; a negative limit means no budget.  Returns
  * 1 found (in colors), 0 none, -1 budget exhausted; *nodes gets the count.
- * last_off (m + 1 ints) and last (one int per copy) are work buffers. */
+ * keep, when not NULL, lists n_keep edges of the m-edge host in ascending
+ * order, and the search runs on their subgraph (restrict_rows), colors
+ * indexed by keep's positions; NULL keeps every edge.  work holds
+ * m + 1 + copies ints without keep, and 2m + 2 + copies + conf_off[m] +
+ * emb_off[copies] more with it. */
 int rt_find_avoiding(int m, const int *conf_off, const int *conf,
                      int copies, const int *emb_off, const int *emb,
+                     int n_keep, const int *keep,
                      int k, int exactly, int max_colors, long long limit,
-                     int *colors, long long *nodes, int *last_off, int *last)
+                     int *colors, long long *nodes, int *work)
 {
+    if (keep) {
+        int *to = work, *r_conf_off = to + m, *r_conf = r_conf_off + m + 1;
+        int *r_emb_off = r_conf + conf_off[m], *r_emb = r_emb_off + copies + 1;
+        work = r_emb + emb_off[copies];
+        copies = restrict_rows(m, conf_off, conf, copies, emb_off, emb, n_keep,
+                               keep, to, r_conf_off, r_conf, r_emb_off, r_emb);
+        m = n_keep;
+        conf_off = r_conf_off;
+        conf = r_conf;
+        emb_off = r_emb_off;
+        emb = r_emb;
+    }
+    int *last_off = work, *last = work + m + 1;
     group_by_last(m, copies, emb_off, emb, last_off, last);
     search s = {m, k, exactly, max_colors, conf_off, conf, emb_off, emb,
                 last_off, last, limit, 0, colors};

@@ -13,9 +13,9 @@ import struct
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .pure import XorShift64Star, canonicalize, check_vertex_count
+from .pure import XorShift64Star, canonicalize, check_keep, check_vertex_count
 
 BACKEND = "c"
 
@@ -29,7 +29,8 @@ except OSError as exc:
 _int, _ll, _u64 = ctypes.c_int, ctypes.c_longlong, ctypes.c_uint64
 _ints_p, _ll_p, _u64_p = ctypes.POINTER(_int), ctypes.POINTER(_ll), ctypes.POINTER(_u64)
 _lib.rt_find_avoiding.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _ints_p,
-                                  _int, _int, _int, _ll, _ints_p, _ll_p, _ints_p, _ints_p]
+                                  _int, _ints_p, _int, _int, _int, _ll,
+                                  _ints_p, _ll_p, _ints_p]
 _lib.rt_find_avoiding.restype = _int
 _lib.rt_sample_and_check.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _ints_p,
                                      _int, _int, _ll, _u64, _int,
@@ -55,38 +56,71 @@ def _ints(values: Sequence[int]) -> ctypes.Array:
     return (_int * n).from_buffer_copy(struct.pack(f"{n}i", *values))
 
 
-def _rows(rows: Sequence[Sequence[int]], bound: int) -> tuple[ctypes.Array, ctypes.Array]:
-    """(offsets, indices) of a list of index lists; every index must be below bound."""
-    flat = list(chain.from_iterable(rows))
-    if flat and not 0 <= min(flat) <= max(flat) < bound:
+class Packed:
+    """A list of index lists as native.c reads it: row r is
+    idx[off[r]] .. idx[off[r + 1] - 1].  low and high bound the indices
+    (0 and -1 when there is none) for the kernels' range checks."""
+
+    __slots__ = ("off", "idx", "count", "low", "high", "has_empty")
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        flat = list(chain.from_iterable(rows))
+        self.off = _ints([0, *accumulate(map(len, rows))])
+        self.idx = _ints(flat)
+        self.count = len(rows)
+        self.low, self.high = min(flat, default=0), max(flat, default=-1)
+        self.has_empty = not all(rows)  # some row holds no index
+
+
+Rows = Union[Sequence[Sequence[int]], Packed]
+
+
+def pack_rows(rows: Rows) -> Packed:
+    """rows flattened for the kernels, once: a caller that passes the same
+    rows to many calls packs them first.  A Packed is returned as it is."""
+    return rows if isinstance(rows, Packed) else Packed(rows)
+
+
+def _rows(rows: Rows, bound: int) -> Packed:
+    """rows packed; every index must be below bound."""
+    packed = pack_rows(rows)
+    if packed.low < 0 or packed.high >= bound:
         raise ValueError(f"index out of range 0..{bound - 1} in kernel input")
-    return _ints([0, *accumulate(map(len, rows))]), _ints(flat)
+    return packed
 
 
-def _conflict_rows(num_edges: int, conflicts: Sequence[Sequence[int]]):
-    if len(conflicts) != num_edges:
-        raise ValueError(f"{len(conflicts)} conflict lists for {num_edges} edges")
-    return _rows(conflicts, num_edges)
+def _conflict_rows(num_edges: int, conflicts: Rows) -> Packed:
+    conf = pack_rows(conflicts)
+    if conf.count != num_edges:
+        raise ValueError(f"{conf.count} conflict lists for {num_edges} edges")
+    return _rows(conf, num_edges)
 
 
-def find_avoiding_coloring(num_edges: int,
-                           conflicts: Sequence[Sequence[int]],
-                           emb_edges: Sequence[Sequence[int]],
+def find_avoiding_coloring(num_edges: int, conflicts: Rows, emb_edges: Rows,
                            k: int, exactly: bool, max_colors: int,
                            budget: Optional[int] = None,
+                           keep: Optional[Sequence[int]] = None,
                            ) -> tuple[Optional[list[int]], int, bool]:
-    """See pure.find_avoiding_coloring."""
+    """See pure.find_avoiding_coloring; conflicts and emb_edges may come
+    packed (pack_rows)."""
     conf = _conflict_rows(num_edges, conflicts)
-    if not all(emb_edges):  # as pure's max() of an empty copy
-        raise ValueError("a pattern copy with no edge in kernel input")
     emb = _rows(emb_edges, num_edges)
-    colors = (_int * num_edges)()
+    if emb.has_empty:  # as pure's max() of an empty copy
+        raise ValueError("a pattern copy with no edge in kernel input")
+    work = num_edges + 1 + emb.count
+    if keep is None:
+        n_keep, kept = num_edges, None
+    else:
+        check_keep(num_edges, keep)
+        n_keep, kept = len(keep), _ints(keep)
+        work += 2 * num_edges + 2 + emb.count + len(conf.idx) + len(emb.idx)
+    colors = (_int * n_keep)()
     nodes = _ll()
-    found = _lib.rt_find_avoiding(num_edges, *conf, len(emb_edges), *emb, _sat(k),
-                                  bool(exactly), _sat(max_colors),
+    found = _lib.rt_find_avoiding(num_edges, conf.off, conf.idx, emb.count, emb.off,
+                                  emb.idx, n_keep, kept, _sat(k), bool(exactly),
+                                  _sat(max_colors),
                                   -1 if budget is None else _sat(budget, 64),
-                                  colors, ctypes.byref(nodes),
-                                  (_int * (num_edges + 1))(), (_int * len(emb_edges))())
+                                  colors, ctypes.byref(nodes), (_int * work)())
     return (list(colors) if found == 1 else None), nodes.value, found >= 0
 
 
@@ -94,9 +128,9 @@ def unique_counts(colors: Sequence[int],
                   emb_edges: Sequence[Sequence[int]]) -> list[int]:
     """See pure.unique_counts."""
     emb = _rows(emb_edges, len(colors))
-    out = (_int * len(emb_edges))()
+    out = (_int * emb.count)()
     # relabeled 0, 1, ... in order of first use, so any colors fit a C int
-    _lib.rt_unique_counts(_ints(canonicalize(colors)), len(emb_edges), *emb, out)
+    _lib.rt_unique_counts(_ints(canonicalize(colors)), emb.count, emb.off, emb.idx, out)
     return list(out)
 
 
@@ -112,7 +146,7 @@ def sample_and_check(num_edges: int,
     colors = (_int * num_edges)()
     counts = (_ll * 2)()
     index = _lib.rt_sample_and_check(
-        num_edges, *conf, len(emb_edges), *emb, _sat(k), bool(exactly),
+        num_edges, conf.off, conf.idx, emb.count, emb.off, emb.idx, _sat(k), bool(exactly),
         _sat(num_samples, 64), XorShift64Star(seed).state, bool(skip_rainbow),
         colors, (_int * (num_edges + 1))(), (_u64 * (num_edges + 1))(), counts)
     found = index >= 0

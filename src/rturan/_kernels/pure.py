@@ -113,19 +113,61 @@ def _copy_satisfied(colors: Sequence[int], edges: Sequence[int],
     return uniq == k if exactly else uniq >= k
 
 
+def pack_rows(rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """The kernels' input form of a list of index lists: the lists
+    themselves here; native.pack_rows flattens them once for the C code."""
+    return rows
+
+
+def check_keep(num_edges: int, keep: Sequence[int]):
+    """The refusal of both find_avoiding_coloring kernels for a bad `keep`:
+    it must name host edges 0..num_edges-1 in strictly ascending order."""
+    if any(a >= b for a, b in zip(keep, keep[1:])):
+        raise ValueError("kept edges not strictly ascending in kernel input")
+    if keep and not 0 <= keep[0] <= keep[-1] < num_edges:
+        raise ValueError(f"kept edge out of range 0..{num_edges - 1} in kernel input")
+
+
+def restrict(conflicts: Sequence[Sequence[int]],
+             emb_edges: Sequence[Sequence[int]],
+             keep: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """The host's conflict lists and copies restricted to its subgraph on
+    the edges `keep` (ascending, check_keep): edge keep[j] becomes edge j,
+    each conflict list keeps its kept edges, renumbered, and the copies
+    whose edges are all kept stay, renumbered, in row order.
+
+    For a graph g on K_n's vertices with keep its edges' K_n indices, this
+    is (conflict_lists(g), the edge maps of enumerate_embeddings(f, g)) from
+    K_n's: both edge orders are lexicographic, so renumbering keeps each
+    conflict list ascending, and the embedding stream's order depends on
+    the pattern alone, so filtering K_n's keeps it."""
+    to = {e: j for j, e in enumerate(keep)}
+    absent = set(range(len(conflicts))).difference(keep)
+    return ([[to[c] for c in conflicts[e] if c in to] for e in keep],
+            [[to[e] for e in row] for row in emb_edges if absent.isdisjoint(row)])
+
+
 def find_avoiding_coloring(num_edges: int,
                            conflicts: Sequence[Sequence[int]],
                            emb_edges: Sequence[Sequence[int]],
                            k: int, exactly: bool, max_colors: int,
                            budget: Optional[int] = None,
+                           keep: Optional[Sequence[int]] = None,
                            ) -> tuple[Optional[list[int]], int, bool]:
     """First canonical proper coloring with no satisfied copy.
 
     A copy is satisfied when its unique-edge count is >= k (== k in exactly
     mode).  Branches are cut as soon as a fully colored copy is satisfied,
     since the copy's count can no longer change.  A negative budget means no
-    limit.  Returns (colors or None, nodes_visited, exhausted).
+    limit.  With `keep`, the search runs on the subgraph of those edges
+    (restrict), and the coloring is indexed by keep's positions; without
+    it, every edge is kept.  Returns (colors or None, nodes_visited,
+    exhausted).
     """
+    if keep is not None:
+        check_keep(num_edges, keep)
+        conflicts, emb_edges = restrict(conflicts, emb_edges, keep)
+        num_edges = len(keep)
     by_last = _embeddings_by_last_edge(num_edges, emb_edges)
     nodes = 0
 

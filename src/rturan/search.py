@@ -33,7 +33,7 @@ class AvoiderResult(NamedTuple):
     coloring: Optional[EdgeColoring]
     nodes_visited: int
     exhaustive: bool
-    copies: int  # labeled copies of the pattern in the host
+    copies: Optional[int]  # labeled copies of the pattern in the host, if counted
 
 
 def _resolve_k(f: Graph, k) -> int:
@@ -47,9 +47,36 @@ def _resolve_k(f: Graph, k) -> int:
     return k
 
 
+def _copy_rows(f: Graph, g: Graph) -> list[list[int]]:
+    """The edge maps of enumerate_embeddings(f, g), one copy per orbit of
+    twin-leaf swaps.  Raises ValueError when g holds more than MAX_COPIES
+    labeled copies of f (orbits x twin_orbit_size(f))."""
+    per_orbit = twin_orbit_size(f)
+    rows = [list(e.edge_map) for e in itertools.islice(
+        enumerate_embeddings(f, g), MAX_COPIES // per_orbit + 1)]
+    if len(rows) * per_orbit > MAX_COPIES:
+        raise ValueError(f"host holds over {MAX_COPIES} labeled copies of the "
+                         "pattern; too many to search")
+    return rows
+
+
+def complete_table(f: Graph, n: int) -> tuple[Graph, object, object]:
+    """(K_n, its conflict lists, the copies of f in it), the two tables
+    packed once for the kernel (_kernels.pack_rows).  Every graph on the n
+    vertices is a subgraph of K_n, and its lexicographic edge order is K_n's
+    restricted to its edges, so the kernel searches it from these tables and
+    the K_n indices of its edges (pure.restrict).  Raises ValueError, as
+    exists_avoiding_coloring does, when K_n holds more than MAX_COPIES
+    labeled copies of f; so then does each of its subgraphs."""
+    complete = Graph(n, tuple(itertools.combinations(range(n), 2)))
+    rows = _copy_rows(f, complete)
+    return (complete, _kernels.pack_rows(conflict_lists(complete)),
+            _kernels.pack_rows(rows))
+
+
 def exists_avoiding_coloring(g: Graph, f: Graph, k,
                              budget: Optional[int] = None,
-                             rows: Optional[list[list[int]]] = None,
+                             table: Optional[tuple] = None,
                              ) -> AvoiderResult:
     """Search for a proper coloring of g with no k-unique copy of f.
 
@@ -59,58 +86,25 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k,
     copies of an orbit cover one host edge set, so the cut at a copy's
     largest edge decides alike for each of them.  `copies` and the
     MAX_COPIES cap still count labeled copies, orbits x twin_orbit_size(f).
-    `rows`, when given, are the edge maps of enumerate_embeddings(f, g) in
-    its order (CopyTable.rows gives them); they are enumerated otherwise.
     Raises ValueError when g holds more than MAX_COPIES labeled copies of f.
+    `table`, when given, is complete_table(f, n) for g on n vertices: the
+    kernel then keeps its rows in g, no copy is enumerated, and copies is
+    None (the table checked the cap).
     """
     kk = _resolve_k(f, k)
-    per_orbit = twin_orbit_size(f)
-    emb_edges = rows if rows is not None else [
-        list(e.edge_map) for e in itertools.islice(
-            enumerate_embeddings(f, g), MAX_COPIES // per_orbit + 1)]
-    copies = len(emb_edges) * per_orbit
-    if copies > MAX_COPIES:
-        raise ValueError(f"host holds over {MAX_COPIES} labeled copies of the "
-                         "pattern; too many to search")
-    colors, nodes, exhausted = _kernels.find_avoiding_coloring(
-        g.num_edges, conflict_lists(g), emb_edges, kk, False, g.num_edges, budget)
+    if table is None:
+        rows = _copy_rows(f, g)
+        copies = len(rows) * twin_orbit_size(f)
+        colors, nodes, exhausted = _kernels.find_avoiding_coloring(
+            g.num_edges, conflict_lists(g), rows, kk, False, g.num_edges, budget)
+    else:
+        complete, conflicts, rows = table
+        keep = list(map(complete.edge_index.__getitem__, g.edges))
+        copies = None
+        colors, nodes, exhausted = _kernels.find_avoiding_coloring(
+            complete.num_edges, conflicts, rows, kk, False, g.num_edges, budget, keep)
     coloring = EdgeColoring(g, tuple(colors)) if colors is not None else None
     return AvoiderResult(coloring, nodes, exhausted, copies)
-
-
-class CopyTable:
-    """The copies of a pattern in K_n, enumerated once, so that each host on
-    the n vertices gets its copies by a filter instead of a search.
-
-    A copy of f in a subgraph g of K_n is a copy in K_n whose edges all lie
-    in g.  The order of enumerate_embeddings' stream (lexicographic in the
-    vertex images, over twin-increasing maps) depends on the pattern alone,
-    and filtering keeps it.  So rows(g) is the edge maps of
-    enumerate_embeddings(f, g), in the same order.
-    """
-
-    __slots__ = ("n", "copies")
-
-    def __init__(self, f: Graph, n: int):
-        complete = Graph(n, tuple(itertools.combinations(range(n), 2)))
-        self.n = n
-        # (edge bit mask, edge row) of each copy, in K_n's edge indices
-        self.copies = [(sum(1 << i for i in e.edge_map), e.edge_map)
-                       for e in enumerate_embeddings(f, complete)]
-
-    def rows(self, g: Graph) -> list[list[int]]:
-        """The copies lying in g, a graph on the table's n vertices, each a
-        list of g's edge indices."""
-        n = self.n
-        to_host: dict[int, int] = {}
-        present = 0
-        for j, (u, v) in enumerate(g.edges):
-            i = u * (2 * n - u - 1) // 2 + v - u - 1  # (u, v)'s index in K_n
-            to_host[i] = j
-            present |= 1 << i
-        absent = ~present
-        return [[to_host[i] for i in row]
-                for mask, row in self.copies if not mask & absent]
 
 
 def _twin_ranks(g: Graph) -> tuple[list[int], list[int]]:
@@ -188,24 +182,24 @@ def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
     is tested first, and when it avoids, the value is binom(n, 2).  Otherwise
     graphs_up_to_iso(n) walks upward, pruning each class whose search neither
     finds an avoider nor trips the budget.  Its first empty level has only
-    bad graphs: the exhaustion certificate's claim.  The budget bounds each
-    class's search (rows of one CopyTable(f, n)) on its own, and nodes_visited
-    sums them.  When the top level kept has no avoider, returns a bracket
-    {lower, upper} instead of a value.
+    bad graphs: the exhaustion certificate's claim.  Every class is searched
+    from one complete_table(f, n), which refuses more than MAX_COPIES labeled
+    copies in K_n before any search.  The budget bounds each class's search
+    on its own, and nodes_visited sums them.  When the top level kept has no
+    avoider, returns a bracket {lower, upper} instead of a value.
     """
     if not 0 <= n <= N_CAP:
         raise ValueError(f"n={n} outside the brute-force range 0..{N_CAP}")
     kk = _resolve_k(f, k)
-    table = CopyTable(f, n)
+    table = complete_table(f, n)
     searched: dict[Graph, AvoiderResult] = {}  # each class checked, once
 
     def search(g: Graph) -> AvoiderResult:
         if g not in searched:
-            searched[g] = exists_avoiding_coloring(g, f, kk, budget=budget,
-                                                   rows=table.rows(g))
+            searched[g] = exists_avoiding_coloring(g, f, kk, budget, table)
         return searched[g]
 
-    complete = Graph(n, tuple(itertools.combinations(range(n), 2)))
+    complete = table[0]
     top = complete.num_edges  # edge count of the highest class kept
     if search(complete).coloring is None:
         bad: set[Graph] = set()

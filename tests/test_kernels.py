@@ -278,6 +278,50 @@ def test_native_refuses_out_of_range_indices():
             backend.find_avoiding_coloring(m, conf, [[0, 1], []], 2, False, 3)
 
 
+@pytest.mark.parametrize("backend", [
+    pytest.param(pure, id="pure"),
+    pytest.param(native, id="native", marks=needs_native),
+])
+def test_find_avoiding_refuses_a_bad_keep(backend):
+    # keep names host edges in strictly ascending order, as native._rows
+    # checks the rows: the C code trusts it
+    m, conf, emb = instance(make_complete(4), make_path(2))
+    for keep, match in (([0, 6], "out of range"), ([-1, 2], "out of range"),
+                        ([2, 1], "ascending"), ([1, 1], "ascending"),
+                        ([0, 3, 3, 5], "ascending")):
+        with pytest.raises(ValueError, match=match):
+            backend.find_avoiding_coloring(m, conf, emb, 2, False, 3, None, keep)
+        with pytest.raises(ValueError, match=match):
+            backend.find_avoiding_coloring(m, backend.pack_rows(conf),
+                                           backend.pack_rows(emb), 2, False, 3,
+                                           None, keep)
+
+
+@needs_native
+def test_kept_edges_backends_agree():
+    # random subgraphs of K_n, each searched from K_n's tables (packed once on
+    # the compiled side) and the K_n indices of its edges
+    rng = random.Random(29)
+    patterns = [make_path(2), make_path(3), make_double_star(1, 2),
+                make_double_star(2, 2)]
+    for n in range(1, 8):
+        host = make_complete(n)
+        m, conf = host.num_edges, conflict_lists(host)
+        for f in patterns:
+            emb = [list(e.edge_map) for e in enumerate_embeddings(f, host)]
+            packed = native.pack_rows(conf), native.pack_rows(emb)
+            for _ in range(8):
+                keep = sorted(rng.sample(range(m), rng.randint(0, m)))
+                k, cap = rng.randint(0, f.num_edges), rng.randint(1, max(1, len(keep)))
+                for exactly in (False, True):
+                    for budget in (None, 0, 1, 10, -1):
+                        want = pure.find_avoiding_coloring(m, conf, emb, k, exactly,
+                                                           cap, budget, keep)
+                        assert native.find_avoiding_coloring(
+                            m, *packed, k, exactly, cap, budget, keep) == want, \
+                            (n, f.edges, keep, k, cap, exactly, budget)
+
+
 def keys_agree(n, edges):
     # equal integers, not only equal classes: each level's order, and so the
     # representatives and certified avoiders, follow the key values

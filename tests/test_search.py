@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from rturan import certs, search
+from rturan import _kernels, certs, search
 from rturan._kernels import pure
 from rturan.certs import (FAIL, PASS, Certificate, load_certificate,
                           save_certificate)
@@ -15,7 +15,7 @@ from rturan.detect import find_k_unique
 from rturan.graphs import (Graph, canonical_key, enumerate_embeddings,
                            graph_from_edges, make_caterpillar, make_complete,
                            make_cycle, make_double_star, make_path)
-from rturan.search import (RAINBOW, CopyTable, brute_extremal,
+from rturan.search import (RAINBOW, brute_extremal,
                            exists_avoiding_coloring, graphs_up_to_iso,
                            recheck_certificate,
                            verify_k2s4_construction, verify_k6_rainbow_free,
@@ -222,11 +222,42 @@ COPY_TABLE_PATTERNS = [make_path(2), make_path(3), make_double_star(1, 2),
 
 @pytest.mark.parametrize("n", range(7))
 def test_copy_table_rows_match_enumeration(n):
+    # K_n's conflict lists and copy table, restricted to a class's edges by
+    # their K_n indices (keep), are the class's own conflict lists and copies
+    # in enumerate_embeddings order; the kernel in use searches the two alike
+    complete = Graph(n, tuple(itertools.combinations(range(n), 2)))
+    conf = conflict_lists(complete)
     for f in COPY_TABLE_PATTERNS:
-        table = CopyTable(f, n)
+        rows = [list(e.edge_map) for e in enumerate_embeddings(f, complete)]
+        packed = _kernels.pack_rows(conf), _kernels.pack_rows(rows)
         for g in graphs_up_to_iso(n):
-            assert table.rows(g) == [list(e.edge_map) for e in
-                                     enumerate_embeddings(f, g)], (f.edges, g.edges)
+            keep = [complete.edge_index[e] for e in g.edges]
+            own = [list(e.edge_map) for e in enumerate_embeddings(f, g)]
+            assert pure.restrict(conf, rows, keep) == (conflict_lists(g), own), \
+                (f.edges, g.edges)
+            assert (_kernels.find_avoiding_coloring(
+                        complete.num_edges, *packed, f.num_edges, False,
+                        g.num_edges, 100, keep)
+                    == _kernels.find_avoiding_coloring(
+                        g.num_edges, conflict_lists(g), own, f.num_edges, False,
+                        g.num_edges, 100)), (f.edges, g.edges)
+
+
+def test_brute_extremal_refuses_too_many_copies_before_any_search(monkeypatch):
+    # K_5 holds 120 labeled copies of P3, and every class on its 5 vertices
+    # at most as many, so the cap is checked once, on K_5's copy table
+    def no_search(*args):
+        raise AssertionError("kernel called")
+
+    p3 = make_path(3)
+    monkeypatch.setattr(search, "MAX_COPIES", 119)
+    monkeypatch.setattr(_kernels, "find_avoiding_coloring", no_search)
+    with pytest.raises(ValueError, match="^host holds over 119 labeled copies of "
+                                         "the pattern; too many to search$"):
+        brute_extremal(5, p3, RAINBOW)
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "MAX_COPIES", 120)
+    assert brute_extremal(5, p3, RAINBOW)["value"] == 6
 
 
 # sha256 of each certificate's file bytes (save_certificate's text), measured
