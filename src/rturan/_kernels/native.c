@@ -79,7 +79,7 @@ static int avoid(search *s, int i, int used)
     return 0;
 }
 
-/* Largest edge of copy `row`; every copy has at least one edge. */
+/* Largest edge of copy `row`, which must have an edge. */
 static int largest(const int *emb_off, const int *emb, int row)
 {
     int top = emb[emb_off[row]];
@@ -91,19 +91,22 @@ static int largest(const int *emb_off, const int *emb, int row)
 
 /* pure._embeddings_by_last_edge as two arrays, by a counting sort: the
  * copies whose largest edge is i, in row order, are last[last_off[i]] ..
- * last[last_off[i + 1] - 1].  last_off holds m + 1 ints, last one per copy. */
+ * last[last_off[i + 1] - 1].  A copy with no edge is in no group.  last_off
+ * holds m + 1 ints, last one per copy. */
 static void group_by_last(int m, int copies, const int *emb_off, const int *emb,
                           int *last_off, int *last)
 {
     for (int i = 0; i <= m; i++)
         last_off[i] = 0;
     for (int r = 0; r < copies; r++)
-        last_off[largest(emb_off, emb, r) + 1]++;
+        if (emb_off[r] < emb_off[r + 1])
+            last_off[largest(emb_off, emb, r) + 1]++;
     for (int i = 0; i < m; i++)
         last_off[i + 1] += last_off[i];
     /* each group's start moves to its end, which is the next group's start */
     for (int r = 0; r < copies; r++)
-        last[last_off[largest(emb_off, emb, r)]++] = r;
+        if (emb_off[r] < emb_off[r + 1])
+            last[last_off[largest(emb_off, emb, r)]++] = r;
     for (int i = m; i > 0; i--)
         last_off[i] = last_off[i - 1];
     last_off[0] = 0;
@@ -180,20 +183,25 @@ int rt_find_avoiding(int m, const int *conf_off, const int *conf,
     return found;
 }
 
-static uint64_t next_u64(uint64_t *state)
+/* One step of the xorshift64* state, without its output multiply. */
+static uint64_t step(uint64_t x)
 {
-    uint64_t x = *state;
     x ^= x >> 12;
     x ^= x << 25;
     x ^= x >> 27;
-    *state = x;
-    return x * 0x2545F4914F6CDD1DULL;
+    return x;
+}
+
+static uint64_t next_u64(uint64_t *state)
+{
+    *state = step(*state);
+    return *state * 0x2545F4914F6CDD1DULL;
 }
 
 /* pure.sample_and_check from the (nonzero) xorshift64* state.  Returns the
  * index of the first sample with no satisfied copy, left in colors, or -1;
- * counts gets (checked, rainbow_skipped).  options holds m + 1 ints and
- * marks m + 1 zeroed uint64s.
+ * counts gets (checked, rainbow_skipped).  options holds m + 1 ints, marks
+ * m + 1 zeroed uint64s and work m + 1 + n_emb ints.
  *
  * Each edge's choices are found by mark and scan: marks[c + 1] = stamp for
  * every color c its conflict edges hold (an uncolored one, which a conflict
@@ -201,21 +209,33 @@ static uint64_t next_u64(uint64_t *state)
  * pass over c < used lists the unmarked colors in ascending order, as pure
  * does.  stamp counts the edges colored in this call, starting above the
  * zeroed buffer; 64 bits cannot wrap in any feasible run, so a stamp never
- * repeats and no mark left by an earlier edge or sample reads as current. */
+ * repeats and no mark left by an earlier edge or sample reads as current.
+ *
+ * Once edge i is colored, the copies whose largest edge is i (group_by_last)
+ * are complete and are checked.  A satisfied copy settles the sample once it
+ * cannot be skipped as rainbow: a color has repeated, or skip_rainbow is off.
+ * The rest of a settled sample is not colored, but the state still steps
+ * once per edge left, so the stream is the one a full draw takes.  A copy
+ * with no edge is in no group; it is satisfied before edge 0, iff its
+ * unique count of 0 meets k. */
 long long rt_sample_and_check(int m, const int *conf_off, const int *conf,
                               int n_emb, const int *emb_off, const int *emb,
                               int k, int exactly, long long n_samples,
                               uint64_t state, int skip_rainbow,
                               int *colors, int *options, uint64_t *marks,
-                              long long *counts)
+                              long long *counts, int *work)
 {
+    int *last_off = work, *last = work + m + 1, edgeless_hit = 0;
+    group_by_last(m, n_emb, emb_off, emb, last_off, last);
+    for (int r = 0; r < n_emb && !edgeless_hit; r++)
+        edgeless_hit = emb_off[r] == emb_off[r + 1] && (exactly ? k == 0 : k <= 0);
     uint64_t stamp = 0;
     counts[0] = counts[1] = 0;
     for (long long s = 0; s < n_samples; s++) {
-        int used = 0;
-        for (int i = 0; i < m; i++)  /* uncolored edges read -1, as in pure */
-            colors[i] = -1;
-        for (int i = 0; i < m; i++) {  /* pure.random_proper_coloring */
+        int used = 0, hit = edgeless_hit, i = 0;
+        for (int e = 0; e < m; e++)  /* uncolored edges read -1, as in pure */
+            colors[e] = -1;
+        for (; i < m && !(hit && (used < i || !skip_rainbow)); i++) {
             stamp++;
             for (int j = conf_off[i]; j < conf_off[i + 1]; j++)
                 marks[colors[conf[j]] + 1] = stamp;
@@ -226,15 +246,16 @@ long long rt_sample_and_check(int m, const int *conf_off, const int *conf,
             options[n_opt++] = used;  /* a fresh color is always an option */
             colors[i] = options[(next_u64(&state) >> 33) % (uint64_t)n_opt];
             used += colors[i] == used;
+            for (int j = last_off[i]; j < last_off[i + 1] && !hit; j++)
+                hit = satisfied(colors, emb_off, emb, last[j], k, exactly);
         }
+        for (; i < m; i++)  /* settled: the draws of the edges left */
+            state = step(state);
         if (skip_rainbow && used == m) {
             counts[1]++;
             continue;
         }
         counts[0]++;
-        int hit = 0;
-        for (int r = 0; r < n_emb && !hit; r++)
-            hit = satisfied(colors, emb_off, emb, r, k, exactly);
         if (!hit)
             return s;
     }

@@ -34,7 +34,7 @@ _lib.rt_find_avoiding.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _ints_p
 _lib.rt_find_avoiding.restype = _int
 _lib.rt_sample_and_check.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _ints_p,
                                      _int, _int, _ll, _u64, _int,
-                                     _ints_p, _ints_p, _u64_p, _ll_p]
+                                     _ints_p, _ints_p, _u64_p, _ll_p, _ints_p]
 _lib.rt_sample_and_check.restype = _ll
 _lib.rt_unique_counts.argtypes = [_ints_p, _int, _ints_p, _ints_p, _ints_p]
 _lib.rt_unique_counts.restype = None
@@ -148,7 +148,8 @@ def sample_and_check(num_edges: int,
     index = _lib.rt_sample_and_check(
         num_edges, conf.off, conf.idx, emb.count, emb.off, emb.idx, _sat(k), bool(exactly),
         _sat(num_samples, 64), XorShift64Star(seed).state, bool(skip_rainbow),
-        colors, (_int * (num_edges + 1))(), (_u64 * (num_edges + 1))(), counts)
+        colors, (_int * (num_edges + 1))(), (_u64 * (num_edges + 1))(), counts,
+        (_int * (num_edges + 1 + emb.count))())
     found = index >= 0
     return {"checked": counts[0], "rainbow_skipped": counts[1],
             "counterexample": list(colors) if found else None,

@@ -98,6 +98,15 @@ class XorShift64Star:
     def randbelow(self, n: int) -> int:
         return (self.next_u64() >> 33) % n
 
+    def skip(self, n: int):
+        """Step the state as n draws would, without their outputs."""
+        x = self.state
+        for _ in range(n):
+            x ^= (x >> 12)
+            x = (x ^ (x << 25)) & _MASK
+            x ^= (x >> 27)
+        self.state = x
+
 
 def _embeddings_by_last_edge(num_edges: int,
                              emb_edges: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -189,20 +198,26 @@ def unique_counts(colors: Sequence[int],
     return [unique_color_count([colors[e] for e in edges]) for edges in emb_edges]
 
 
+def _draw_color(colors: Sequence[int], conflict: Sequence[int], used: int,
+                rng: XorShift64Star) -> int:
+    """An edge's color in a random proper coloring whose colors so far are
+    0..used-1: one draw, uniform over those no edge in `conflict` holds and
+    the fresh color `used`, which is always an option."""
+    forbidden = {colors[j] for j in conflict}
+    options = [c for c in range(used) if c not in forbidden]
+    options.append(used)
+    return options[rng.randbelow(len(options))]
+
+
 def random_proper_coloring(num_edges: int, conflicts: Sequence[Sequence[int]],
                            rng: XorShift64Star) -> list[int]:
-    """Randomized greedy proper coloring; a fresh color is always an option,
-    so generation never fails."""
+    """Randomized greedy proper coloring, one _draw_color per edge; a fresh
+    color is always an option, so generation never fails."""
     colors = [-1] * num_edges
     used = 0
     for i in range(num_edges):
-        forbidden = {colors[j] for j in conflicts[i]}
-        options = [c for c in range(used) if c not in forbidden]
-        options.append(used)  # fresh color
-        c = options[rng.randbelow(len(options))]
-        colors[i] = c
-        if c == used:
-            used += 1
+        colors[i] = c = _draw_color(colors, conflicts[i], used, rng)
+        used += c == used
     return colors
 
 
@@ -212,19 +227,41 @@ def sample_and_check(num_edges: int,
                      k: int, exactly: bool,
                      num_samples: int, seed: int,
                      skip_rainbow: bool = True) -> dict:
-    """Draw seeded random proper colorings and check each contains a satisfied
-    copy.  Returns counts plus the first counterexample coloring, if any."""
+    """Draw seeded random proper colorings, each as random_proper_coloring
+    draws it from one stream, and check each contains a satisfied copy.
+    With skip_rainbow, a rainbow sample is counted apart and not checked.
+    Returns counts plus the first counterexample coloring, if any.
+
+    Once edge i is colored, the copies whose largest edge is i are complete
+    and are checked.  A satisfied copy settles the sample once it cannot be
+    skipped as rainbow: a color has repeated, or skip_rainbow is off.  The
+    rest of a settled sample is not colored, but the stream still steps once
+    per edge left, so the counts and the counterexample, which is colored in
+    full, are those of coloring every sample in full.  A copy with no edge is
+    satisfied before edge 0, iff its unique count of 0 meets k."""
     rng = XorShift64Star(seed)
+    placed = [edges for edges in emb_edges if edges]
+    by_last = _embeddings_by_last_edge(num_edges, placed)
+    edgeless_hit = len(placed) < len(emb_edges) and _copy_satisfied([], [], k, exactly)
     checked = 0
     rainbow_skipped = 0
     for s in range(num_samples):
-        colors = random_proper_coloring(num_edges, conflicts, rng)
-        if skip_rainbow and len(set(colors)) == num_edges:
+        colors = [-1] * num_edges
+        used = 0
+        hit = edgeless_hit
+        for i in range(num_edges):
+            if hit and (used < i or not skip_rainbow):
+                rng.skip(num_edges - i)
+                break
+            colors[i] = c = _draw_color(colors, conflicts[i], used, rng)
+            used += c == used
+            hit = hit or any(_copy_satisfied(colors, placed[r], k, exactly)
+                             for r in by_last[i])
+        if skip_rainbow and used == num_edges:
             rainbow_skipped += 1
             continue
         checked += 1
-        if not any(_copy_satisfied(colors, edges, k, exactly)
-                   for edges in emb_edges):
+        if not hit:
             return {"checked": checked, "rainbow_skipped": rainbow_skipped,
                     "counterexample": colors, "sample_index": s}
     return {"checked": checked, "rainbow_skipped": rainbow_skipped,

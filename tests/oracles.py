@@ -6,9 +6,10 @@ internals beyond the Graph container, except that naive_graphs_up_to_iso
 and augmented_graphs_up_to_iso take canonical_key as their isomorphism test
 (naive_canonical_key checks that one), naive_embedding_stream takes the
 search order of the pattern's vertices from graphs._search_order, which
-fixes the stream's order, and top_down_extremal runs
+fixes the stream's order, top_down_extremal runs
 search.exists_avoiding_coloring on each class (the avoider search has its
-own oracles).
+own oracles), and full_draw_sample_and_check draws each sample with
+pure.random_proper_coloring (the stream is pinned by its own tests).
 """
 
 import functools
@@ -16,6 +17,7 @@ import itertools
 import math
 from collections import Counter
 
+from rturan._kernels import pure
 from rturan.graphs import Graph, _search_order, canonical_key
 from rturan.search import exists_avoiding_coloring
 
@@ -249,3 +251,27 @@ def naive_spectrum(g: Graph):
 
     walk()
     return tuple(sorted(witnesses)), witnesses
+
+
+def full_draw_sample_and_check(num_edges: int, conflicts, emb_edges, k: int,
+                               exactly: bool, num_samples: int, seed: int,
+                               skip_rainbow: bool = True) -> dict:
+    """The result of _kernels.sample_and_check with every sample colored in
+    full before any copy is checked: draw all edges from the one seeded
+    stream, skip a rainbow sample when asked, then scan every copy."""
+    rng = pure.XorShift64Star(seed)
+    checked = rainbow_skipped = 0
+    for s in range(num_samples):
+        colors = pure.random_proper_coloring(num_edges, conflicts, rng)
+        if skip_rainbow and len(set(colors)) == num_edges:
+            rainbow_skipped += 1
+            continue
+        checked += 1
+        uniques = (sum(1 for e in edges
+                       if [colors[f] for f in edges].count(colors[e]) == 1)
+                   for edges in emb_edges)
+        if not any(u == k if exactly else u >= k for u in uniques):
+            return {"checked": checked, "rainbow_skipped": rainbow_skipped,
+                    "counterexample": colors, "sample_index": s}
+    return {"checked": checked, "rainbow_skipped": rainbow_skipped,
+            "counterexample": None, "sample_index": None}

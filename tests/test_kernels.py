@@ -18,6 +18,8 @@ from rturan.graphs import (DEFAULT_VERTEX_CAP, enumerate_embeddings, make_comple
 from rturan.search import (graphs_up_to_iso, recheck_certificate,
                            verify_k6_universal_3unique)
 
+from oracles import full_draw_sample_and_check
+
 try:
     from rturan._kernels import native
 except ImportError:
@@ -246,6 +248,7 @@ def test_k6_exhaustive_regime_leaves_out_the_rainbow_coloring(monkeypatch, backe
         False, "counterexample is rainbow, which the claim excludes")
 
 
+@needs_native
 def test_sampler_backends_agree_past_64_colors():
     # a 70-edge star: every edge conflicts with all earlier ones, so each
     # sample is the rainbow coloring 0..69 and colors 64..69 are drawn
@@ -255,6 +258,102 @@ def test_sampler_backends_agree_past_64_colors():
         for skip_rainbow in (False, True):
             assert (native.sample_and_check(m, conf, emb, k, True, 2_000, 9, skip_rainbow)
                     == pure.sample_and_check(m, conf, emb, k, True, 2_000, 9, skip_rainbow))
+
+
+SAMPLER_BACKENDS = [
+    pytest.param(pure, id="pure"),
+    pytest.param(native, id="native", marks=needs_native),
+]
+
+
+def assert_sampler_matches_oracle(backend, m, conf, emb, k, exactly, samples, seed,
+                                  skip_rainbow=True):
+    # the sampler checks copies while it colors and stops a settled sample
+    # early; the oracle colors every sample in full, then scans every copy
+    want = full_draw_sample_and_check(m, conf, emb, k, exactly, samples, seed,
+                                      skip_rainbow)
+    got = backend.sample_and_check(m, conf, emb, k, exactly, samples, seed,
+                                   skip_rainbow)
+    assert got == want, (k, exactly, seed, skip_rainbow)
+    return got
+
+
+@pytest.mark.parametrize("backend", SAMPLER_BACKENDS)
+def test_sampler_matches_full_draw_oracle_on_k6(backend):
+    m, conf, emb = instance(make_complete(6), make_double_star(2, 2))
+    found = set()
+    for k in range(6):
+        for exactly in (True, False):
+            for skip_rainbow in (True, False):
+                res = assert_sampler_matches_oracle(backend, m, conf, emb, k, exactly,
+                                                    1_000, 7, skip_rainbow)
+                found.add(res["counterexample"] is not None)
+    assert found == {False, True}
+    # the deep counterexample: 974 samples settled early, then one colored
+    # in full, on the stream a full draw of every sample takes
+    res = assert_sampler_matches_oracle(backend, m, conf, emb, 4, False, 200_000,
+                                        20240901)
+    assert res["sample_index"] == 974
+
+
+@pytest.mark.parametrize("backend", SAMPLER_BACKENDS)
+def test_sampler_matches_full_draw_oracle_while_rainbow(backend):
+    # K_4 and P_2: a rainbow copy has 2 unique edges, so in at-least mode a
+    # copy is often satisfied while the sample is still rainbow, and the
+    # sample must be colored on to learn whether it is skipped
+    m, conf, emb = instance(make_complete(4), make_path(2))
+    for k in range(4):
+        for exactly in (True, False):
+            for skip_rainbow in (True, False):
+                res = assert_sampler_matches_oracle(backend, m, conf, emb, k, exactly,
+                                                    2_000, 5, skip_rainbow)
+                if skip_rainbow and not exactly and k <= 2:
+                    assert res["rainbow_skipped"] > 0
+                    assert res["checked"] + res["rainbow_skipped"] == 2_000
+
+
+@pytest.mark.parametrize("backend", SAMPLER_BACKENDS)
+def test_sampler_matches_full_draw_oracle_on_70_edge_star(backend):
+    m, conf = 70, [list(range(i)) for i in range(70)]
+    emb = [[0, 1], [63, 64], [64, 65], [68, 69]]
+    for k in (0, 1, 2, 3):
+        for exactly in (True, False):
+            for skip_rainbow in (False, True):
+                assert_sampler_matches_oracle(backend, m, conf, emb, k, exactly, 100, 9,
+                                              skip_rainbow)
+
+
+@pytest.mark.parametrize("backend", SAMPLER_BACKENDS)
+def test_sampler_matches_full_draw_oracle_on_arbitrary_conflict_lists(backend):
+    # conflict lists may name later edges and the edge itself; copies may
+    # repeat an edge or have none
+    rng = random.Random(30)
+    for trial in range(80):
+        m = rng.randint(1, 8)
+        conf = [[rng.randrange(m) for _ in range(rng.randrange(4))] for _ in range(m)]
+        emb = [[rng.randrange(m) for _ in range(rng.randrange(4))]
+               for _ in range(rng.randrange(6))]
+        for k, exactly in ((0, True), (1, False), (2, True), (2, False)):
+            for skip_rainbow in (True, False):
+                assert_sampler_matches_oracle(backend, m, conf, emb, k, exactly, 20,
+                                              trial, skip_rainbow)
+
+
+@pytest.mark.parametrize("backend", SAMPLER_BACKENDS)
+def test_sampler_edgeless_copy(backend):
+    # a copy with no edge has a unique count of 0, so it is satisfied iff
+    # 0 meets k; no edge is its largest, so the sampler counts it as
+    # satisfied before edge 0 (with skip_rainbow off, such a sample is
+    # settled before its first draw)
+    m, conf, emb = instance(make_complete(4), make_path(2))
+    for copies in ([[]], [[]] + emb, emb + [[]]):
+        for k in (0, 1):
+            for exactly in (True, False):
+                for skip_rainbow in (True, False):
+                    res = assert_sampler_matches_oracle(backend, m, conf, copies, k,
+                                                        exactly, 500, 3, skip_rainbow)
+                    if copies == [[]]:
+                        assert (res["counterexample"] is None) == (k == 0)
 
 
 @needs_native
