@@ -18,6 +18,6 @@ from . import pure  # reference implementation is always importable
 BACKEND = _impl.BACKEND
 canonical_key = _impl.canonical_key
 find_avoiding_coloring = _impl.find_avoiding_coloring
-pack_rows = _impl.pack_rows
+pack_rows = pure.pack_rows  # one input form on both backends (pure.Packed)
 sample_and_check = _impl.sample_and_check
 unique_counts = _impl.unique_counts

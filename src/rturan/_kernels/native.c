@@ -1,12 +1,14 @@
 /* Compiled search kernels: plain C over flat int arrays, no Python C-API.
  *
- * native.py flattens the inputs and calls these functions through ctypes.
+ * native.py calls these functions through ctypes; it only marshals.
  * pure.py is the reference: each function returns exactly what its pure
  * twin does, node counts and the xorshift64* sample stream included.
  *
  * A list of int lists (the earlier edges each edge conflicts with, the host
- * edges of each pattern copy) arrives as two arrays: row r is
- * idx[off[r]] .. idx[off[r + 1] - 1].
+ * edges of each pattern copy) arrives as two arrays, flattened once by
+ * pure.Packed: row r is idx[off[r]] .. idx[off[r + 1] - 1].  The code
+ * trusts them: pure's checks have refused wrong counts, indices outside
+ * 0..m-1 and, for the avoider, a copy with no edge before any call.
  *
  * The caller passes every output and work buffer too (the sampler's options
  * and marks included), so nothing here allocates; the canonical form's

@@ -1,9 +1,11 @@
 """ctypes front end of the compiled kernels in native.c.
 
-Same contracts and bit-identical results as pure.py, the reference: the
-inputs are flattened into C int arrays and the C code runs the same searches.
-Importing raises ImportError until the library is built with
-``python setup.py build_ext --inplace``.
+Same contracts and bit-identical results as pure.py, the reference: each
+call passes its inputs to pure's checks (check_tables, check_rows,
+check_keep, check_vertex_count), which refuse malformed ones and return the
+tables packed, then hands their flat C int arrays to the same search in C.
+This file only marshals.  Importing raises ImportError until the library is
+built with ``python setup.py build_ext --inplace``.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import ctypes
 import struct
 from importlib.machinery import EXTENSION_SUFFIXES
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .pure import XorShift64Star, canonicalize, check_keep, check_vertex_count
+from .pure import (Rows, XorShift64Star, canonicalize, check_keep, check_rows,
+                   check_tables, check_vertex_count, endpoint_error)
 
 BACKEND = "c"
 
@@ -28,15 +31,18 @@ except OSError as exc:
 
 _int, _ll, _u64 = ctypes.c_int, ctypes.c_longlong, ctypes.c_uint64
 _ints_p, _ll_p, _u64_p = ctypes.POINTER(_int), ctypes.POINTER(_ll), ctypes.POINTER(_u64)
-_lib.rt_find_avoiding.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _ints_p,
+# a Packed table's off or idx: bytes of C ints, which ctypes passes as a
+# pointer to their data, with no copy
+_table = ctypes.c_void_p
+_lib.rt_find_avoiding.argtypes = [_int, _table, _table, _int, _table, _table,
                                   _int, _ints_p, _int, _int, _int, _ll,
                                   _ints_p, _ll_p, _ints_p]
 _lib.rt_find_avoiding.restype = _int
-_lib.rt_sample_and_check.argtypes = [_int, _ints_p, _ints_p, _int, _ints_p, _ints_p,
+_lib.rt_sample_and_check.argtypes = [_int, _table, _table, _int, _table, _table,
                                      _int, _int, _ll, _u64, _int,
                                      _ints_p, _ints_p, _u64_p, _ll_p, _ints_p]
 _lib.rt_sample_and_check.restype = _ll
-_lib.rt_unique_counts.argtypes = [_ints_p, _int, _ints_p, _ints_p, _ints_p]
+_lib.rt_unique_counts.argtypes = [_ints_p, _int, _table, _table, _ints_p]
 _lib.rt_unique_counts.restype = None
 _lib.rt_canonical_key.argtypes = [_int, _int, _ints_p, ctypes.POINTER(ctypes.c_ubyte)]
 _lib.rt_canonical_key.restype = _int
@@ -56,64 +62,20 @@ def _ints(values: Sequence[int]) -> ctypes.Array:
     return (_int * n).from_buffer_copy(struct.pack(f"{n}i", *values))
 
 
-class Packed:
-    """A list of index lists as native.c reads it: row r is
-    idx[off[r]] .. idx[off[r + 1] - 1].  low and high bound the indices
-    (0 and -1 when there is none) for the kernels' range checks."""
-
-    __slots__ = ("off", "idx", "count", "low", "high", "has_empty")
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        flat = list(chain.from_iterable(rows))
-        self.off = _ints([0, *accumulate(map(len, rows))])
-        self.idx = _ints(flat)
-        self.count = len(rows)
-        self.low, self.high = min(flat, default=0), max(flat, default=-1)
-        self.has_empty = not all(rows)  # some row holds no index
-
-
-Rows = Union[Sequence[Sequence[int]], Packed]
-
-
-def pack_rows(rows: Rows) -> Packed:
-    """rows flattened for the kernels, once: a caller that passes the same
-    rows to many calls packs them first.  A Packed is returned as it is."""
-    return rows if isinstance(rows, Packed) else Packed(rows)
-
-
-def _rows(rows: Rows, bound: int) -> Packed:
-    """rows packed; every index must be below bound."""
-    packed = pack_rows(rows)
-    if packed.low < 0 or packed.high >= bound:
-        raise ValueError(f"index out of range 0..{bound - 1} in kernel input")
-    return packed
-
-
-def _conflict_rows(num_edges: int, conflicts: Rows) -> Packed:
-    conf = pack_rows(conflicts)
-    if conf.count != num_edges:
-        raise ValueError(f"{conf.count} conflict lists for {num_edges} edges")
-    return _rows(conf, num_edges)
-
-
 def find_avoiding_coloring(num_edges: int, conflicts: Rows, emb_edges: Rows,
                            k: int, exactly: bool, max_colors: int,
                            budget: Optional[int] = None,
                            keep: Optional[Sequence[int]] = None,
                            ) -> tuple[Optional[list[int]], int, bool]:
-    """See pure.find_avoiding_coloring; conflicts and emb_edges may come
-    packed (pack_rows)."""
-    conf = _conflict_rows(num_edges, conflicts)
-    emb = _rows(emb_edges, num_edges)
-    if emb.has_empty:  # as pure's max() of an empty copy
-        raise ValueError("a pattern copy with no edge in kernel input")
+    """See pure.find_avoiding_coloring."""
+    conf, emb = check_tables(num_edges, conflicts, emb_edges, False)
     work = num_edges + 1 + emb.count
     if keep is None:
         n_keep, kept = num_edges, None
     else:
         check_keep(num_edges, keep)
         n_keep, kept = len(keep), _ints(keep)
-        work += 2 * num_edges + 2 + emb.count + len(conf.idx) + len(emb.idx)
+        work += 2 * num_edges + 2 + emb.count + conf.size + emb.size
     colors = (_int * n_keep)()
     nodes = _ll()
     found = _lib.rt_find_avoiding(num_edges, conf.off, conf.idx, emb.count, emb.off,
@@ -124,25 +86,21 @@ def find_avoiding_coloring(num_edges: int, conflicts: Rows, emb_edges: Rows,
     return (list(colors) if found == 1 else None), nodes.value, found >= 0
 
 
-def unique_counts(colors: Sequence[int],
-                  emb_edges: Sequence[Sequence[int]]) -> list[int]:
+def unique_counts(colors: Sequence[int], emb_edges: Rows) -> list[int]:
     """See pure.unique_counts."""
-    emb = _rows(emb_edges, len(colors))
+    emb = check_rows(emb_edges, len(colors))
     out = (_int * emb.count)()
     # relabeled 0, 1, ... in order of first use, so any colors fit a C int
     _lib.rt_unique_counts(_ints(canonicalize(colors)), emb.count, emb.off, emb.idx, out)
     return list(out)
 
 
-def sample_and_check(num_edges: int,
-                     conflicts: Sequence[Sequence[int]],
-                     emb_edges: Sequence[Sequence[int]],
+def sample_and_check(num_edges: int, conflicts: Rows, emb_edges: Rows,
                      k: int, exactly: bool,
                      num_samples: int, seed: int,
                      skip_rainbow: bool = True) -> dict:
     """See pure.sample_and_check; any Python int seeds the same stream."""
-    conf = _conflict_rows(num_edges, conflicts)
-    emb = _rows(emb_edges, num_edges)
+    conf, emb = check_tables(num_edges, conflicts, emb_edges, True)
     colors = (_int * num_edges)()
     counts = (_ll * 2)()
     index = _lib.rt_sample_and_check(
@@ -160,9 +118,12 @@ def canonical_key(n: int, edges: Sequence[tuple[int, int]]) -> int:
     """See pure.canonical_key."""
     check_vertex_count(n)
     m = len(edges)
-    flat = (_int * (2 * m)).from_buffer_copy(
-        struct.pack(f"{2 * m}i", *chain.from_iterable(edges)))
+    try:
+        flat = (_int * (2 * m)).from_buffer_copy(
+            struct.pack(f"{2 * m}i", *chain.from_iterable(edges)))
+    except struct.error:  # an endpoint past a C int, so past n - 1
+        raise endpoint_error(n) from None
     key = (ctypes.c_ubyte * ((n * n + 63) // 64 * 8))()
     if _lib.rt_canonical_key(n, m, flat, key):
-        raise ValueError(f"edge endpoint out of range 0..{n - 1} in kernel input")
+        raise endpoint_error(n)
     return int.from_bytes(key, "little")

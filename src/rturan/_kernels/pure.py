@@ -8,7 +8,9 @@ and nothing here imports the rest of rturan.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+import struct
+from itertools import accumulate, chain
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 BACKEND = "python"
 
@@ -122,10 +124,62 @@ def _copy_satisfied(colors: Sequence[int], edges: Sequence[int],
     return uniq == k if exactly else uniq >= k
 
 
-def pack_rows(rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-    """The kernels' input form of a list of index lists: the lists
-    themselves here; native.pack_rows flattens them once for the C code."""
-    return rows
+def _c_ints(values: Sequence[int]) -> bytes:
+    return struct.pack(f"{len(values)}i", *values)
+
+
+class Packed:
+    """A list of index lists in the one input form of both backends.  `rows`
+    is the lists as given, which the kernels here read; `off` and `idx` are
+    the same rows flat, bytes of C ints that native.py hands to native.c
+    with no copy: row r is idx[off[r]] .. idx[off[r + 1] - 1].  The `count`
+    rows hold `size` indices in all, from `low` to `high` (0 and -1 when
+    there is none), for the range checks."""
+
+    __slots__ = ("rows", "off", "idx", "count", "size", "low", "high", "has_empty")
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        flat = list(chain.from_iterable(rows))
+        self.rows = rows
+        self.off = _c_ints([0, *accumulate(map(len, rows))])
+        self.idx = _c_ints(flat)
+        self.count, self.size = len(rows), len(flat)
+        self.low, self.high = min(flat, default=0), max(flat, default=-1)
+        self.has_empty = not all(rows)  # some row holds no index
+
+
+Rows = Union[Sequence[Sequence[int]], Packed]
+
+
+def pack_rows(rows: Rows) -> Packed:
+    """rows in the kernels' input form, once: a caller that passes the same
+    rows to many calls packs them first.  A Packed is returned as it is."""
+    return rows if isinstance(rows, Packed) else Packed(rows)
+
+
+def check_rows(rows: Rows, bound: int) -> Packed:
+    """rows packed; every index must be in 0..bound-1."""
+    packed = pack_rows(rows)
+    if packed.low < 0 or packed.high >= bound:
+        raise ValueError(f"index out of range 0..{bound - 1} in kernel input")
+    return packed
+
+
+def check_tables(num_edges: int, conflicts: Rows, emb_edges: Rows,
+                 edgeless_copies: bool) -> tuple[Packed, Packed]:
+    """The refusals of both backends' find_avoiding_coloring and
+    sample_and_check for their tables, packed: one conflict list per edge,
+    every index a host edge, and a copy with no edge only where
+    edgeless_copies allows it (the avoider checks a copy at its largest
+    edge, which an edgeless copy lacks)."""
+    conf = pack_rows(conflicts)
+    if conf.count != num_edges:
+        raise ValueError(f"{conf.count} conflict lists for {num_edges} edges")
+    check_rows(conf, num_edges)
+    emb = check_rows(emb_edges, num_edges)
+    if emb.has_empty and not edgeless_copies:
+        raise ValueError("a pattern copy with no edge in kernel input")
+    return conf, emb
 
 
 def check_keep(num_edges: int, keep: Sequence[int]):
@@ -156,9 +210,7 @@ def restrict(conflicts: Sequence[Sequence[int]],
             [[to[e] for e in row] for row in emb_edges if absent.isdisjoint(row)])
 
 
-def find_avoiding_coloring(num_edges: int,
-                           conflicts: Sequence[Sequence[int]],
-                           emb_edges: Sequence[Sequence[int]],
+def find_avoiding_coloring(num_edges: int, conflicts: Rows, emb_edges: Rows,
                            k: int, exactly: bool, max_colors: int,
                            budget: Optional[int] = None,
                            keep: Optional[Sequence[int]] = None,
@@ -171,8 +223,11 @@ def find_avoiding_coloring(num_edges: int,
     limit.  With `keep`, the search runs on the subgraph of those edges
     (restrict), and the coloring is indexed by keep's positions; without
     it, every edge is kept.  Returns (colors or None, nodes_visited,
-    exhausted).
+    exhausted).  The tables may come packed (pack_rows); check_tables and
+    check_keep refuse malformed ones, and a copy with no edge.
     """
+    conf, emb = check_tables(num_edges, conflicts, emb_edges, False)
+    conflicts, emb_edges = conf.rows, emb.rows
     if keep is not None:
         check_keep(num_edges, keep)
         conflicts, emb_edges = restrict(conflicts, emb_edges, keep)
@@ -193,9 +248,11 @@ def find_avoiding_coloring(num_edges: int,
     return (list(found) if found is not None else None), nodes, True
 
 
-def unique_counts(colors: Sequence[int],
-                  emb_edges: Sequence[Sequence[int]]) -> list[int]:
-    return [unique_color_count([colors[e] for e in edges]) for edges in emb_edges]
+def unique_counts(colors: Sequence[int], emb_edges: Rows) -> list[int]:
+    """Each copy's unique-edge count under colors; every index of the copies
+    must be one of colors (check_rows)."""
+    return [unique_color_count([colors[e] for e in edges])
+            for edges in check_rows(emb_edges, len(colors)).rows]
 
 
 def _draw_color(colors: Sequence[int], conflict: Sequence[int], used: int,
@@ -221,9 +278,7 @@ def random_proper_coloring(num_edges: int, conflicts: Sequence[Sequence[int]],
     return colors
 
 
-def sample_and_check(num_edges: int,
-                     conflicts: Sequence[Sequence[int]],
-                     emb_edges: Sequence[Sequence[int]],
+def sample_and_check(num_edges: int, conflicts: Rows, emb_edges: Rows,
                      k: int, exactly: bool,
                      num_samples: int, seed: int,
                      skip_rainbow: bool = True) -> dict:
@@ -238,7 +293,10 @@ def sample_and_check(num_edges: int,
     rest of a settled sample is not colored, but the stream still steps once
     per edge left, so the counts and the counterexample, which is colored in
     full, are those of coloring every sample in full.  A copy with no edge is
-    satisfied before edge 0, iff its unique count of 0 meets k."""
+    satisfied before edge 0, iff its unique count of 0 meets k.  The
+    tables may come packed (pack_rows); check_tables refuses malformed ones."""
+    conf, emb = check_tables(num_edges, conflicts, emb_edges, True)
+    conflicts, emb_edges = conf.rows, emb.rows
     rng = XorShift64Star(seed)
     placed = [edges for edges in emb_edges if edges]
     by_last = _embeddings_by_last_edge(num_edges, placed)
@@ -317,14 +375,23 @@ def check_vertex_count(n: int):
                          f"vertices, got {n}")
 
 
+def endpoint_error(n: int) -> ValueError:
+    """The refusal of both canonical_key kernels for an edge endpoint outside
+    0..n-1: the compiled one indexes its adjacency masks by endpoint, and
+    checks each edge as it reads it."""
+    return ValueError(f"edge endpoint out of range 0..{n - 1} in kernel input")
+
+
 def canonical_key(n: int, edges: Sequence[tuple[int, int]]) -> int:
     """The code of graphs.canonical_key (see there) of the graph on vertices
     0..n-1 with these edges: the largest leaf code of the
     individualisation-refinement search.  Raises ValueError unless
-    0 <= n <= MAX_KEY_VERTICES."""
+    0 <= n <= MAX_KEY_VERTICES and every endpoint is in 0..n-1."""
     check_vertex_count(n)
     adj = [0] * n
     for (u, v) in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise endpoint_error(n)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     best = -1

@@ -9,6 +9,7 @@ import json
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import _kernels
+from ._kernels.pure import Packed
 from .bounds import AugmentedTree
 from .certs import (BUDGET_EXHAUSTED, FAIL, PASS, Certificate)
 from .coloring import (EdgeColoring, conflict_lists, graph_hash, is_proper,
@@ -60,7 +61,7 @@ def _copy_rows(f: Graph, g: Graph) -> list[list[int]]:
     return rows
 
 
-def complete_table(f: Graph, n: int) -> tuple[Graph, object, object]:
+def complete_table(f: Graph, n: int) -> tuple[Graph, Packed, Packed]:
     """(K_n, its conflict lists, the copies of f in it), the two tables
     packed once for the kernel (_kernels.pack_rows).  Every graph on the n
     vertices is a subgraph of K_n, and its lexicographic edge order is K_n's

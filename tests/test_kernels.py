@@ -145,6 +145,7 @@ def test_random_coloring_is_proper_and_reproducible():
 
 def test_backend_selection_env_override():
     assert _kernels.BACKEND in ("c", "python")
+    assert _kernels.pack_rows is pure.pack_rows  # one input form on both
     env = dict(os.environ, RTURAN_PURE="1")
     out = subprocess.run(
         [sys.executable, "-c",
@@ -356,25 +357,61 @@ def test_sampler_edgeless_copy(backend):
                         assert (res["counterexample"] is None) == (k == 0)
 
 
-@needs_native
-def test_native_refuses_out_of_range_indices():
-    # the C code trusts every index and copy it is given; native.py checks
-    # them first
-    m, conf = 3, [[1], [0, 2], [1]]
-    for emb in ([[0, 3]], [[-1, 1]]):
-        with pytest.raises(ValueError, match="out of range"):
-            native.find_avoiding_coloring(m, conf, emb, 2, False, 3)
-        with pytest.raises(ValueError, match="out of range"):
-            native.sample_and_check(m, conf, emb, 2, False, 10, 1)
-        with pytest.raises(ValueError, match="out of range"):
-            native.unique_counts([0, 1, 0], emb)
-    for bad in ([[1], [0, 3], [1]], [[1], [0, 2]]):
-        with pytest.raises(ValueError):
-            native.find_avoiding_coloring(m, bad, [[0, 1]], 2, False, 3)
-    # a copy with no edge has no largest edge to be checked at
-    for backend in (native, pure):
-        with pytest.raises(ValueError):
-            backend.find_avoiding_coloring(m, conf, [[0, 1], []], 2, False, 3)
+def refusal(call):
+    """(type, message) of the exception call() raises, None if it returns."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param(pure, id="pure"),
+    pytest.param(native, id="native", marks=needs_native),
+])
+def test_backends_refuse_malformed_tables(backend):
+    # the C code trusts every index, count and copy it is given, so pure's
+    # checks refuse a malformed table first, with one message on both
+    # backends, whether the table comes as lists or packed
+    m, conf, emb = 3, [[1], [0, 2], [1]], [[0, 1], [1, 2]]
+    out_of_range = (ValueError, "index out of range 0..2 in kernel input")
+    for pack in (list, pure.pack_rows):
+        def avoid(conflicts, copies, keep=None):
+            return backend.find_avoiding_coloring(m, pack(conflicts), pack(copies),
+                                                  2, False, 3, None, keep)
+
+        def sample(conflicts, copies):
+            return backend.sample_and_check(m, pack(conflicts), pack(copies),
+                                            2, False, 10, 1)
+
+        # a copy index at the bound, and a negative one
+        for bad in ([[0, 3]], [[-1, 1]]):
+            assert refusal(lambda: avoid(conf, bad)) == out_of_range
+            assert refusal(lambda: sample(conf, bad)) == out_of_range
+            assert refusal(lambda: backend.unique_counts([0, 1, 0], pack(bad))) \
+                == out_of_range
+        # a conflict index at the bound, and a negative one
+        for bad in ([[1], [0, 3], [1]], [[1], [-1], [1]]):
+            assert refusal(lambda: avoid(bad, emb)) == out_of_range
+            assert refusal(lambda: sample(bad, emb)) == out_of_range
+        # too few and too many conflict lists
+        for bad in ([[1], [0, 2]], [[1], [0, 2], [1], [0]]):
+            want = (ValueError, f"{len(bad)} conflict lists for 3 edges")
+            assert refusal(lambda: avoid(bad, emb)) == want
+            assert refusal(lambda: sample(bad, emb)) == want
+        # a copy with no edge has no largest edge for the avoider to check
+        # it at; the sampler counts it as satisfied before edge 0
+        edgeless = emb + [[]]
+        assert refusal(lambda: avoid(conf, edgeless)) == (
+            ValueError, "a pattern copy with no edge in kernel input")
+        assert sample(conf, edgeless) == pure.sample_and_check(m, conf, edgeless,
+                                                               2, False, 10, 1)
+        for keep, message in (([0, 3], "kept edge out of range 0..2"),
+                              ([-1, 2], "kept edge out of range 0..2"),
+                              ([1, 1], "kept edges not strictly ascending")):
+            assert refusal(lambda: avoid(conf, emb, keep)) == (
+                ValueError, message + " in kernel input")
 
 
 @pytest.mark.parametrize("backend", [
@@ -382,7 +419,7 @@ def test_native_refuses_out_of_range_indices():
     pytest.param(native, id="native", marks=needs_native),
 ])
 def test_find_avoiding_refuses_a_bad_keep(backend):
-    # keep names host edges in strictly ascending order, as native._rows
+    # keep names host edges in strictly ascending order, as pure.check_rows
     # checks the rows: the C code trusts it
     m, conf, emb = instance(make_complete(4), make_path(2))
     for keep, match in (([0, 6], "out of range"), ([-1, 2], "out of range"),
@@ -391,8 +428,8 @@ def test_find_avoiding_refuses_a_bad_keep(backend):
         with pytest.raises(ValueError, match=match):
             backend.find_avoiding_coloring(m, conf, emb, 2, False, 3, None, keep)
         with pytest.raises(ValueError, match=match):
-            backend.find_avoiding_coloring(m, backend.pack_rows(conf),
-                                           backend.pack_rows(emb), 2, False, 3,
+            backend.find_avoiding_coloring(m, pure.pack_rows(conf),
+                                           pure.pack_rows(emb), 2, False, 3,
                                            None, keep)
 
 
@@ -408,7 +445,7 @@ def test_kept_edges_backends_agree():
         m, conf = host.num_edges, conflict_lists(host)
         for f in patterns:
             emb = [list(e.edge_map) for e in enumerate_embeddings(f, host)]
-            packed = native.pack_rows(conf), native.pack_rows(emb)
+            packed = pure.pack_rows(conf), pure.pack_rows(emb)
             for _ in range(8):
                 keep = sorted(rng.sample(range(m), rng.randint(0, m)))
                 k, cap = rng.randint(0, f.num_edges), rng.randint(1, max(1, len(keep)))
@@ -484,9 +521,12 @@ def test_canonical_key_refuses_more_than_64_vertices(backend):
         backend.canonical_key(DEFAULT_VERTEX_CAP + 1, [])
 
 
-@needs_native
-def test_native_canonical_key_refuses_out_of_range_endpoints():
+@pytest.mark.parametrize("backend", [
+    pytest.param(pure, id="pure"),
+    pytest.param(native, id="native", marks=needs_native),
+])
+def test_canonical_key_refuses_out_of_range_endpoints(backend):
     # the C code indexes its adjacency masks by endpoint
-    for edges in ([(0, 3)], [(-1, 1)]):
-        with pytest.raises(ValueError, match="out of range"):
-            native.canonical_key(3, edges)
+    for edges in ([(0, 3)], [(-1, 1)], [(0, 1), (2, 3)], [(1, -2)], [(0, 2**31)]):
+        assert refusal(lambda: backend.canonical_key(3, edges)) == (
+            ValueError, "edge endpoint out of range 0..2 in kernel input")
