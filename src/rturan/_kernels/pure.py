@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from itertools import accumulate, chain
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 BACKEND = "python"
 
@@ -134,18 +134,54 @@ class Packed:
     the same rows flat, bytes of C ints that native.py hands to native.c
     with no copy: row r is idx[off[r]] .. idx[off[r + 1] - 1].  The `count`
     rows hold `size` indices in all, from `low` to `high` (0 and -1 when
-    there is none), for the range checks."""
+    there is none), for the range checks.
 
-    __slots__ = ("rows", "off", "idx", "count", "size", "low", "high", "has_empty")
+    `off` and `idx` are built on their first read (native.py's, after the
+    checks) from the indices as packed, the ones `low` and `high` bound:
+    the kernels here never pay for them, and an index past a C int meets
+    check_rows before struct does.
+    `masks`, restrict's copy filter, is built on its first read too, so a
+    table packed once builds it once."""
+
+    __slots__ = ("rows", "count", "size", "low", "high", "has_empty",
+                 "_lens", "_flat", "_c", "_masks")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        flat = list(chain.from_iterable(rows))
+        self._lens = list(map(len, rows))
+        self._flat = flat = list(chain.from_iterable(rows))
+        self._c = self._masks = None
         self.rows = rows
-        self.off = _c_ints([0, *accumulate(map(len, rows))])
-        self.idx = _c_ints(flat)
         self.count, self.size = len(rows), len(flat)
-        self.low, self.high = min(flat, default=0), max(flat, default=-1)
-        self.has_empty = not all(rows)  # some row holds no index
+        self.low, self.high = (min(flat), max(flat)) if flat else (0, -1)
+        self.has_empty = not all(self._lens)  # some row holds no index
+
+    def _c_tables(self) -> tuple[bytes, bytes]:
+        if self._c is None:
+            self._c = (_c_ints([0, *accumulate(self._lens)]), _c_ints(self._flat))
+            self._lens = self._flat = None
+        return self._c
+
+    @property
+    def off(self) -> bytes:
+        return self._c_tables()[0]
+
+    @property
+    def idx(self) -> bytes:
+        return self._c_tables()[1]
+
+    @property
+    def masks(self) -> list[int]:
+        """Each row's indices as one bit mask."""
+        if self._masks is None:
+            self._masks = [_bits(row) for row in self.rows]
+        return self._masks
+
+
+def _bits(indices: Iterable[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 Rows = Union[Sequence[Sequence[int]], Packed]
@@ -191,13 +227,13 @@ def check_keep(num_edges: int, keep: Sequence[int]):
         raise ValueError(f"kept edge out of range 0..{num_edges - 1} in kernel input")
 
 
-def restrict(conflicts: Sequence[Sequence[int]],
-             emb_edges: Sequence[Sequence[int]],
+def restrict(conflicts: Sequence[Sequence[int]], emb_edges: Rows,
              keep: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
     """The host's conflict lists and copies restricted to its subgraph on
     the edges `keep` (ascending, check_keep): edge keep[j] becomes edge j,
     each conflict list keeps its kept edges, renumbered, and the copies
-    whose edges are all kept stay, renumbered, in row order.
+    whose edges are all kept stay, renumbered, in row order.  A copy is
+    kept when its edge mask (Packed.masks) meets no edge outside `keep`.
 
     For a graph g on K_n's vertices with keep its edges' K_n indices, this
     is (conflict_lists(g), the edge maps of enumerate_embeddings(f, g)) from
@@ -205,9 +241,11 @@ def restrict(conflicts: Sequence[Sequence[int]],
     conflict list ascending, and the embedding stream's order depends on
     the pattern alone, so filtering K_n's keeps it."""
     to = {e: j for j, e in enumerate(keep)}
-    absent = set(range(len(conflicts))).difference(keep)
+    emb = pack_rows(emb_edges)
+    absent = ~_bits(keep)
     return ([[to[c] for c in conflicts[e] if c in to] for e in keep],
-            [[to[e] for e in row] for row in emb_edges if absent.isdisjoint(row)])
+            [[to[e] for e in row] for row, mask in zip(emb.rows, emb.masks)
+             if not mask & absent])
 
 
 def find_avoiding_coloring(num_edges: int, conflicts: Rows, emb_edges: Rows,
@@ -230,7 +268,7 @@ def find_avoiding_coloring(num_edges: int, conflicts: Rows, emb_edges: Rows,
     conflicts, emb_edges = conf.rows, emb.rows
     if keep is not None:
         check_keep(num_edges, keep)
-        conflicts, emb_edges = restrict(conflicts, emb_edges, keep)
+        conflicts, emb_edges = restrict(conflicts, emb, keep)
         num_edges = len(keep)
     by_last = _embeddings_by_last_edge(num_edges, emb_edges)
     nodes = 0

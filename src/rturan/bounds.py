@@ -1,6 +1,8 @@
 """Bound evaluators and the reduction-method augmented-tree constructors.
 
-Every coefficient is an exact Fraction c, read as a bound of c*n edges.  All
+Every coefficient is an exact Fraction c, read as a bound of c*n edges.  The
+`fractions` module (which loads `decimal` and `numbers`) is imported only when
+a coefficient is built, so CLI runs that compute no bound never load it.  All
 upper bounds obtained through the tree Turan bound carry an assumption flag:
 `erdos_sos_conjecture` in general, `mclennan_diam4` when the augmented tree
 has diameter at most 4 (where the conjecture is proven).
@@ -12,13 +14,15 @@ exposed and disagreements are flagged, never silently reconciled.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .graphs import (DEFAULT_VERTEX_CAP, MAX_VERTICES, Embedding, Graph,
                      GraphError, Record, diameter, graph_from_edges,
                      make_caterpillar, make_double_star, make_perfect_kary)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ERDOS_SOS = "erdos_sos_conjecture"
 MCLENNAN = "mclennan_diam4"
@@ -27,6 +31,12 @@ EMPTY_SUM_NOTE = "literal empty products over i=4..j-2 evaluated as 1"
 # would grow its tree past the cap before building it.  A k-ary tree's and a
 # double star's cap is graphs.MAX_VERTICES, the most vertices rturan builds
 CATERPILLAR_CAP = 4 * DEFAULT_VERTEX_CAP
+
+
+def _half(num: int) -> Fraction:
+    """The exact coefficient num/2; every coefficient here is an integer over 2."""
+    from fractions import Fraction  # loads decimal; only bound computations pay for it
+    return Fraction(num, 2)
 
 
 class BoundReport(Record):
@@ -91,7 +101,7 @@ def erdos_sos_coefficient(t: int) -> Fraction:
     """Tree Turan coefficient (t-1)/2 for a tree with t edges."""
     if t < 1:
         raise ValueError("a tree has at least one edge here")
-    return Fraction(t - 1, 2)
+    return _half(t - 1)
 
 
 def reduction_bound(family: str, params: dict, tree: Graph,
@@ -110,7 +120,7 @@ def ds_k_unique_bounds(r: int, s: int, l: int) -> dict:
     return {
         "k": aug.k,
         "lower": BoundReport("ds_k_unique_lower", params,
-                             Fraction(max(s + l - 1, 0), 2)),
+                             _half(max(s + l - 1, 0))),
         "upper": reduction_bound("ds_k_unique_upper", params, aug.augmented),
     }
 
@@ -121,14 +131,14 @@ def ds_rainbow_bounds(r: int, s: int) -> tuple[BoundReport, BoundReport]:
         r, s = s, r
     aug = make_double_star(r, s + r, cap=MAX_VERTICES)
     lower = BoundReport("ds_rainbow_lower", {"r": r, "s": s},
-                        Fraction(max(s + r - 1, 0), 2))
+                        _half(max(s + r - 1, 0)))
     return lower, reduction_bound("ds_rainbow_upper", {"r": r, "s": s}, aug)
 
 
 def ds22_bounds() -> tuple[BoundReport, BoundReport]:
     """5/2 <= ex*(n, DS_{2,2})/n <= 3; the lower bound comes from the K_6
     1-factorization and strictly improves the generic 3/2."""
-    lower = BoundReport("ds22_lower", {}, Fraction(5, 2),
+    lower = BoundReport("ds22_lower", {}, _half(5),
                         notes=("witness: 1-factorized K_6 blowup",))
     return lower, ds_rainbow_bounds(2, 2)[1]
 
@@ -247,7 +257,7 @@ def caterpillar_coefficient_literal(c: Sequence[int]) -> BoundReport:
             pj = pj * (factor if factor > 0 else 1)
         lj = (j - 1) + sum(c[:j])
         total += pj * (lj + 1)
-    coeff = Fraction(3 * c1 + 2 * c2 + c3 + 3 + total, 2)
+    coeff = _half(3 * c1 + 2 * c2 + c3 + 3 + total)
     return BoundReport("caterpillar_upper_literal", {"c": c}, coeff,
                        assumptions=(ERDOS_SOS,), notes=(EMPTY_SUM_NOTE,))
 
@@ -323,10 +333,9 @@ def binary_coefficients(d: int) -> dict:
     """
     if d < 2:
         raise ValueError("need depth >= 2")
-    literal = Fraction(
-        sum(2 * prod(2 ** i - 3 for i in range(2, j + 1)) for j in range(2, d + 1)) + 1,
-        2)
-    proof_form = Fraction(2 * (2 ** (d + 1) - 3), 2)
+    literal = _half(
+        sum(2 * prod(2 ** i - 3 for i in range(2, j + 1)) for j in range(2, d + 1)) + 1)
+    proof_form = _half(2 * (2 ** (d + 1) - 3))
     aug = augment_binary(d)
     constructive = reduction_bound("binary_upper_constructive", {"d": d},
                                    aug.augmented, construction_log=aug.construction_log)
@@ -348,10 +357,9 @@ def kary_coefficients(k: int, d: int) -> dict:
     displayed formula."""
     if k < 2 or d < 2:
         raise ValueError("need arity >= 2 and depth >= 2")
-    literal = Fraction(
+    literal = _half(
         k - 1 + sum(k * prod(_kary_leaf_factor(k, i) for i in range(2, j + 1))
-                    for j in range(2, d + 1)),
-        2)
+                    for j in range(2, d + 1)))
     aug = augment_kary(k, d)
     constructive = reduction_bound("kary_upper_constructive", {"k": k, "d": d},
                                    aug.augmented, construction_log=aug.construction_log)

@@ -8,8 +8,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__, _kernels
 from .bounds import (AugmentedTree, caterpillar_bounds, augment_caterpillar,
@@ -25,6 +25,9 @@ from .search import (RAINBOW, brute_extremal, recheck_certificate,
                      verify_k2s4_construction, verify_k6_rainbow_free,
                      verify_k6_universal_3unique, verify_reduction)
 from .spectrum import compute_spectrum, ds_spectrum_closed_form
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_FAIL = 1

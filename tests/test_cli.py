@@ -819,12 +819,16 @@ def test_cli_fuzz_exits_with_a_contract_code(tmp_path_factory, data):
     assert "Traceback" not in err.getvalue(), argv
 
 
-# Runs in a fresh interpreter and prints, as JSON, each module of argv that
-# got loaded and the rturan module whose import pulled it in.
+# Runs in a fresh interpreter: imports rturan.cli, then runs cli.main on each
+# argv of the JSON list in argv[1], with stdout discarded.  Prints, as JSON,
+# the watched modules (the rest of argv) loaded after the import, the exit
+# codes, and the watched modules loaded after the runs; each loaded module
+# maps to the rturan module whose import pulled it in.
 IMPORT_WATCH = """
-import json, sys
+import io, json, sys
+from contextlib import redirect_stdout
 
-watched = sys.argv[1:]
+runs, watched = json.loads(sys.argv[1]), sys.argv[2:]
 blamed = {}
 
 class Watch:
@@ -836,20 +840,57 @@ class Watch:
             blamed[name] = frame.f_globals["__name__"] if frame else "?"
         return None
 
+def loaded():
+    return {name: blamed.get(name, "loaded before rturan")
+            for name in watched if name in sys.modules}
+
 sys.meta_path.insert(0, Watch())
 import rturan.cli
-print(json.dumps({name: blamed.get(name, "loaded before rturan")
-                  for name in watched if name in sys.modules}))
+at_import = loaded()
+codes = []
+for argv in runs:
+    with redirect_stdout(io.StringIO()):
+        codes.append(rturan.cli.main(argv))
+print(json.dumps([at_import, codes, loaded()]))
 """
 
+# fractions loads decimal and numbers with it
+FRACTIONS = ("fractions", "decimal", "numbers")
 
-def test_cli_import_loads_no_heavy_modules():
-    # dataclasses and inspect took about 13 ms of every launch, and hashlib
-    # with OpenSSL's _hashlib 3-4 ms (2.1 GHz Xeon); pytest loads them
-    # itself, hence the subprocess
-    out = subprocess.run([sys.executable, "-c", IMPORT_WATCH, "dataclasses",
-                          "inspect", "hashlib", "_hashlib"],
-                         capture_output=True, text=True, check=True)
-    loaded = json.loads(out.stdout)
-    assert loaded == {}, "imported by: " + ", ".join(
-        f"{name} <- {importer}" for name, importer in loaded.items())
+
+def watch_imports(runs, *watched):
+    """In a fresh process (pytest loads these modules itself): the watched
+    modules that `import rturan.cli` loads, the exit codes of cli.main on
+    each argv of runs, and the watched modules loaded after the runs, each
+    mapped to the rturan module that imported it."""
+    out = subprocess.run([sys.executable, "-c", IMPORT_WATCH, json.dumps(runs),
+                          *watched], capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def blame(loaded):
+    return "imported by: " + ", ".join(f"{name} <- {importer}"
+                                       for name, importer in loaded.items())
+
+
+def test_cli_import_loads_no_heavy_modules(tmp_path):
+    # dataclasses and inspect took about 13 ms of every launch, hashlib
+    # with OpenSSL's _hashlib 3-4 ms, and fractions with decimal and
+    # numbers 2-3 ms (2.1 GHz Xeon).  spectrum, search and verify compute
+    # no bound, so their runs never load fractions either
+    runs = [["--cache-dir", str(tmp_path / argv[0]), *argv] for argv in (
+        ["spectrum", "P12"], ["search", "--n", "5", "--pattern", "P3", "--rainbow"],
+        ["verify", "k2s4", "--s", "3"])]
+    at_import, codes, after = watch_imports(runs, "dataclasses", "inspect",
+                                            "hashlib", "_hashlib", *FRACTIONS)
+    assert at_import == {}, blame(at_import)
+    assert codes == [EXIT_OK] * len(runs)
+    after = {name: who for name, who in after.items() if name in FRACTIONS}
+    assert after == {}, blame(after)
+
+
+def test_only_a_bound_computation_loads_fractions(tmp_path):
+    _, codes, after = watch_imports([["--cache-dir", str(tmp_path), "bounds",
+                                      "DS", "2", "2"]], "fractions")
+    assert codes == [EXIT_OK]
+    assert after == {"fractions": "rturan.bounds"}

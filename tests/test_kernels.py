@@ -385,14 +385,15 @@ def test_backends_refuse_malformed_tables(backend):
             return backend.sample_and_check(m, pack(conflicts), pack(copies),
                                             2, False, 10, 1)
 
-        # a copy index at the bound, and a negative one
-        for bad in ([[0, 3]], [[-1, 1]]):
+        # a copy index at the bound, a negative one, and one past a C int,
+        # which must meet the range check before it is packed for C
+        for bad in ([[0, 3]], [[-1, 1]], [[0, 2**31]]):
             assert refusal(lambda: avoid(conf, bad)) == out_of_range
             assert refusal(lambda: sample(conf, bad)) == out_of_range
             assert refusal(lambda: backend.unique_counts([0, 1, 0], pack(bad))) \
                 == out_of_range
-        # a conflict index at the bound, and a negative one
-        for bad in ([[1], [0, 3], [1]], [[1], [-1], [1]]):
+        # a conflict index at the bound, a negative one, and one past a C int
+        for bad in ([[1], [0, 3], [1]], [[1], [-1], [1]], [[1], [0, 2**31], [1]]):
             assert refusal(lambda: avoid(bad, emb)) == out_of_range
             assert refusal(lambda: sample(bad, emb)) == out_of_range
         # too few and too many conflict lists
