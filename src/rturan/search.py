@@ -48,31 +48,23 @@ def _resolve_k(f: Graph, k) -> int:
     return k
 
 
-def _copy_rows(f: Graph, g: Graph) -> list[list[int]]:
-    """The edge maps of enumerate_embeddings(f, g), one copy per orbit of
-    twin-leaf swaps.  Raises ValueError when g holds more than MAX_COPIES
-    labeled copies of f (orbits x twin_orbit_size(f))."""
+def copy_table(f: Graph, g: Graph) -> tuple[Graph, Packed, Packed]:
+    """(g, its conflict lists, the copies of f in it), the two tables packed
+    once for the kernels (_kernels.pack_rows).  The copies are the edge maps
+    of enumerate_embeddings(f, g), one per orbit of twin-leaf swaps.  Raises
+    ValueError when g holds more than MAX_COPIES labeled copies of f
+    (orbits x twin_orbit_size(f)).  For g = K_n every graph on the n
+    vertices is a subgraph, and its lexicographic edge order is K_n's
+    restricted to its edges, so the avoider kernel searches it from K_n's
+    tables and the K_n indices of its edges (pure.restrict); it holds at
+    most as many copies as K_n, so the cap checked there holds for it."""
     per_orbit = twin_orbit_size(f)
     rows = [list(e.edge_map) for e in itertools.islice(
         enumerate_embeddings(f, g), MAX_COPIES // per_orbit + 1)]
     if len(rows) * per_orbit > MAX_COPIES:
         raise ValueError(f"host holds over {MAX_COPIES} labeled copies of the "
                          "pattern; too many to search")
-    return rows
-
-
-def complete_table(f: Graph, n: int) -> tuple[Graph, Packed, Packed]:
-    """(K_n, its conflict lists, the copies of f in it), the two tables
-    packed once for the kernel (_kernels.pack_rows).  Every graph on the n
-    vertices is a subgraph of K_n, and its lexicographic edge order is K_n's
-    restricted to its edges, so the kernel searches it from these tables and
-    the K_n indices of its edges (pure.restrict).  Raises ValueError, as
-    exists_avoiding_coloring does, when K_n holds more than MAX_COPIES
-    labeled copies of f; so then does each of its subgraphs."""
-    complete = Graph(n, tuple(itertools.combinations(range(n), 2)))
-    rows = _copy_rows(f, complete)
-    return (complete, _kernels.pack_rows(conflict_lists(complete)),
-            _kernels.pack_rows(rows))
+    return g, _kernels.pack_rows(conflict_lists(g)), _kernels.pack_rows(rows)
 
 
 def exists_avoiding_coloring(g: Graph, f: Graph, k,
@@ -83,27 +75,23 @@ def exists_avoiding_coloring(g: Graph, f: Graph, k,
 
     Canonical coloring DFS; branches where a fully colored copy already
     satisfies k are cut.  Exhaustive unless the budget trips.  The kernel
-    gets one copy per orbit of twin-leaf swaps (enumerate_embeddings): the
-    copies of an orbit cover one host edge set, so the cut at a copy's
-    largest edge decides alike for each of them.  `copies` and the
-    MAX_COPIES cap still count labeled copies, orbits x twin_orbit_size(f).
-    Raises ValueError when g holds more than MAX_COPIES labeled copies of f.
-    `table`, when given, is complete_table(f, n) for g on n vertices: the
-    kernel then keeps its rows in g, no copy is enumerated, and copies is
-    None (the table checked the cap).
+    gets one copy per orbit of twin-leaf swaps (copy_table): the copies of
+    an orbit cover one host edge set, so the cut at a copy's largest edge
+    decides alike for each of them.  `copies` and the MAX_COPIES cap still
+    count labeled copies, orbits x twin_orbit_size(f).  Raises ValueError
+    when g holds more than MAX_COPIES labeled copies of f.
+    `table`, when given, is copy_table(f, K_n) for g on n vertices: the
+    kernel then keeps g's edges of it, no copy is enumerated, and copies
+    is None (the table checked the cap).
     """
     kk = _resolve_k(f, k)
+    host, conflicts, rows = table or copy_table(f, g)
     if table is None:
-        rows = _copy_rows(f, g)
-        copies = len(rows) * twin_orbit_size(f)
-        colors, nodes, exhausted = _kernels.find_avoiding_coloring(
-            g.num_edges, conflict_lists(g), rows, kk, False, g.num_edges, budget)
+        keep, copies = None, rows.count * twin_orbit_size(f)
     else:
-        complete, conflicts, rows = table
-        keep = list(map(complete.edge_index.__getitem__, g.edges))
-        copies = None
-        colors, nodes, exhausted = _kernels.find_avoiding_coloring(
-            complete.num_edges, conflicts, rows, kk, False, g.num_edges, budget, keep)
+        keep, copies = list(map(host.edge_index.__getitem__, g.edges)), None
+    colors, nodes, exhausted = _kernels.find_avoiding_coloring(
+        host.num_edges, conflicts, rows, kk, False, g.num_edges, budget, keep)
     coloring = EdgeColoring(g, tuple(colors)) if colors is not None else None
     return AvoiderResult(coloring, nodes, exhausted, copies)
 
@@ -184,7 +172,7 @@ def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
     graphs_up_to_iso(n) walks upward, pruning each class whose search neither
     finds an avoider nor trips the budget.  Its first empty level has only
     bad graphs: the exhaustion certificate's claim.  Every class is searched
-    from one complete_table(f, n), which refuses more than MAX_COPIES labeled
+    from one copy_table(f, K_n), which refuses more than MAX_COPIES labeled
     copies in K_n before any search.  The budget bounds each class's search
     on its own, and nodes_visited sums them.  When the top level kept has no
     avoider, returns a bracket {lower, upper} instead of a value.
@@ -192,7 +180,7 @@ def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
     if not 0 <= n <= N_CAP:
         raise ValueError(f"n={n} outside the brute-force range 0..{N_CAP}")
     kk = _resolve_k(f, k)
-    table = complete_table(f, n)
+    table = copy_table(f, Graph(n, tuple(itertools.combinations(range(n), 2))))
     searched: dict[Graph, AvoiderResult] = {}  # each class checked, once
 
     def search(g: Graph) -> AvoiderResult:
@@ -229,19 +217,13 @@ def brute_extremal(n: int, f: Graph, k, budget: Optional[int] = None) -> dict:
     return {"value": m, "lower_witness": lower, "upper_exhaustion": upper}
 
 
-def _k6_embedding_edges() -> tuple[Graph, Graph, list[list[int]]]:
-    host = make_complete(6)
-    pattern = make_double_star(2, 2)
-    emb = [list(e.edge_map) for e in enumerate_embeddings(pattern, host)]
-    return host, pattern, emb
-
-
 def verify_k6_rainbow_free() -> Certificate:
     """All DS_{2,2} embeddings of K_6 under the circle-method 1-factorization:
     none is rainbow.  One embedding per twin-leaf orbit is checked (180 of
     them), and embeddings_checked counts the labeled ones, 180 x 4 = 720.
     A FAIL's rainbow_embedding_rows index the orbit rows."""
-    host, pattern, emb = _k6_embedding_edges()
+    pattern = make_double_star(2, 2)
+    _, _, emb = copy_table(pattern, make_complete(6))
     coloring = one_factorization(3)
     counts = _kernels.unique_counts(list(coloring.colors), emb)
     rainbow = [i for i, c in enumerate(counts) if c == pattern.num_edges]
@@ -252,7 +234,7 @@ def verify_k6_rainbow_free() -> Certificate:
                                     "coloring": coloring.to_json()})
     return Certificate("k6_rainbow_free", PASS, params,
                        payload={"embeddings_checked":
-                                    len(emb) * twin_orbit_size(pattern),
+                                    emb.count * twin_orbit_size(pattern),
                                 "coloring": coloring.to_json()})
 
 
@@ -272,8 +254,7 @@ def verify_k6_universal_3unique(budget: Optional[int] = None,
     if not 0 <= sample_count <= MAX_SAMPLES:
         raise ValueError(f"sample_count must be within 0..{MAX_SAMPLES}, "
                          f"got {sample_count}")
-    host, pattern, emb = _k6_embedding_edges()
-    conflicts = conflict_lists(host)
+    host, conflicts, emb = copy_table(make_double_star(2, 2), make_complete(6))
     params = {"color_cap": color_cap, "sample_count": sample_count, "seed": seed}
     # the claim excludes the rainbow coloring, the only canonical one with 15
     # colors, so a cap of 14 walks every coloring the claim covers (105 nodes)
@@ -409,7 +390,7 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
     if cert.kind == "k6_universal" and cert.verdict == FAIL:
         colors = _int_list(cert, cert.payload["counterexample_coloring"],
                            "counterexample_coloring")
-        host, pattern, emb = _k6_embedding_edges()
+        host, _, emb = copy_table(make_double_star(2, 2), make_complete(6))
         if not is_proper(host, colors):
             return False, "counterexample is not proper"
         if len(set(colors)) == host.num_edges:
@@ -419,8 +400,12 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
             "stored coloring does contain an exactly-3-unique copy"
     # every other kind is re-run with the recorded node count as its budget
     # (an exhaustion with its recorded per-class budget), so the re-run
-    # repeats the recorded search, budget trip included
+    # repeats the recorded search, budget trip included.  No search writes a
+    # negative count, and to the kernels a negative budget means no limit
     budget = _int_param(cert, "nodes_visited", vars(cert))
+    if budget < 0:
+        raise ValueError(f"{cert.kind} certificate field 'nodes_visited' is "
+                         f"negative: {budget}")
     if cert.kind == "exhaustion":
         _int_param(cert, "graphs_checked", cert.payload)
         per_class = None if cert.params["budget"] is None else _int_param(cert, "budget")

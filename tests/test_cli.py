@@ -427,7 +427,13 @@ MALFORMED_CERTIFICATES = {
                              '"nodes_visited": 0, "params": '
                              '{"original": {"n": 2, "edges": [[0, 1]]}, '
                              '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": null}}',
-    "k6-samples-negative.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
+    # a negative budget means no limit to the kernels, so a re-run with the
+    # stored count as its budget would search the whole tree
+    "reduction-nodes-negative.json": '{"schema": 1, "kind": "reduction", "verdict": "PASS", '
+                                     '"nodes_visited": -1, "params": '
+                                     '{"original": {"n": 2, "edges": [[0, 1]]}, '
+                                     '"augmented": {"n": 2, "edges": [[0, 1]]}, "k": 1}}',
+    "k6-samples-negative.json":'{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '
                                 '"nodes_visited": 0, '
                                 '"params": {"color_cap": 7, "sample_count": -1, "seed": 1}}',
     "k6-seed-float.json": '{"schema": 1, "kind": "k6_universal", "verdict": "PASS", '

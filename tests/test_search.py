@@ -15,7 +15,7 @@ from rturan.detect import find_k_unique
 from rturan.graphs import (Graph, canonical_key, enumerate_embeddings,
                            graph_from_edges, make_caterpillar, make_complete,
                            make_cycle, make_double_star, make_path)
-from rturan.search import (RAINBOW, brute_extremal,
+from rturan.search import (RAINBOW, brute_extremal, copy_table,
                            exists_avoiding_coloring, graphs_up_to_iso,
                            recheck_certificate,
                            verify_k2s4_construction, verify_k6_rainbow_free,
@@ -222,25 +222,24 @@ COPY_TABLE_PATTERNS = [make_path(2), make_path(3), make_double_star(1, 2),
 
 @pytest.mark.parametrize("n", range(7))
 def test_copy_table_rows_match_enumeration(n):
-    # K_n's conflict lists and copy table, restricted to a class's edges by
-    # their K_n indices (keep), are the class's own conflict lists and copies
-    # in enumerate_embeddings order; the kernel in use searches the two alike
+    # K_n's copy table, restricted to a class's edges by their K_n indices
+    # (keep), is the class's own conflict lists and copies in
+    # enumerate_embeddings order; exists_avoiding_coloring, the one kernel
+    # call site, searches the class alike from K_n's table and from its own
     complete = Graph(n, tuple(itertools.combinations(range(n), 2)))
-    conf = conflict_lists(complete)
     for f in COPY_TABLE_PATTERNS:
-        rows = [list(e.edge_map) for e in enumerate_embeddings(f, complete)]
-        packed = _kernels.pack_rows(conf), _kernels.pack_rows(rows)
+        table = copy_table(f, complete)
+        _, conf, rows = table
         for g in graphs_up_to_iso(n):
             keep = [complete.edge_index[e] for e in g.edges]
             own = [list(e.edge_map) for e in enumerate_embeddings(f, g)]
-            assert pure.restrict(conf, rows, keep) == (conflict_lists(g), own), \
+            assert pure.restrict(conf.rows, rows, keep) == (conflict_lists(g), own), \
                 (f.edges, g.edges)
-            assert (_kernels.find_avoiding_coloring(
-                        complete.num_edges, *packed, f.num_edges, False,
-                        g.num_edges, 100, keep)
-                    == _kernels.find_avoiding_coloring(
-                        g.num_edges, conflict_lists(g), own, f.num_edges, False,
-                        g.num_edges, 100)), (f.edges, g.edges)
+            for k in range(f.num_edges + 1):
+                for budget in (None, 3):
+                    assert (exists_avoiding_coloring(g, f, k, budget, table)[:3]
+                            == exists_avoiding_coloring(g, f, k, budget)[:3]), \
+                        (f.edges, g.edges, k, budget)
 
 
 def test_brute_extremal_refuses_too_many_copies_before_any_search(monkeypatch):
