@@ -3,6 +3,7 @@ where each file is named by the hash of its kind and params."""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from pathlib import Path
@@ -84,13 +85,34 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("RT_CACHE_DIR", ".rturan-cache"))
 
 
-def cache_key(operation: str, params: dict) -> str:
-    import hashlib  # loads OpenSSL; only runs that hash a certificate pay for it
+def sha256_hex(text: str) -> str:
+    """Hex SHA-256 digest of text's UTF-8 bytes: the content hash that names
+    certificate files and marks an avoider's coloring with its graph."""
+    return _sha256()(text.encode()).hexdigest()
 
+
+@functools.cache
+def _sha256():
+    # CPython's built-in SHA-256, the module hashlib itself falls back to: the
+    # same digest without loading OpenSSL's libcrypto.  Imported on the first
+    # hash, so runs that hash nothing load none of them
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256  # a build without built-in hashes
+    return sha256
+
+
+def cache_key(operation: str, params: dict) -> str:
+    """The certificate's file name: sha256_hex of the operation, its params
+    and ENGINE_VERSION as compact JSON with sorted keys."""
     payload = json.dumps({"operation": operation, "params": params,
                           "engine": ENGINE_VERSION},
                          sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256_hex(payload)
 
 
 def save_certificate(cert: Certificate, cache_dir: Optional[Path] = None) -> Path:

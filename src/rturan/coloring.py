@@ -8,6 +8,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ._kernels.pure import (BudgetExhausted, PrunePredicate, canonical_dfs,
                             canonicalize, unique_color_count)
+from .certs import sha256_hex
 from .graphs import Graph, Record, make_complete, read_only
 
 
@@ -16,11 +17,12 @@ class ColoringError(ValueError):
 
 
 def graph_hash(g: Graph) -> str:
-    import hashlib  # loads OpenSSL; only runs that hash a certificate pay for it
-
+    """The first 16 hex digits of sha256_hex of the graph as compact JSON
+    (n, then its edge list in order): an avoider's coloring records it, and
+    its recheck compares it with the stored graph's."""
     payload = json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]},
                          separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return sha256_hex(payload)[:16]
 
 
 class EdgeColoring(Record):

@@ -372,6 +372,16 @@ def _int_param(cert: Certificate, name: str, fields: Optional[dict] = None) -> i
     return value
 
 
+def _budget_param(cert: Certificate, name: str, fields: Optional[dict] = None) -> int:
+    # no search writes a negative count or budget, and to the kernels a
+    # negative budget means no limit, so a re-run would search the whole tree
+    value = _int_param(cert, name, fields)
+    if value < 0:
+        raise ValueError(f"{cert.kind} certificate field {name!r} is "
+                         f"negative: {value}")
+    return value
+
+
 def _int_list(cert: Certificate, value, name: str) -> list[int]:
     if not (isinstance(value, list) and all(map(is_int, value))):
         raise ValueError(f"{cert.kind} certificate needs a list of integer "
@@ -400,15 +410,11 @@ def _recheck(cert: Certificate) -> tuple[bool, str]:
             "stored coloring does contain an exactly-3-unique copy"
     # every other kind is re-run with the recorded node count as its budget
     # (an exhaustion with its recorded per-class budget), so the re-run
-    # repeats the recorded search, budget trip included.  No search writes a
-    # negative count, and to the kernels a negative budget means no limit
-    budget = _int_param(cert, "nodes_visited", vars(cert))
-    if budget < 0:
-        raise ValueError(f"{cert.kind} certificate field 'nodes_visited' is "
-                         f"negative: {budget}")
+    # repeats the recorded search, budget trip included
+    budget = _budget_param(cert, "nodes_visited", vars(cert))
     if cert.kind == "exhaustion":
         _int_param(cert, "graphs_checked", cert.payload)
-        per_class = None if cert.params["budget"] is None else _int_param(cert, "budget")
+        per_class = None if cert.params["budget"] is None else _budget_param(cert, "budget")
         out = brute_extremal(_int_param(cert, "n"), Graph.from_json(cert.params["pattern"]),
                              _int_param(cert, "k"), per_class)
         # a re-run that ends in a bracket has no exhaustion to compare

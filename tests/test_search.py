@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from rturan import _kernels, certs, search
 from rturan._kernels import pure
 from rturan.certs import (FAIL, PASS, Certificate, load_certificate,
                           save_certificate)
+from rturan.cli import main
 from rturan.coloring import conflict_lists, is_proper, one_factorization
 from rturan.detect import find_k_unique
 from rturan.graphs import (Graph, canonical_key, enumerate_embeddings,
@@ -491,6 +493,29 @@ def test_certificate_write_is_atomic(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         save_certificate(verify_k2s4_construction(1), tmp_path)
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_content_address_is_sha256(tmp_path, capsys, monkeypatch):
+    # certificates are named by CPython's built-in SHA-256, which must give
+    # hashlib's digest: a cache written by an earlier version is found again
+    # only under the same file names (graph_hash is pinned by the frozen
+    # digests above)
+    for text in ("", "k2s4", "Turán", "x" * 2**20):
+        assert certs.sha256_hex(text) == hashlib.sha256(text.encode()).hexdigest()
+    # a build without the built-in modules falls back to hashlib
+    certs._sha256.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "_sha2", None)
+            m.setitem(sys.modules, "_sha256", None)
+            assert certs.sha256_hex("Turán") == hashlib.sha256("Turán".encode()).hexdigest()
+            assert certs._sha256() is hashlib.sha256
+    finally:
+        certs._sha256.cache_clear()
+    assert main(["--cache-dir", str(tmp_path), "verify", "k2s4", "--s", "3"]) == 0
+    capsys.readouterr()
+    assert [p.name for p in tmp_path.iterdir()] == [
+        "cf081731eab5affcf16c49ffdee177bc7e6f181273d7008e1c783d18ba23abe9.json"]
 
 
 def test_certificate_serialization(tmp_path):
