@@ -1,7 +1,7 @@
 """Kernel backend selection: the compiled C kernels (native.c through
-native.py) when the library is built, pure Python fallback otherwise.  Set
-RTURAN_PURE=1 to force the fallback (benchmarks and cross-checks rely on
-this)."""
+native.py) when the extension module is built, pure Python fallback
+otherwise.  Set RTURAN_PURE=1 to force the fallback (benchmarks and
+cross-checks rely on this)."""
 
 import os
 

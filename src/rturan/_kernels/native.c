@@ -1,8 +1,10 @@
-/* Compiled search kernels: plain C over flat int arrays, no Python C-API.
+/* Compiled search kernels over flat int arrays, and the CPython glue that
+ * makes this file the extension module rturan._kernels._native.
  *
- * native.py calls these functions through ctypes; it only marshals.
- * pure.py is the reference: each function returns exactly what its pure
- * twin does, node counts and the xorshift64* sample stream included.
+ * native.py passes each call's inputs to pure's checks, then to the glue at
+ * the bottom, which reads them, calls the kernel and builds its result.
+ * pure.py is the reference: each kernel returns exactly what its pure twin
+ * does, node counts and the xorshift64* sample stream included.
  *
  * A list of int lists (the earlier edges each edge conflicts with, the host
  * edges of each pattern copy) arrives as two arrays, flattened once by
@@ -11,9 +13,12 @@
  * 0..m-1 and, for the avoider, a copy with no edge before any call.
  *
  * The caller passes every output and work buffer too (the sampler's options
- * and marks included), so nothing here allocates; the canonical form's
+ * and marks included), so no kernel allocates; the canonical form's
  * buffers, sized for its 64-vertex cap, are on the stack.
  */
+/* Python.h comes before the standard headers, as the C API asks */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -426,4 +431,370 @@ int rt_canonical_key(int n, int m, const int *edges, unsigned char *key)
     for (int b = 0; b < 8 * cs.words; b++)
         key[b] = (unsigned char)(best[b >> 3] >> (8 * (b & 7)));
     return 0;
+}
+
+/* ---- CPython glue ----
+ *
+ * One METH_FASTCALL function per kernel, each called by its native.py twin
+ * with positional arguments only.  A Packed table's off and idx bytes
+ * arrive by the buffer protocol, with no copy, and its row count is the
+ * length of off less one.  keep, the colors of unique_counts and
+ * canonical_key's edges are read from their sequences of ints.  k, the
+ * color cap, the budget and the sample count are clamped to the C integer
+ * that holds them: the kernels only compare them with counts far inside
+ * that range, so clamping changes no result.  Work arrays come from
+ * PyMem_Malloc.  The avoider and the sampler run without the GIL; every
+ * input they read is copied or immutable bytes by then. */
+
+static int nargs_ok(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", name, want,
+                 nargs);
+    return 0;
+}
+
+/* obj clamped to lo..hi; -1 with an exception set when obj is no int. */
+static int clamp(PyObject *obj, long long lo, long long hi, long long *out)
+{
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (v == -1 && !overflow && PyErr_Occurred())
+        return -1;
+    *out = overflow > 0 || v > hi ? hi : overflow < 0 || v < lo ? lo : v;
+    return 0;
+}
+
+static int clamp_int(PyObject *obj, int *out)
+{
+    long long v;
+    if (clamp(obj, INT_MIN, INT_MAX, &v))
+        return -1;
+    *out = (int)v;
+    return 0;
+}
+
+/* A Packed table: its off and idx buffers, and rows = len(off) - 1. */
+typedef struct {
+    Py_buffer off, idx;
+    int rows;
+} table;
+
+static const int *offsets(const table *t) { return t->off.buf; }
+static const int *indices(const table *t) { return t->idx.buf; }
+
+static void release_table(table *t)
+{
+    if (t->idx.obj)
+        PyBuffer_Release(&t->idx);
+    if (t->off.obj)
+        PyBuffer_Release(&t->off);
+}
+
+/* Reads a table from its off and idx; -1 with an exception set (and t
+ * released) unless off holds 1..INT_MAX C ints and idx every index they
+ * reach. */
+static int get_table(PyObject *off, PyObject *idx, table *t)
+{
+    t->off.obj = t->idx.obj = NULL;
+    if (PyObject_GetBuffer(off, &t->off, PyBUF_SIMPLE) ||
+        PyObject_GetBuffer(idx, &t->idx, PyBUF_SIMPLE)) {
+        release_table(t);
+        return -1;
+    }
+    Py_ssize_t n_off = t->off.len / (Py_ssize_t)sizeof(int);
+    if (n_off < 1 || n_off > INT_MAX ||
+        offsets(t)[n_off - 1] > t->idx.len / (Py_ssize_t)sizeof(int)) {
+        release_table(t);
+        PyErr_SetString(PyExc_ValueError, "malformed packed table");
+        return -1;
+    }
+    t->rows = (int)n_off - 1;
+    return 0;
+}
+
+/* The conflict table from args[0] and args[1], the copy table from args[2]
+ * and args[3]; -1 with an exception set, and neither held, on failure. */
+static int get_tables(PyObject *const *args, table *conf, table *emb)
+{
+    if (get_table(args[0], args[1], conf))
+        return -1;
+    if (get_table(args[2], args[3], emb)) {
+        release_table(conf);
+        return -1;
+    }
+    return 0;
+}
+
+/* The n ints of the PySequence_Fast seq into out; -1 with an exception set
+ * if one is no int or lies outside a C int. */
+static int read_ints(PyObject *seq, Py_ssize_t n, int *out)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        if (v < INT_MIN || v > INT_MAX) {
+            PyErr_SetString(PyExc_OverflowError, "value past a C int");
+            return -1;
+        }
+        out[i] = (int)v;
+    }
+    return 0;
+}
+
+static PyObject *int_list(const int *values, int n)
+{
+    PyObject *list = PyList_New(n);
+    for (int i = 0; list && i < n; i++) {
+        PyObject *v = PyLong_FromLong(values[i]);
+        if (!v)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, v);
+    }
+    return list;
+}
+
+/* find_avoiding(conf_off, conf_idx, emb_off, emb_idx, keep, k, exactly,
+ * max_colors, budget) -> (colors or None, nodes_visited, exhausted), as
+ * pure.find_avoiding_coloring; keep and budget may be None. */
+static PyObject *py_find_avoiding(PyObject *self, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    (void)self;
+    int k, exactly, max_colors;
+    long long limit = -1;
+    PyObject *keep = NULL;
+    if (!nargs_ok("find_avoiding", nargs, 9) || clamp_int(args[5], &k) ||
+        (exactly = PyObject_IsTrue(args[6])) < 0 || clamp_int(args[7], &max_colors) ||
+        (args[8] != Py_None && clamp(args[8], LLONG_MIN, LLONG_MAX, &limit)) ||
+        (args[4] != Py_None && !(keep = PySequence_Fast(args[4], "keep must be a sequence"))))
+        return NULL;
+    table conf, emb;
+    if (get_tables(args, &conf, &emb)) {
+        Py_XDECREF(keep);
+        return NULL;
+    }
+    int m = conf.rows, copies = emb.rows;
+    int n_keep = keep ? (int)PySequence_Fast_GET_SIZE(keep) : m;
+    size_t work = (size_t)m + 1 + copies;
+    if (keep)
+        work += 2 * (size_t)m + 2 + copies + offsets(&conf)[m] + offsets(&emb)[copies];
+    /* the kept edges, the colors, then the kernel's work array */
+    int *buf = PyMem_Malloc(((keep ? n_keep : 0) + (size_t)n_keep + work) * sizeof(int));
+    PyObject *result = NULL;
+    if (!buf) {
+        PyErr_NoMemory();
+    } else if (!keep || !read_ints(keep, n_keep, buf)) {
+        int *kept = keep ? buf : NULL, *colors = buf + (keep ? n_keep : 0);
+        long long nodes;
+        int found;
+        Py_BEGIN_ALLOW_THREADS
+        found = rt_find_avoiding(m, offsets(&conf), indices(&conf), copies,
+                                 offsets(&emb), indices(&emb), n_keep, kept, k,
+                                 exactly, max_colors, limit, colors, &nodes,
+                                 colors + n_keep);
+        Py_END_ALLOW_THREADS
+        PyObject *got = found == 1 ? int_list(colors, n_keep) : Py_NewRef(Py_None);
+        if (got)
+            result = Py_BuildValue("(NLO)", got, nodes, found >= 0 ? Py_True : Py_False);
+    }
+    PyMem_Free(buf);
+    Py_XDECREF(keep);
+    release_table(&emb);
+    release_table(&conf);
+    return result;
+}
+
+/* sample_and_check(conf_off, conf_idx, emb_off, emb_idx, k, exactly,
+ * num_samples, state, skip_rainbow) -> (checked, rainbow_skipped,
+ * counterexample, sample_index), as pure.sample_and_check from the
+ * xorshift64* state its seed gives; the last two are None when every
+ * sample has a satisfied copy. */
+static PyObject *py_sample_and_check(PyObject *self, PyObject *const *args,
+                                     Py_ssize_t nargs)
+{
+    (void)self;
+    int k, exactly, skip_rainbow;
+    long long n_samples;
+    unsigned long long state;
+    if (!nargs_ok("sample_and_check", nargs, 9) || clamp_int(args[4], &k) ||
+        (exactly = PyObject_IsTrue(args[5])) < 0 ||
+        clamp(args[6], LLONG_MIN, LLONG_MAX, &n_samples) ||
+        ((state = PyLong_AsUnsignedLongLong(args[7])) == (unsigned long long)-1 &&
+         PyErr_Occurred()) ||
+        (skip_rainbow = PyObject_IsTrue(args[8])) < 0)
+        return NULL;
+    table conf, emb;
+    if (get_tables(args, &conf, &emb))
+        return NULL;
+    int m = conf.rows, n_emb = emb.rows;
+    /* the colors, the options, then the kernel's work array */
+    int *buf = PyMem_Malloc(((size_t)3 * m + 2 + n_emb) * sizeof(int));
+    uint64_t *marks = PyMem_Calloc((size_t)m + 1, sizeof(uint64_t));
+    PyObject *result = NULL;
+    if (!buf || !marks) {
+        PyErr_NoMemory();
+    } else {
+        long long counts[2], index;
+        Py_BEGIN_ALLOW_THREADS
+        index = rt_sample_and_check(m, offsets(&conf), indices(&conf), n_emb,
+                                    offsets(&emb), indices(&emb), k, exactly,
+                                    n_samples, state, skip_rainbow, buf, buf + m,
+                                    marks, counts, buf + 2 * m + 1);
+        Py_END_ALLOW_THREADS
+        PyObject *colors = index >= 0 ? int_list(buf, m) : NULL;
+        if (index < 0)
+            result = Py_BuildValue("(LLOO)", counts[0], counts[1], Py_None, Py_None);
+        else if (colors)
+            result = Py_BuildValue("(LLNL)", counts[0], counts[1], colors, index);
+    }
+    PyMem_Free(marks);
+    PyMem_Free(buf);
+    release_table(&emb);
+    release_table(&conf);
+    return result;
+}
+
+/* unique_counts(colors, emb_off, emb_idx) -> each copy's unique-edge count,
+ * as pure.unique_counts; the colors must fit C ints. */
+static PyObject *py_unique_counts(PyObject *self, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    (void)self;
+    PyObject *seq;
+    if (!nargs_ok("unique_counts", nargs, 3) ||
+        !(seq = PySequence_Fast(args[0], "colors must be a sequence")))
+        return NULL;
+    table emb;
+    if (get_table(args[1], args[2], &emb)) {
+        Py_DECREF(seq);
+        return NULL;
+    }
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    /* the colors, then the counts */
+    int *buf = PyMem_Malloc(((size_t)n + emb.rows) * sizeof(int));
+    PyObject *result = NULL;
+    if (!buf) {
+        PyErr_NoMemory();
+    } else if (!read_ints(seq, n, buf)) {
+        rt_unique_counts(buf, emb.rows, offsets(&emb), indices(&emb), buf + n);
+        result = int_list(buf + n, emb.rows);
+    }
+    PyMem_Free(buf);
+    release_table(&emb);
+    Py_DECREF(seq);
+    return result;
+}
+
+/* Reads the edge obj's endpoints into ends: 0, 1 when one lies outside
+ * 0..n-1, or -1 with an exception set when obj is no pair of ints. */
+static int read_edge(PyObject *obj, long n, int *ends)
+{
+    PyObject *edge = PySequence_Fast(obj, "an edge must be a pair of ints");
+    if (!edge)
+        return -1;
+    int status = 0;
+    if (PySequence_Fast_GET_SIZE(edge) != 2) {
+        PyErr_SetString(PyExc_ValueError, "an edge must be a pair of ints");
+        status = -1;
+    }
+    for (int j = 0; j < 2 && !status; j++) {
+        int overflow;
+        long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(edge, j), &overflow);
+        if (v == -1 && !overflow && PyErr_Occurred())
+            status = -1;
+        else if (overflow || v < 0 || v >= n)
+            status = 1;
+        else
+            ends[j] = (int)v;
+    }
+    Py_DECREF(edge);
+    return status;
+}
+
+/* Word w of the key rt_canonical_key writes, 8 little-endian bytes. */
+static uint64_t key_word(const unsigned char *key, int w)
+{
+    uint64_t word = 0;
+    for (int b = 7; b >= 0; b--)
+        word = word << 8 | key[8 * w + b];
+    return word;
+}
+
+/* The key's words, least significant first, as one Python int. */
+static PyObject *key_int(const unsigned char *key, int words)
+{
+    if (!words)
+        return PyLong_FromLong(0);
+    PyObject *out = PyLong_FromUnsignedLongLong(key_word(key, words - 1));
+    PyObject *shift = words > 1 ? PyLong_FromLong(64) : NULL;
+    for (int w = words - 2; out && w >= 0; w--) {
+        PyObject *low = shift ? PyLong_FromUnsignedLongLong(key_word(key, w)) : NULL;
+        PyObject *high = low ? PyNumber_Lshift(out, shift) : NULL;
+        Py_DECREF(out);
+        out = high ? PyNumber_Or(high, low) : NULL;
+        Py_XDECREF(high);
+        Py_XDECREF(low);
+    }
+    Py_XDECREF(shift);
+    return out;
+}
+
+/* canonical_key(n, edges) -> pure.canonical_key(n, edges) for 0 <= n <= 64
+ * (pure.check_vertex_count), or None when an endpoint lies outside 0..n-1.
+ * Each edge is a sequence of two ints. */
+static PyObject *py_canonical_key(PyObject *self, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    (void)self;
+    long n;
+    PyObject *seq;
+    if (!nargs_ok("canonical_key", nargs, 2) ||
+        ((n = PyLong_AsLong(args[0])) == -1 && PyErr_Occurred()))
+        return NULL;
+    if (n < 0 || n > RT_MAXN) {
+        PyErr_SetString(PyExc_ValueError, "canonical_key takes 0..64 vertices");
+        return NULL;
+    }
+    if (!(seq = PySequence_Fast(args[1], "edges must be a sequence")))
+        return NULL;
+    Py_ssize_t m = PySequence_Fast_GET_SIZE(seq);
+    int *ends = m < INT_MAX / 2 ? PyMem_Malloc(((size_t)2 * m + 1) * sizeof(int)) : NULL;
+    int status = ends ? 0 : -1;
+    if (!ends)
+        PyErr_NoMemory();
+    for (Py_ssize_t i = 0; i < m && !status; i++)
+        status = read_edge(PySequence_Fast_GET_ITEM(seq, i), n, ends + 2 * i);
+    unsigned char key[RT_MAXN * 8];
+    if (!status && rt_canonical_key((int)n, (int)m, ends, key))
+        status = 1;
+    PyObject *result = status < 0 ? NULL
+        : status ? Py_NewRef(Py_None) : key_int(key, (int)(n * n + 63) / 64);
+    PyMem_Free(ends);
+    Py_DECREF(seq);
+    return result;
+}
+
+#define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
+
+static PyMethodDef methods[] = {
+    {"find_avoiding", FASTCALL(py_find_avoiding), NULL},
+    {"sample_and_check", FASTCALL(py_sample_and_check), NULL},
+    {"unique_counts", FASTCALL(py_unique_counts), NULL},
+    {"canonical_key", FASTCALL(py_canonical_key), NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_native",
+    "The compiled kernels; rturan._kernels.native is their front end.", -1,
+    methods, NULL, NULL, NULL, NULL
+};
+
+PyMODINIT_FUNC PyInit__native(void)
+{
+    return PyModule_Create(&module);
 }

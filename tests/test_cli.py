@@ -893,16 +893,19 @@ def test_cli_import_loads_no_heavy_modules(tmp_path):
     # verify compute no bound, so their runs never load fractions either.
     # hashlib with OpenSSL's _hashlib costs 3-4 ms and 3.5 MB of peak RSS;
     # certificates are named by CPython's built-in SHA-256, so a run that
-    # writes one loads them only on a build without that module
+    # writes one loads them only on a build without that module.  ctypes
+    # took about 1.7 ms; the compiled kernels are an extension module
     runs = [["--cache-dir", str(tmp_path / argv[0]), *argv] for argv in (
         ["spectrum", "P12"], ["search", "--n", "5", "--pattern", "P3", "--rainbow"],
         ["verify", "k2s4", "--s", "3"])]
     at_import, codes, after = watch_imports(runs, "dataclasses", "inspect",
-                                            "hashlib", "_hashlib", *FRACTIONS)
+                                            "hashlib", "_hashlib", "ctypes",
+                                            "_ctypes", *FRACTIONS)
     assert at_import == {}, blame(at_import)
     assert codes == [EXIT_OK] * len(runs)
-    fractions = {name: who for name, who in after.items() if name in FRACTIONS}
-    assert fractions == {}, blame(fractions)
+    unwanted = {name: who for name, who in after.items()
+                if name in (*FRACTIONS, "ctypes", "_ctypes")}
+    assert unwanted == {}, blame(unwanted)
     if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         pytest.skip("this Python has no built-in SHA-256, so hashing loads hashlib")
     openssl = {name: who for name, who in after.items() if name in ("hashlib", "_hashlib")}

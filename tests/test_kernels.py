@@ -210,6 +210,47 @@ def test_backends_agree_on_arbitrary_conflict_lists():
                     == pure.sample_and_check(m, conf, emb, k, exactly, 20, trial))
 
 
+# values past a C int and past a C int64, both ways
+PAST_C = (2**40, 2**70, -2**70)
+
+
+@needs_native
+def test_avoider_backends_agree_past_c_integer_ranges():
+    # native.c clamps k and the color cap to a C int and the budget to an
+    # int64: the kernels only compare them with counts far inside those
+    # ranges, so the results equal pure's, whose ints are unbounded
+    m, conf, emb = instance(make_complete(4), make_path(3))
+    packed = pure.pack_rows(conf), pure.pack_rows(emb)
+    for k in (*PAST_C, 2):
+        for cap in (*PAST_C, 3):
+            for budget in (*PAST_C, None, 5):
+                for exactly in (False, True):
+                    for keep in (None, [0, 1, 3, 5]):
+                        want = pure.find_avoiding_coloring(m, conf, emb, k, exactly,
+                                                           cap, budget, keep)
+                        assert native.find_avoiding_coloring(
+                            m, *packed, k, exactly, cap, budget, keep) == want, \
+                            (k, cap, budget, exactly, keep)
+
+
+@needs_native
+def test_sampler_backends_agree_past_c_integer_ranges():
+    # k clamped to a C int, the sample count to an int64, and any seed taken
+    # mod 2**64 (0 remapped); a sample count past an int64 still ends here,
+    # since exactly k unique edges, or at least 2**40, is never satisfied
+    m, conf, emb = instance(make_complete(4), make_path(2))
+    for seed in (3, 2**64 + 5, 2**70 + 3, -2**70):
+        for k in PAST_C:
+            for exactly in (True, False):
+                counts = PAST_C[:2] if exactly or k > 0 else ()
+                for samples in (*counts, -2**70, 300):
+                    want = pure.sample_and_check(m, conf, emb, k, exactly, samples, seed)
+                    assert native.sample_and_check(m, conf, emb, k, exactly, samples,
+                                                   seed) == want, (seed, k, exactly, samples)
+                    if samples in counts:
+                        assert want["counterexample"] is not None
+
+
 @pytest.mark.parametrize("backend", [
     pytest.param(pure, id="pure"),
     pytest.param(native, id="native", marks=needs_native),
@@ -461,9 +502,11 @@ def test_kept_edges_backends_agree():
 
 def keys_agree(n, edges):
     # equal integers, not only equal classes: each level's order, and so the
-    # representatives and certified avoiders, follow the key values
+    # representatives and certified avoiders, follow the key values; the
+    # compiled kernel reads each edge as any pair, a list as well as a tuple
     key = pure.canonical_key(n, edges)
     assert native.canonical_key(n, edges) == key, (n, edges)
+    assert native.canonical_key(n, [list(e) for e in edges]) == key, (n, edges)
     return key
 
 
